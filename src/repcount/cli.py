@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditioning import DEFAULT_OUTLIER_ITERATIONS
 from .counting import DEFAULT_TOLERANCE_DEG
 from .keypoints import (ParseError, SchemaError, iter_ndjson_frames, load_frames,
                         normalize_skeleton, serialize_frame, write_session_csv)
-from .kinematics import ProfileError, angle_for, builtin_profiles, load_profiles
+from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine, analyze_frames
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
                          TrainingError, calibrate_reject, load_model, save_model,
@@ -28,7 +27,6 @@ from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
 from .reporting import render_json, render_text, write_events_csv, write_trace_csv
 from .synthetic import (PersonMotion, SpecError, SyntheticSessionSpec,
                         generate_session, make_labeled_dataset)
-from .tracker import PoseTracker
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -37,35 +35,10 @@ EXIT_BAD_CONFIG = 4
 EXIT_BAD_DATASET = 5
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="model file path")
-    parser.add_argument("--profiles", help="exercise profile config (JSON)")
-    parser.add_argument("--fps", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iterations", type=int, default=DEFAULT_OUTLIER_ITERATIONS,
-                        help="outlier normalization sweeps")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_DEG,
-                        help="ROM bound tolerance, degrees")
-    parser.add_argument("--reject", choices=["one-sided", "two-sided", "off"],
-                        default="one-sided")
-    parser.add_argument("--gap-fill", choices=["extrapolate", "reflect-abs"],
-                        default="extrapolate", help="gap fill formula variant")
-
-
 def _load_profiles_arg(args):
     if args.profiles:
         return load_profiles(args.profiles)
     return builtin_profiles()
-
-
-def _engine_config(args, keep_traces=False) -> EngineConfig:
-    return EngineConfig(
-        tolerance=args.tolerance,
-        outlier_iterations=args.iterations,
-        gap_mode=args.gap_fill,
-        reject_mode=args.reject,
-        keep_traces=keep_traces,
-    )
 
 
 def _read_frames(args):
@@ -93,7 +66,7 @@ def cmd_analyze(args) -> int:
         print(f"error: unreadable input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    config = _engine_config(args, keep_traces=bool(args.out_csv))
+    config = EngineConfig(tolerance=args.tolerance, keep_traces=bool(args.out_csv))
     engine = SessionEngine(model=model, thresholds=thresholds,
                            profiles=profiles, config=config)
     for frame in frames:
@@ -254,33 +227,8 @@ def cmd_bench(args) -> int:
         rates.append(len(frames) / (time.perf_counter() - start))
     median_fps = statistics.median(rates)
 
-    # per-stage breakdown measured in isolation
-    start = time.perf_counter()
-    tracker = PoseTracker()
-    for frame in frames:
-        tracker.match_frame(frame)
-    t_track = time.perf_counter() - start
-    start = time.perf_counter()
-    for frame in frames:
-        for skel in frame.skeletons:
-            fv = normalize_skeleton(skel)
-            if fv is not None and model is not None:
-                from .recognizer import classify_with_reject
-                classify_with_reject(model, thresholds, fv)
-    t_recognize = time.perf_counter() - start
-    start = time.perf_counter()
-    profile = profiles["push-up"]
-    for frame in frames:
-        for skel in frame.skeletons:
-            angle_for(profile, skel)
-    t_angle = time.perf_counter() - start
-
-    n = len(frames)
-    print(f"frames: {n}  runs: {args.repetitions}")
+    print(f"frames: {len(frames)}  runs: {args.repetitions}")
     print(f"pipeline throughput: {median_fps:.0f} frames/s (median)")
-    print(f"stage breakdown (one pass): tracking {n / max(t_track, 1e-9):.0f} f/s, "
-          f"recognition {n / max(t_recognize, 1e-9):.0f} f/s, "
-          f"angles {n / max(t_angle, 1e-9):.0f} f/s")
     return EXIT_OK
 
 
@@ -290,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run the full counting pipeline on a session")
     p.add_argument("input", help="frame stream: NDJSON file, JSON dir, CSV, or '-'")
-    _add_common(p)
+    p.add_argument("--model", help="model file path")
+    p.add_argument("--profiles", help="exercise profile config (JSON)")
+    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_DEG,
+                   help="ROM bound tolerance, degrees")
     p.add_argument("--out-text", help="write the text report here (default stdout)")
     p.add_argument("--out-json", help="write the JSON report here")
     p.add_argument("--out-csv", help="write the events CSV here (plus per-person traces)")

@@ -1,21 +1,18 @@
 """Angle-trace conditioning: gap filling and outlier normalization.
 
 Gaps (frames where the major joint could not be measured) are filled by
-linear extrapolation from the two preceding samples; outliers are pulled to
-the mean of their neighbors when they deviate toward the range-of-motion
-mid-line against the local trend. Both steps run before the repetition
-counter sees the trace.
+linear extrapolation from the two preceding samples, clamped to [0, 180];
+outliers are pulled to the mean of their neighbors when they deviate toward
+the range-of-motion mid-line against the local trend, in one left-to-right
+sweep. Both steps run before the repetition counter sees the trace.
+
+StreamingConditioner is the implementation the engine runs, with 1 frame of
+latency. fill_gaps and normalize_outliers are the batch reference it equals:
+normalize_outliers(fill_gaps(x), mid) == condition_trace(x, mid).
 """
 from __future__ import annotations
 
 from typing import Optional
-
-DEFAULT_OUTLIER_ITERATIONS = 3
-
-# gap-fill modes: "extrapolate" is linear extrapolation 2*a[f-1] - a[f-2]
-# clamped to [0, 180]; "reflect-abs" is |2*a[f-2] - a[f-1]|, which lets the
-# older sample dominate and reflects negative results upward
-GAP_FILL_MODES = ("extrapolate", "reflect-abs")
 
 
 def _clamp(value: float) -> float:
@@ -27,15 +24,13 @@ def is_usable(samples: list[Optional[float]]) -> bool:
     return sum(1 for s in samples if s is not None) >= 2
 
 
-def fill_gaps(samples: list[Optional[float]], mode: str = "extrapolate") -> list[Optional[float]]:
-    """Replace gap samples (None) with extrapolated angles.
+def fill_gaps(samples: list[Optional[float]]) -> list[Optional[float]]:
+    """Replace gap samples (None) with 2*a[f-1] - a[f-2] clamped to [0, 180].
 
     Leading gaps are back-filled with the first valid value. Traces with
     fewer than 2 valid samples pass through untouched (caller checks
     is_usable). Non-gap samples are never altered.
     """
-    if mode not in GAP_FILL_MODES:
-        raise ValueError(f"unknown gap fill mode {mode!r}")
     if not is_usable(samples):
         return list(samples)
     out: list[float] = []
@@ -45,10 +40,8 @@ def fill_gaps(samples: list[Optional[float]], mode: str = "extrapolate") -> list
             out.append(s)
         elif len(out) < 2:
             out.append(first_valid if not out else out[-1])
-        elif mode == "extrapolate":
-            out.append(_clamp(2.0 * out[-1] - out[-2]))
         else:
-            out.append(abs(2.0 * out[-2] - out[-1]))
+            out.append(_clamp(2.0 * out[-1] - out[-2]))
     return out
 
 
@@ -60,13 +53,12 @@ def _outlier_adjust(prev: float, cur: float, nxt: float, mid: float) -> float:
     return cur
 
 
-def normalize_outliers(samples: list[float], mid: float,
-                       iterations: int = DEFAULT_OUTLIER_ITERATIONS) -> list[float]:
+def normalize_outliers(samples: list[float], mid: float, iterations: int = 1) -> list[float]:
     """Pull mid-line-ward spikes to their neighbor mean.
 
     Runs ``iterations`` in-place left-to-right sweeps over the gap-free
     trace; endpoints are never modified. With iterations=0 this is the
-    identity.
+    identity. The default single sweep is what conditioning applies.
     """
     out = list(samples)
     for _ in range(iterations):
@@ -75,14 +67,16 @@ def normalize_outliers(samples: list[float], mid: float,
     return out
 
 
-def condition_trace(samples: list[Optional[float]], mid: float,
-                    iterations: int = DEFAULT_OUTLIER_ITERATIONS,
-                    gap_mode: str = "extrapolate") -> list[float]:
-    """Full batch conditioning: fill gaps, then normalize outliers."""
-    filled = fill_gaps(samples, mode=gap_mode)
-    if any(s is None for s in filled):
+def condition_trace(samples: list[Optional[float]], mid: float) -> list[float]:
+    """Condition a whole trace by streaming it through StreamingConditioner."""
+    if not is_usable(samples):
         raise ValueError("trace has fewer than 2 valid samples; cannot condition")
-    return normalize_outliers(filled, mid, iterations)
+    conditioner = StreamingConditioner(mid)
+    out: list[float] = []
+    for frame, raw in enumerate(samples):
+        out.extend(c for _, _, c in conditioner.feed(frame, raw))
+    out.extend(c for _, _, c in conditioner.flush())
+    return out
 
 
 class StreamingConditioner:
@@ -93,13 +87,8 @@ class StreamingConditioner:
     releases the final sample unmodified (it is an endpoint).
     """
 
-    def __init__(self, mid: float, iterations: int = DEFAULT_OUTLIER_ITERATIONS,
-                 gap_mode: str = "extrapolate"):
-        if gap_mode not in GAP_FILL_MODES:
-            raise ValueError(f"unknown gap fill mode {gap_mode!r}")
+    def __init__(self, mid: float):
         self.mid = mid
-        self.iterations = iterations
-        self.gap_mode = gap_mode
         self._filled_hist: list[float] = []  # last two gap-filled values
         self._pending: Optional[tuple[int, float]] = None  # awaiting right neighbor
         self._last_emitted: Optional[float] = None
@@ -112,10 +101,7 @@ class StreamingConditioner:
         if len(self._filled_hist) < 2:
             # leading gap: back-fill with the first valid value on arrival
             return None
-        a1, a2 = self._filled_hist[-1], self._filled_hist[-2]
-        if self.gap_mode == "extrapolate":
-            return _clamp(2.0 * a1 - a2)
-        return abs(2.0 * a2 - a1)
+        return _clamp(2.0 * self._filled_hist[-1] - self._filled_hist[-2])
 
     def feed(self, frame: int, raw: Optional[float]) -> list[tuple[int, float, float]]:
         """Feed one sample; return the (frame, filled, conditioned) samples
@@ -144,9 +130,9 @@ class StreamingConditioner:
         if self._pending is not None:
             pframe, pfilled = self._pending
             pval = pfilled
-            if self._last_emitted is not None and self.iterations > 0:
-                # one rule application suffices: a replaced sample equals its
-                # neighbor mean and cannot re-trigger
+            if self._last_emitted is not None:
+                # left neighbor already conditioned, right neighbor only
+                # gap-filled: exactly one in-place left-to-right sweep
                 pval = _outlier_adjust(self._last_emitted, pval, filled, self.mid)
             out.append((pframe, pfilled, pval))
             self._last_emitted = pval

@@ -45,7 +45,7 @@ class RawSkeleton:
     and must not enter any distance, angle, or feature computation.
     """
 
-    coords: np.ndarray  # (25, 3) float64, columns x, y, z
+    coords: np.ndarray  # (25, 3) finite float64, columns x, y, z
     confidence: np.ndarray  # (25,) float64 in [0, 1]
 
     def __post_init__(self):
@@ -53,8 +53,10 @@ class RawSkeleton:
             raise SchemaError(f"expected ({NUM_JOINTS}, 3) coords, got {self.coords.shape}")
         if self.confidence.shape != (NUM_JOINTS,):
             raise SchemaError(f"expected ({NUM_JOINTS},) confidences, got {self.confidence.shape}")
-        if np.any(self.confidence < 0) or np.any(self.confidence > 1):
-            raise SchemaError("confidence values must lie in [0, 1]")
+        # NaN fails every comparison, so a NaN confidence fails the bounds
+        if not (np.isfinite(self.coords).all()
+                and 0.0 <= self.confidence.min() and self.confidence.max() <= 1.0):
+            raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
 
     @property
     def detected(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .conditioning import DEFAULT_OUTLIER_ITERATIONS, StreamingConditioner
+from .conditioning import StreamingConditioner
 from .counting import DEFAULT_DEBOUNCE_DEG, DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
 from .keypoints import SkeletonFrame, normalize_skeleton
 from .kinematics import ExerciseProfile, angle_for, builtin_profiles
@@ -26,9 +26,6 @@ from .tracker import PoseTracker
 class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
     debounce: float = DEFAULT_DEBOUNCE_DEG
-    outlier_iterations: int = DEFAULT_OUTLIER_ITERATIONS
-    gap_mode: str = "extrapolate"
-    reject_mode: str = "one-sided"  # one-sided | two-sided | off
     max_match_distance: Optional[float] = None
     retention_window: int = 30
     keep_traces: bool = False  # retain per-set angle traces for CSV export
@@ -96,8 +93,7 @@ class SessionEngine:
         feature = normalize_skeleton(skel)
         if feature is None:
             return UNKNOWN
-        return classify_with_reject(self.model, self.thresholds, feature,
-                                    mode=self.config.reject_mode)
+        return classify_with_reject(self.model, self.thresholds, feature)
 
     def _step_exercise(self, state: _PersonState, exercise: str, skel, frame_index: int) -> None:
         if state.active is not None and state.active.exercise != exercise:
@@ -106,9 +102,7 @@ class SessionEngine:
             profile = self.profiles[exercise]
             state.active = _ExerciseSet(
                 exercise=exercise,
-                conditioner=StreamingConditioner(profile.rom_mid,
-                                                 iterations=self.config.outlier_iterations,
-                                                 gap_mode=self.config.gap_mode),
+                conditioner=StreamingConditioner(profile.rom_mid),
                 counter=RepCounter(profile, person_id=state.person_id,
                                    tolerance=self.config.tolerance,
                                    debounce=self.config.debounce),

@@ -22,7 +22,7 @@ WARMUP = "warmup"
 LABEL_WINDOW_SIZE = 10
 MODEL_FORMAT_VERSION = 1
 
-# z-score of the 90% two-sided normal confidence interval
+# z-score of the central 90% normal confidence interval
 CI_Z = 1.645
 
 
@@ -217,23 +217,16 @@ def calibrate_reject(model: MlpModel, heldout_features: np.ndarray) -> RejectThr
 
 
 def classify_with_reject(model: MlpModel, thresholds: Optional[RejectThresholds],
-                         features: np.ndarray, mode: str = "one-sided") -> str:
-    """Classify one feature vector, or return UNKNOWN when confidence falls
-    outside the calibrated bounds.
+                         features: np.ndarray) -> str:
+    """Classify one feature vector, or return UNKNOWN when the top-class
+    probability falls below that class's calibrated ci_low.
 
-    mode: "one-sided" (accept iff p >= ci_low, the default), "two-sided"
-    (also require p <= ci_high), or "off" (never reject).
+    A model without thresholds (thresholds=None) never rejects.
     """
     probs = forward(model, features)
     ci = int(np.argmax(probs))
     name = model.class_names[ci]
-    if mode == "off" or thresholds is None:
-        return name
-    lo, hi = thresholds.bounds[name]
-    p = float(probs[ci])
-    if p < lo:
-        return UNKNOWN
-    if mode == "two-sided" and p > hi:
+    if thresholds is not None and float(probs[ci]) < thresholds.bounds[name][0]:
         return UNKNOWN
     return name
 

@@ -82,6 +82,16 @@ class TestExitCodes:
     def test_missing_input(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.ndjson")]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_keypoint(self, tmp_path, value):
+        session = simulate(tmp_path, full_cycles=1)
+        lines = session.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["people"][0]["pose_keypoints_3d"][4 * 4:4 * 4 + 4] = [value, 1.0, 0.0, 1.0]
+        lines[3] = json.dumps(doc)  # written as NaN / Infinity
+        session.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
+
     def test_corrupt_model(self, tmp_path):
         bad = tmp_path / "bad_model.json"
         bad.write_text("{broken")

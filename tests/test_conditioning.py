@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repcount.conditioning import (StreamingConditioner, condition_trace,
                                    fill_gaps, is_usable, normalize_outliers)
@@ -17,10 +19,6 @@ class TestFillGaps:
 
     def test_clamp_at_180(self):
         assert fill_gaps([170.0, 179.0, None]) == [170.0, 179.0, 180.0]
-
-    def test_reflect_abs_variant(self):
-        # alternate form |2*a[f-2] - a[f-1]|: the older sample dominates
-        assert fill_gaps([100.0, 110.0, None], mode="reflect-abs") == [100.0, 110.0, 90.0]
 
     def test_leading_gaps_backfilled(self):
         assert fill_gaps([None, None, 50.0, 60.0]) == [50.0, 50.0, 50.0, 60.0]
@@ -50,10 +48,6 @@ class TestFillGaps:
             trace[i + 2] = None
         out = fill_gaps(trace)
         assert all(0.0 <= v <= 180.0 for v in out)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            fill_gaps([1.0, 2.0], mode="wavelet")
 
 
 class TestNormalizeOutliers:
@@ -106,10 +100,14 @@ class TestFullConditioning:
         out = condition_trace(trace, mid=90.0)
         assert out[2] == 120.0
 
+    def test_too_few_valid_raises(self):
+        with pytest.raises(ValueError):
+            condition_trace([None, 90.0, None], mid=90.0)
+
 
 class TestStreamingConditioner:
-    def run_stream(self, trace, mid, **kw):
-        sc = StreamingConditioner(mid, **kw)
+    def run_stream(self, trace, mid):
+        sc = StreamingConditioner(mid)
         out = []
         for f, v in enumerate(trace):
             out.extend(sc.feed(f, v))
@@ -134,12 +132,12 @@ class TestStreamingConditioner:
     def test_gap_fill_matches_batch(self):
         trace = [100.0, 110.0, None, 130.0, None, None, 100.0]
         batch = fill_gaps(list(trace))
-        out = self.run_stream(trace, mid=90.0, iterations=0)
+        out = self.run_stream(trace, mid=90.0)
         assert [filled for _, filled, _ in out] == batch
 
     def test_leading_gaps_backfilled(self):
         trace = [None, None, 50.0, 60.0]
-        out = self.run_stream(trace, mid=90.0, iterations=0)
+        out = self.run_stream(trace, mid=90.0)
         assert [c for _, _, c in out] == [50.0, 50.0, 50.0, 60.0]
         assert [f for f, _, _ in out] == [0, 1, 2, 3]
 
@@ -147,4 +145,16 @@ class TestStreamingConditioner:
         trace = [100.0, 112.0, 120.0, 121.0]
         batch = normalize_outliers(list(trace), mid=116.0)
         out = self.run_stream(trace, mid=116.0)
+        assert [c for _, _, c in out] == batch
+
+    @given(trace=st.lists(st.one_of(st.none(), st.floats(0.0, 180.0)),
+                          min_size=2, max_size=80).filter(is_usable),
+           mid=st.floats(0.0, 180.0))
+    def test_equals_one_batch_sweep_on_random_gappy_traces(self, trace, mid):
+        filled = fill_gaps(trace)
+        batch = normalize_outliers(filled, mid)
+        assert condition_trace(trace, mid) == batch
+        out = self.run_stream(trace, mid)
+        assert [f for f, _, _ in out] == list(range(len(trace)))
+        assert [v for _, v, _ in out] == filled
         assert [c for _, _, c in out] == batch

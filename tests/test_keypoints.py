@@ -77,6 +77,27 @@ class TestParseFrame:
         assert serialize_frame(reparsed) == serialize_frame(frame)
 
 
+NON_FINITE = [("x", float("nan")), ("x", float("inf")), ("x", float("-inf")),
+              ("confidence", float("nan")), ("confidence", float("inf"))]
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+def test_non_finite_frame_rejected(field, value):
+    flat = [v for j in range(NUM_JOINTS) for v in (1.0, 2.0, 0.9)]
+    flat[4 * 3 + (0 if field == "x" else 2)] = value
+    with pytest.raises(SchemaError, match="finite"):
+        parse_frame(frame_doc(flat), 0)
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE)
+def test_non_finite_csv_row_rejected(tmp_path, field, value):
+    x, conf = (value, 0.9) if field == "x" else (1.0, value)
+    path = tmp_path / "session.csv"
+    path.write_text(f"frame,person,joint,x,y,z,confidence\n0,0,4,{x},2.0,0.0,{conf}\n")
+    with pytest.raises(SchemaError, match="finite"):
+        load_session_csv(path)
+
+
 class TestNormalizeSkeleton:
     def test_identity_case(self):
         skel = make_skeleton()

@@ -206,13 +206,12 @@ class TestClassifyWithReject:
     def test_two_sided_rejects_above_upper(self):
         model = logit_model()
         th = RejectThresholds(bounds={"a": (0.6, 0.9), "b": (0.0, 1.0)})
-        assert classify_with_reject(model, th, logits_for(0.95), mode="two-sided") == UNKNOWN
-        assert classify_with_reject(model, th, logits_for(0.95), mode="one-sided") == "a"
+        # only ci_low rejects: a probability above ci_high is accepted
+        assert classify_with_reject(model, th, logits_for(0.95)) == "a"
 
     def test_off_never_rejects(self):
         model = logit_model()
-        th = RejectThresholds(bounds={"a": (0.99, 1.0), "b": (0.0, 1.0)})
-        assert classify_with_reject(model, th, logits_for(0.6), mode="off") == "a"
+        # a model saved without calibrated thresholds never rejects
         assert classify_with_reject(model, None, logits_for(0.6)) == "a"
 
 
