@@ -79,6 +79,30 @@ class SkeletonFrame:
         if self.source_fps <= 0:
             raise SchemaError("source_fps must be > 0")
 
+    # Stacked arrays for code that works on all persons at once. Each access
+    # builds them anew, so a frame holds no second copy of its keypoints;
+    # read them once per frame. They are read-only: with one skeleton they
+    # are views of its arrays.
+    @property
+    def coords(self) -> np.ndarray:
+        """(S, 25, 3) coordinates of all skeletons, in skeleton order."""
+        return self._stack("coords", (NUM_JOINTS, 3))
+
+    @property
+    def confidence(self) -> np.ndarray:
+        """(S, 25) confidences of all skeletons, in skeleton order."""
+        return self._stack("confidence", (NUM_JOINTS,))
+
+    def _stack(self, field, shape):
+        if len(self.skeletons) == 1:  # np.stack would cost more than the frame
+            out = getattr(self.skeletons[0], field)[None]
+        elif not self.skeletons:
+            out = np.zeros((0, *shape))
+        else:
+            out = np.stack([getattr(s, field) for s in self.skeletons])
+        out.flags.writeable = False
+        return out
+
 
 def _skeleton_from_flat(values, stride, person_idx):
     if len(values) % stride != 0:
@@ -93,9 +117,11 @@ def _skeleton_from_flat(values, stride, person_idx):
     coords = np.zeros((NUM_JOINTS, 3))
     coords[:, : stride - 1] = arr[:, : stride - 1]
     conf = arr[:, stride - 1].copy()
-    # undetected joints carry no positional meaning
-    coords[conf <= 0] = 0.0
-    conf[conf <= 0] = 0.0
+    # undetected joints carry no positional meaning; a negative confidence
+    # is left for RawSkeleton to reject, as format B does
+    undetected = conf == 0
+    coords[undetected] = 0.0
+    conf[undetected] = 0.0  # -0.0 becomes 0.0
     return RawSkeleton(coords=coords, confidence=conf)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_DEBOUNCE_DEG, DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
 from .keypoints import SkeletonFrame, normalize_skeleton
@@ -74,26 +76,38 @@ class SessionEngine:
             self.fps = frame.source_fps
         self.frame_count += 1
         assignment = self.tracker.match_frame(frame)
-        for sidx, skel in enumerate(frame.skeletons):
+        # a skeleton without an id (no detected joint) is skipped
+        tracked = [(sidx, skel) for sidx, skel in enumerate(frame.skeletons)
+                   if sidx in assignment.id_by_skeleton]
+        labels = self._frame_labels([skel for _, skel in tracked])
+        for (sidx, skel), label in zip(tracked, labels):
             pid = assignment.id_by_skeleton[sidx]
             state = self.persons.get(pid)
             if state is None:
                 state = self.persons[pid] = _PersonState(person_id=pid)
             state.frames_seen.append(frame.frame_index)
-            label = self._frame_label(skel)
             state.window.push(label)
             windowed = state.window.current()
             state.last_window_label = windowed
             if windowed in self.profiles:
                 self._step_exercise(state, windowed, skel, frame.frame_index)
 
-    def _frame_label(self, skel) -> str:
+    def _frame_labels(self, skeletons) -> list[str]:
+        """Per-skeleton labels; two or more normalizable skeletons share one
+        forward pass, a single one takes the cheaper one-row call."""
+        labels = [UNKNOWN] * len(skeletons)
         if self.model is None:
-            return UNKNOWN
-        feature = normalize_skeleton(skel)
-        if feature is None:
-            return UNKNOWN
-        return classify_with_reject(self.model, self.thresholds, feature)
+            return labels
+        features = [normalize_skeleton(skel) for skel in skeletons]
+        rows = [i for i, feature in enumerate(features) if feature is not None]
+        if len(rows) == 1:
+            labels[rows[0]] = classify_with_reject(self.model, self.thresholds,
+                                                   features[rows[0]])
+        elif rows:
+            batch = np.stack([features[i] for i in rows])
+            for i, label in zip(rows, classify_with_reject(self.model, self.thresholds, batch)):
+                labels[i] = label
+        return labels
 
     def _step_exercise(self, state: _PersonState, exercise: str, skel, frame_index: int) -> None:
         if state.active is not None and state.active.exercise != exercise:

@@ -217,13 +217,23 @@ def calibrate_reject(model: MlpModel, heldout_features: np.ndarray) -> RejectThr
 
 
 def classify_with_reject(model: MlpModel, thresholds: Optional[RejectThresholds],
-                         features: np.ndarray) -> str:
+                         features: np.ndarray) -> str | list[str]:
     """Classify one feature vector, or return UNKNOWN when the top-class
     probability falls below that class's calibrated ci_low.
 
-    A model without thresholds (thresholds=None) never rejects.
+    A (n, 50) batch goes through one forward pass and gives a list of n
+    labels, each row judged on its own. A model without thresholds
+    (thresholds=None) never rejects.
     """
     probs = forward(model, features)
+    if probs.ndim == 2:
+        top = probs.argmax(axis=1)
+        names = [model.class_names[ci] for ci in top.tolist()]
+        if thresholds is None:
+            return names
+        ci_low = np.array([thresholds.bounds[name][0] for name in model.class_names])
+        rejected = (probs.max(axis=1) < ci_low[top]).tolist()
+        return [UNKNOWN if r else name for name, r in zip(names, rejected)]
     ci = int(np.argmax(probs))
     name = model.class_names[ci]
     if thresholds is not None and float(probs[ci]) < thresholds.bounds[name][0]:

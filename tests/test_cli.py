@@ -92,6 +92,15 @@ class TestExitCodes:
         session.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
 
+    def test_negative_confidence(self, tmp_path):
+        session = simulate(tmp_path, full_cycles=1)
+        lines = session.read_text().splitlines()
+        doc = json.loads(lines[3])
+        doc["people"][0]["pose_keypoints_3d"][4 * 4 + 3] = -0.5
+        lines[3] = json.dumps(doc)
+        session.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
+
     def test_corrupt_model(self, tmp_path):
         bad = tmp_path / "bad_model.json"
         bad.write_text("{broken")

@@ -89,6 +89,39 @@ def test_non_finite_frame_rejected(field, value):
         parse_frame(frame_doc(flat), 0)
 
 
+def test_negative_confidence_rejected_in_both_formats(tmp_path):
+    flat = [v for j in range(NUM_JOINTS) for v in (1.0, 2.0, 0.9)]
+    flat[4 * 3 + 2] = -0.5
+    with pytest.raises(SchemaError, match=r"\[0, 1\]"):
+        parse_frame(frame_doc(flat), 0)
+    path = tmp_path / "session.csv"
+    path.write_text("frame,person,joint,x,y,z,confidence\n0,0,4,1.0,2.0,0.0,-0.5\n")
+    with pytest.raises(SchemaError, match=r"\[0, 1\]"):
+        load_session_csv(path)
+
+
+def test_negative_zero_confidence_is_undetected():
+    flat = [v for j in range(NUM_JOINTS) for v in (1.0, 2.0, 0.9)]
+    flat[4 * 3 + 2] = -0.0
+    skel = parse_frame(frame_doc(flat), 0).skeletons[0]
+    assert not skel.detected[4] and np.all(skel.coords[4] == 0.0)
+    assert str(skel.confidence[4]) == "0.0"
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_frame_stacks_skeleton_arrays(n):
+    rng = np.random.default_rng(n)
+    skels = tuple(make_skeleton(rng, confidence=0.5 + 0.1 * i) for i in range(n))
+    frame = SkeletonFrame(frame_index=0, skeletons=skels)
+    assert frame.coords.shape == (n, NUM_JOINTS, 3)
+    assert frame.confidence.shape == (n, NUM_JOINTS)
+    for i, skel in enumerate(skels):
+        assert np.array_equal(frame.coords[i], skel.coords)
+        assert np.array_equal(frame.confidence[i], skel.confidence)
+    with pytest.raises(ValueError):
+        frame.confidence[...] = 0.0
+
+
 @pytest.mark.parametrize("field,value", NON_FINITE)
 def test_non_finite_csv_row_rejected(tmp_path, field, value):
     x, conf = (value, 0.9) if field == "x" else (1.0, value)

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from repcount.body25 import NUM_JOINTS
+from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
-from repcount.recognizer import UNKNOWN
+from repcount.recognizer import UNKNOWN, classify_with_reject
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
 
@@ -105,3 +108,52 @@ class TestEndToEnd:
         engine.finalize()
         with pytest.raises(RuntimeError):
             engine.finalize()
+
+
+EMPTY_SKELETON = RawSkeleton(coords=np.zeros((NUM_JOINTS, 3)),
+                             confidence=np.zeros(NUM_JOINTS))
+
+
+class TestSkeletonWithoutJoints:
+    def test_never_becomes_a_person(self, trained_model):
+        model, thresholds, _ = trained_model
+        frames = [SkeletonFrame(frame_index=i, skeletons=(EMPTY_SKELETON,))
+                  for i in range(300)]
+        result = analyze_frames(frames, model=model, thresholds=thresholds)
+        assert result.summaries == []
+        assert result.frame_count == 300
+
+    def test_skipped_next_to_a_real_person(self, trained_model):
+        model, thresholds, _ = trained_model
+        spec = SyntheticSessionSpec(
+            persons=(PersonMotion("squat", full_cycles=4),), seed=17)
+        frames, truth = generate_session(spec)
+        with_empty = [SkeletonFrame(frame_index=f.frame_index,
+                                    skeletons=(EMPTY_SKELETON, *f.skeletons))
+                      for f in frames]
+        (summary,) = analyze_frames(with_empty, model=model,
+                                    thresholds=thresholds).summaries
+        assert (summary.total, summary.correct, summary.incorrect) == \
+            tuple(truth[0]["expected_counts"])
+
+
+def test_batched_labels_equal_per_skeleton_labels(trained_model):
+    model, thresholds, _ = trained_model
+    spec = SyntheticSessionSpec(
+        persons=tuple(PersonMotion(ex, full_cycles=3, noise_sigma=8.0,
+                                   gap_rate=0.1, pos_jitter=3.0)
+                      for ex in ("squat", "push-up", "sit-up", "pull-up", "sit-up")),
+        shuffle_order=True, seed=18)
+    frames, _ = generate_session(spec)
+    engine = SessionEngine(model=model, thresholds=thresholds)
+    seen = set()
+    for f in frames:
+        want = []
+        for skel in f.skeletons:
+            feature = normalize_skeleton(skel)
+            want.append(UNKNOWN if feature is None
+                        else classify_with_reject(model, thresholds, feature))
+        assert engine._frame_labels(f.skeletons) == want
+        seen.update(want)
+    # the reject rule and every class are exercised
+    assert seen == {UNKNOWN, *model.class_names}

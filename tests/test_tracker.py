@@ -1,11 +1,20 @@
 import itertools
+import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repcount.body25 import NUM_JOINTS
-from repcount.keypoints import RawSkeleton, SkeletonFrame
-from repcount.tracker import (PoseTracker, SequencingError, skeleton_distance)
+from repcount import recognizer, tracker
+from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
+from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
+from repcount.pipeline import analyze_frames
+from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
+                                generate_session)
+from repcount.tracker import (PoseTracker, SequencingError, distance_matrix,
+                              skeleton_distance)
 
 
 def skeleton_at(offset, rng=None, detected=None):
@@ -163,3 +172,130 @@ class TestMatchFrame:
         t.match_frame(frame(1))
         t.match_frame(frame(2))
         assert t.persons[pid].frames_missing == 2
+
+    def test_skeleton_without_detected_joint_never_tracked(self):
+        t = PoseTracker()
+        empty = RawSkeleton(coords=np.zeros((NUM_JOINTS, 3)),
+                            confidence=np.zeros(NUM_JOINTS))
+        s = skeleton_at((0, 0))
+        a0 = t.match_frame(frame(0, empty, s))
+        assert a0.new_ids == [1] and 0 not in a0.id_by_skeleton
+        a1 = t.match_frame(frame(1, s, empty))
+        assert a1.pairs == [(a0.id_by_skeleton[1], 0)] and a1.new_ids == []
+        assert list(t.persons) == [a0.id_by_skeleton[1]]
+
+
+def random_skeletons(rng, n, spread=40.0):
+    """n skeletons near one another, each joint dropped with its own rate;
+    some repeat an earlier one, so that distances tie exactly."""
+    out = []
+    for _ in range(n):
+        if out and rng.random() < 0.2:
+            out.append(out[rng.integers(len(out))])
+            continue
+        coords = rng.normal(0.0, spread, size=(NUM_JOINTS, 3))
+        conf = rng.uniform(0.05, 1.0, NUM_JOINTS)
+        conf[rng.random(NUM_JOINTS) < rng.uniform(0.0, 1.0)] = 0.0
+        coords[conf == 0] = 0.0
+        out.append(RawSkeleton(coords=coords, confidence=conf))
+    return out
+
+
+def reference_match(persons, skeletons, gate=None):
+    """The pairwise greedy pass: sort (distance, person id, skeleton index)
+    candidates within the gate, then take each whose ends are both free.
+    Without a gate, half the median torso length of the frame is used."""
+    if gate is None:
+        torsos = []
+        for s in skeletons:
+            if s.has(NECK, MID_HIP):
+                dx, dy, dz = s.coords[NECK] - s.coords[MID_HIP]
+                torsos.append(math.sqrt(dx * dx + dy * dy + dz * dz))
+        gate = 0.5 * statistics.median(torsos) if torsos else float("inf")
+    candidates = []
+    for pid, last in persons.items():
+        for sidx, skel in enumerate(skeletons):
+            d = skeleton_distance(last, skel)
+            if d is not None and d <= gate:
+                candidates.append((d, pid, sidx))
+    candidates.sort()
+    pairs, used_p, used_s = [], set(), set()
+    for _, pid, sidx in candidates:
+        if pid not in used_p and sidx not in used_s:
+            used_p.add(pid)
+            used_s.add(sidx)
+            pairs.append((pid, sidx))
+    return sorted(pairs)
+
+
+class TestDistanceMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_equals_pairwise_distance(self, n_tracks, n_skeletons, seed):
+        rng = np.random.default_rng(seed)
+        old = random_skeletons(rng, n_tracks)
+        new = random_skeletons(rng, n_skeletons)
+        dist = distance_matrix(np.stack([s.coords for s in old]),
+                               np.stack([s.confidence for s in old]),
+                               np.stack([s.coords for s in new]),
+                               np.stack([s.confidence for s in new]))
+        assert dist.shape == (n_tracks, n_skeletons)
+        for p, a in enumerate(old):
+            for s, b in enumerate(new):
+                want = skeleton_distance(a, b)
+                if want is None:  # no shared joint is never a candidate
+                    assert np.isnan(dist[p, s])
+                else:
+                    assert dist[p, s] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([None, 20.0, 60.0, 1e9]))
+    def test_match_frame_equals_pairwise_greedy(self, n_tracks, n_skeletons, seed, gate):
+        rng = np.random.default_rng(seed)
+        t = PoseTracker(max_match_distance=gate)
+        first = random_skeletons(rng, n_tracks)
+        t.match_frame(frame(0, *first))
+        persons = {pid: p.last_skeleton for pid, p in t.persons.items()}
+        skeletons = random_skeletons(rng, n_skeletons)
+        a = t.match_frame(frame(1, *skeletons))
+        assert a.pairs == reference_match(persons, skeletons, gate)
+
+
+def crowd_session(n_persons=16, cycles=2, seed=4):
+    exercises = ("push-up", "pull-up", "squat", "sit-up")
+    spec = SyntheticSessionSpec(
+        persons=tuple(PersonMotion(exercises[i % 4], full_cycles=cycles,
+                                   noise_sigma=5.0, gap_rate=0.05)
+                      for i in range(n_persons)),
+        shuffle_order=True, seed=seed)
+    return generate_session(spec)[0]
+
+
+def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
+    """On a 16-person stream the tracker never falls back to pairwise
+    distances, and each frame makes one forward pass for all persons."""
+    model, thresholds, _ = trained_model
+    frames = crowd_session()
+    calls = {"distance": 0, "forward": 0, "rows": 0}
+
+    def counting_distance(a, b):
+        calls["distance"] += 1
+        return skeleton_distance(a, b)
+
+    def counting_forward(m, features):
+        calls["forward"] += 1
+        calls["rows"] += len(np.atleast_2d(features))
+        return forward(m, features)
+
+    forward = recognizer.forward
+    monkeypatch.setattr(tracker, "skeleton_distance", counting_distance)
+    monkeypatch.setattr(recognizer, "forward", counting_forward)
+    result = analyze_frames(frames, model=model, thresholds=thresholds)
+    normalizable = [sum(normalize_skeleton(s) is not None for s in f.skeletons)
+                    for f in frames]
+    assert min(normalizable) >= 2
+    assert calls["distance"] == 0
+    assert calls["forward"] == len(frames)
+    assert calls["rows"] == sum(normalizable)
+    assert len(result.summaries) == 16
