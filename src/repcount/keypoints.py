@@ -22,8 +22,6 @@ from .body25 import MID_HIP, NECK, NUM_JOINTS
 # below this neck-to-mid-hip distance (input units) a skeleton is degenerate
 TORSO_EPSILON = 1e-6
 
-FEATURE_DIM = 2 * NUM_JOINTS
-
 
 class ParseError(ValueError):
     """Malformed keypoint document; carries the byte offset when known."""
@@ -37,26 +35,17 @@ class SchemaError(ValueError):
     """Well-formed document whose shape does not match the keypoint layout."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class RawSkeleton:
-    """One detected person: 25 joints with coordinates and confidences.
+    """One person: 25 joints with coordinates and confidences; unchecked,
+    usually row views of a SkeletonFrame, which validates them.
 
     A joint with confidence 0 is undetected; its coordinates are meaningless
     and must not enter any distance, angle, or feature computation.
     """
 
-    coords: np.ndarray  # (25, 3) finite float64, columns x, y, z
-    confidence: np.ndarray  # (25,) float64 in [0, 1]
-
-    def __post_init__(self):
-        if self.coords.shape != (NUM_JOINTS, 3):
-            raise SchemaError(f"expected ({NUM_JOINTS}, 3) coords, got {self.coords.shape}")
-        if self.confidence.shape != (NUM_JOINTS,):
-            raise SchemaError(f"expected ({NUM_JOINTS},) confidences, got {self.confidence.shape}")
-        # NaN fails every comparison, so a NaN confidence fails the bounds
-        if not (np.isfinite(self.coords).all()
-                and 0.0 <= self.confidence.min() and self.confidence.max() <= 1.0):
-            raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
+    coords: np.ndarray  # (25, 3) columns x, y, z
+    confidence: np.ndarray  # (25,)
 
     @property
     def detected(self) -> np.ndarray:
@@ -67,10 +56,14 @@ class RawSkeleton:
         return all(self.confidence[j] > 0 for j in joints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkeletonFrame:
+    """All persons of one frame as stacked arrays, validated on construction
+    and read-only afterwards."""
+
     frame_index: int
-    skeletons: tuple[RawSkeleton, ...]
+    coords: np.ndarray  # (S, 25, 3) finite float64, columns x, y, z
+    confidence: np.ndarray  # (S, 25) float64 in [0, 1]
     source_fps: float = 30.0
 
     def __post_init__(self):
@@ -78,33 +71,44 @@ class SkeletonFrame:
             raise SchemaError("frame_index must be >= 0")
         if self.source_fps <= 0:
             raise SchemaError("source_fps must be > 0")
+        n = len(self.coords)
+        if self.coords.shape != (n, NUM_JOINTS, 3) or self.confidence.shape != (n, NUM_JOINTS):
+            raise SchemaError(f"expected ({n}, {NUM_JOINTS}, 3) coords and ({n}, {NUM_JOINTS}) "
+                              f"confidences, got {self.coords.shape} and {self.confidence.shape}")
+        # NaN fails every comparison, so a NaN confidence fails the bounds
+        if not (np.isfinite(self.coords).all()
+                and (n == 0 or 0.0 <= self.confidence.min() and self.confidence.max() <= 1.0)):
+            raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
+        self.coords.flags.writeable = False
+        self.confidence.flags.writeable = False
 
-    # Stacked arrays for code that works on all persons at once. Each access
-    # builds them anew, so a frame holds no second copy of its keypoints;
-    # read them once per frame. They are read-only: with one skeleton they
-    # are views of its arrays.
+    @classmethod
+    def of(cls, frame_index: int, skeletons, source_fps: float = 30.0) -> SkeletonFrame:
+        """A frame stacked from per-person skeletons, in their order."""
+        if not skeletons:
+            return cls(frame_index, np.zeros((0, NUM_JOINTS, 3)), np.zeros((0, NUM_JOINTS)), source_fps)
+        return cls(frame_index, np.stack([s.coords for s in skeletons], dtype=np.float64),
+                   np.stack([s.confidence for s in skeletons], dtype=np.float64), source_fps)
+
     @property
-    def coords(self) -> np.ndarray:
-        """(S, 25, 3) coordinates of all skeletons, in skeleton order."""
-        return self._stack("coords", (NUM_JOINTS, 3))
-
-    @property
-    def confidence(self) -> np.ndarray:
-        """(S, 25) confidences of all skeletons, in skeleton order."""
-        return self._stack("confidence", (NUM_JOINTS,))
-
-    def _stack(self, field, shape):
-        if len(self.skeletons) == 1:  # np.stack would cost more than the frame
-            out = getattr(self.skeletons[0], field)[None]
-        elif not self.skeletons:
-            out = np.zeros((0, *shape))
-        else:
-            out = np.stack([getattr(s, field) for s in self.skeletons])
-        out.flags.writeable = False
-        return out
+    def skeletons(self) -> tuple[RawSkeleton, ...]:
+        """Row views of the arrays, one per person; built on each access,
+        so read it once per frame."""
+        return tuple(map(RawSkeleton, self.coords, self.confidence))
 
 
-def _skeleton_from_flat(values, stride, person_idx):
+def _keypoint_rows(person, person_idx) -> np.ndarray:
+    """One format-A person as a (25, stride) array: x, y, c or x, y, z, c rows."""
+    if not isinstance(person, dict):
+        raise SchemaError(f"person {person_idx}: must be an object")
+    if "pose_keypoints_3d" in person:
+        values, stride = person["pose_keypoints_3d"], 4
+    elif "pose_keypoints_2d" in person:
+        values, stride = person["pose_keypoints_2d"], 3
+    else:
+        raise SchemaError(f"person {person_idx}: no pose_keypoints_2d or pose_keypoints_3d field")
+    if not isinstance(values, list):
+        raise SchemaError(f"person {person_idx}: keypoints must be an array")
     if len(values) % stride != 0:
         raise SchemaError(
             f"person {person_idx}: keypoint array length {len(values)} "
@@ -113,16 +117,13 @@ def _skeleton_from_flat(values, stride, person_idx):
     n = len(values) // stride
     if n != NUM_JOINTS:
         raise SchemaError(f"person {person_idx}: expected {NUM_JOINTS} joints, got {n}")
-    arr = np.asarray(values, dtype=np.float64).reshape(NUM_JOINTS, stride)
-    coords = np.zeros((NUM_JOINTS, 3))
-    coords[:, : stride - 1] = arr[:, : stride - 1]
-    conf = arr[:, stride - 1].copy()
-    # undetected joints carry no positional meaning; a negative confidence
-    # is left for RawSkeleton to reject, as format B does
-    undetected = conf == 0
-    coords[undetected] = 0.0
-    conf[undetected] = 0.0  # -0.0 becomes 0.0
-    return RawSkeleton(coords=coords, confidence=conf)
+    try:
+        rows = np.array(values, dtype=np.float64)
+        if rows.ndim == 1:
+            return rows.reshape(NUM_JOINTS, stride)
+    except (TypeError, ValueError):  # a non-numeric string, an object, a nested array
+        pass
+    raise SchemaError(f"person {person_idx}: keypoint values must be numbers")
 
 
 def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -> SkeletonFrame:
@@ -138,23 +139,24 @@ def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -
     people = doc["people"]
     if not isinstance(people, list):
         raise SchemaError('"people" must be an array')
-    skeletons = []
+    coords = np.zeros((len(people), NUM_JOINTS, 3))
+    confidence = np.empty((len(people), NUM_JOINTS))
     for i, person in enumerate(people):
-        if "pose_keypoints_3d" in person:
-            skeletons.append(_skeleton_from_flat(person["pose_keypoints_3d"], 4, i))
-        elif "pose_keypoints_2d" in person:
-            skeletons.append(_skeleton_from_flat(person["pose_keypoints_2d"], 3, i))
-        else:
-            raise SchemaError(f"person {i}: no pose_keypoints_2d or pose_keypoints_3d field")
-    return SkeletonFrame(frame_index=frame_index, skeletons=tuple(skeletons), source_fps=source_fps)
+        rows = _keypoint_rows(person, i)
+        coords[i, :, : rows.shape[1] - 1] = rows[:, :-1]
+        confidence[i] = rows[:, -1]
+    # undetected joints carry no positional meaning; a negative confidence
+    # is left for SkeletonFrame to reject, as format B does
+    undetected = confidence == 0
+    coords[undetected] = 0.0
+    confidence[undetected] = 0.0  # -0.0 becomes 0.0
+    return SkeletonFrame(frame_index, coords, confidence, source_fps)
 
 
 def serialize_frame(frame: SkeletonFrame) -> bytes:
     """Serialize a frame back to the format-A JSON document (3D layout)."""
-    people = []
-    for skel in frame.skeletons:
-        flat = np.concatenate([skel.coords, skel.confidence[:, None]], axis=1).ravel()
-        people.append({"pose_keypoints_3d": flat.tolist()})
+    flat = np.concatenate([frame.coords, frame.confidence[..., None]], axis=2)
+    people = [{"pose_keypoints_3d": row} for row in flat.reshape(len(flat), -1).tolist()]
     return json.dumps({"people": people}, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
@@ -193,24 +195,25 @@ def load_session_csv(path: str | Path, source_fps: float = 30.0) -> list[Skeleto
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise SchemaError(f"session CSV must have columns {sorted(required)}")
         for row in reader:
-            f = int(row["frame"])
-            p = int(row["person"])
-            j = int(row["joint"])
+            try:  # a missing column reads as None
+                f, p, j = int(row["frame"]), int(row["person"]), int(row["joint"])
+                xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
+                c = float(row["confidence"])
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"line {reader.line_num}: malformed row: {exc}") from exc
             if not 0 <= j < NUM_JOINTS:
                 raise SchemaError(f"joint index {j} out of range")
             persons = by_frame.setdefault(f, {})
             if p not in persons:
                 persons[p] = (np.zeros((NUM_JOINTS, 3)), np.zeros(NUM_JOINTS))
             coords, conf = persons[p]
-            coords[j] = (float(row["x"]), float(row["y"]), float(row["z"]))
-            conf[j] = float(row["confidence"])
+            coords[j] = xyz
+            conf[j] = c
     frames = []
     for f in sorted(by_frame):
-        skeletons = tuple(
-            RawSkeleton(coords=coords, confidence=conf)
-            for _, (coords, conf) in sorted(by_frame[f].items())
-        )
-        frames.append(SkeletonFrame(frame_index=f, skeletons=skeletons, source_fps=source_fps))
+        persons = [by_frame[f][p] for p in sorted(by_frame[f])]
+        frames.append(SkeletonFrame(f, np.stack([coords for coords, _ in persons]),
+                                    np.stack([conf for _, conf in persons]), source_fps))
     return frames
 
 
@@ -219,12 +222,10 @@ def write_session_csv(path: str | Path, frames: Iterable[SkeletonFrame]) -> None
         writer = csv.writer(fh)
         writer.writerow(["frame", "person", "joint", "x", "y", "z", "confidence"])
         for frame in frames:
-            for p, skel in enumerate(frame.skeletons):
-                for j in range(NUM_JOINTS):
-                    if skel.confidence[j] <= 0:
-                        continue
-                    x, y, z = (float(v) for v in skel.coords[j])
-                    writer.writerow([frame.frame_index, p, j, repr(x), repr(y), repr(z), repr(float(skel.confidence[j]))])
+            for p, j in zip(*np.nonzero(frame.confidence > 0)):  # by person, then joint
+                x, y, z = frame.coords[p, j].tolist()
+                c = float(frame.confidence[p, j])
+                writer.writerow([frame.frame_index, p, j, repr(x), repr(y), repr(z), repr(c)])
 
 
 def normalize_skeleton(skel: RawSkeleton) -> Optional[np.ndarray]:

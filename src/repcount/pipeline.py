@@ -112,8 +112,8 @@ class SessionEngine:
     def _step_exercise(self, state: _PersonState, exercise: str, skel, frame_index: int) -> None:
         if state.active is not None and state.active.exercise != exercise:
             self._close_set(state)
+        profile = self.profiles[exercise]
         if state.active is None:
-            profile = self.profiles[exercise]
             state.active = _ExerciseSet(
                 exercise=exercise,
                 conditioner=StreamingConditioner(profile.rom_mid),
@@ -121,25 +121,26 @@ class SessionEngine:
                                    tolerance=self.config.tolerance,
                                    debounce=self.config.debounce),
             )
-        current = state.active
-        profile = self.profiles[exercise]
         raw = angle_for(profile, skel)
-        if self.config.keep_traces:
+        # a sample with an angle is always emitted later, and pops it then
+        if self.config.keep_traces and raw is not None:
             state.raw_angles[frame_index] = raw
-        current.frames += 1
-        for f, filled, conditioned in current.conditioner.feed(frame_index, raw):
-            current.counter.step(f, f / (self.fps or 30.0), conditioned)
+        state.active.frames += 1
+        self._emit(state, state.active.conditioner.feed(frame_index, raw))
+
+    def _emit(self, state: _PersonState, samples) -> None:
+        """Count the conditioned samples of the active set, tracing them when asked."""
+        current = state.active
+        for f, filled, conditioned in samples:
+            current.counter.step(f, f / self.fps, conditioned)
             if self.config.keep_traces:
-                current.trace.append((f, state.raw_angles.get(f), filled, conditioned))
+                current.trace.append((f, state.raw_angles.pop(f, None), filled, conditioned))
 
     def _close_set(self, state: _PersonState) -> None:
         current = state.active
         if current is None:
             return
-        for f, filled, conditioned in current.conditioner.flush():
-            current.counter.step(f, f / (self.fps or 30.0), conditioned)
-            if self.config.keep_traces:
-                current.trace.append((f, state.raw_angles.get(f), filled, conditioned))
+        self._emit(state, current.conditioner.flush())
         current.counter.finalize()
         state.closed_sets.append(current)
         state.active = None

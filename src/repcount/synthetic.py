@@ -21,7 +21,7 @@ import numpy as np
 
 from . import body25 as b
 from .body25 import NUM_JOINTS
-from .keypoints import RawSkeleton, SkeletonFrame
+from .keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
 from .kinematics import ExerciseProfile, builtin_profiles
 
 DEFAULT_PERIOD = 20  # frames per cycle
@@ -304,8 +304,7 @@ def generate_session(spec: SyntheticSessionSpec,
         if spec.shuffle_order and len(skeletons) > 1:
             order = rng.permutation(len(skeletons))
             skeletons = [skeletons[i] for i in order]
-        frames.append(SkeletonFrame(frame_index=f, skeletons=tuple(skeletons),
-                                    source_fps=spec.fps))
+        frames.append(SkeletonFrame.of(f, skeletons, spec.fps))
 
     truth = [
         {
@@ -332,8 +331,6 @@ def make_labeled_dataset(class_names: list[str], frames_per_class: int,
     calibration relies on. Returns (features, integer labels), shuffled,
     deterministic per seed.
     """
-    from .keypoints import normalize_skeleton
-
     glitch_rng = np.random.default_rng(seed + 5000)
     feats, labels = [], []
     for ci, name in enumerate(class_names):

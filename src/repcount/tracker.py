@@ -33,10 +33,15 @@ def skeleton_distance(a: RawSkeleton, b: RawSkeleton) -> Optional[float]:
     Returns None (incomparable) when the two skeletons share no detected
     joint.
     """
-    shared = a.detected & b.detected
+    return _row_distance(a.coords, a.confidence, b.coords, b.confidence)
+
+
+def _row_distance(coords_a, confidence_a, coords_b, confidence_b) -> Optional[float]:
+    """skeleton_distance of two (25, 3) coordinate and (25,) confidence rows."""
+    shared = (confidence_a > 0) & (confidence_b > 0)
     if not shared.any():
         return None
-    diffs = a.coords[shared] - b.coords[shared]
+    diffs = coords_a[shared] - coords_b[shared]
     # np.mean(np.linalg.norm(diffs, axis=1)) term for term, minus their call overhead
     norms = np.sqrt((diffs * diffs).sum(axis=1))
     return float(norms.sum() / len(norms))
@@ -45,7 +50,6 @@ def skeleton_distance(a: RawSkeleton, b: RawSkeleton) -> Optional[float]:
 @dataclass
 class TrackedPerson:
     id: int
-    last_skeleton: RawSkeleton
     last_seen_frame: int
     frames_missing: int = 0
 
@@ -97,9 +101,9 @@ def distance_matrix(track_coords: np.ndarray, track_confidence: np.ndarray,
 class PoseTracker:
     """Single-writer sequential tracker for one session stream.
 
-    Next to ``persons`` it keeps each live track's last coordinates and
-    confidences as array rows, in ascending person-id order, so a
-    frame's distances to all tracks come from one broadcast.
+    Each live track's last coordinates and confidences are array rows, in
+    ascending person-id order, so a frame's distances to all tracks come
+    from one broadcast.
     """
 
     def __init__(self, max_match_distance: Optional[float] = None,
@@ -113,16 +117,15 @@ class PoseTracker:
         self._coords = np.zeros((0, NUM_JOINTS, 3))
         self._confidence = np.zeros((0, NUM_JOINTS))
 
-    def _candidates(self, skeletons: tuple[RawSkeleton, ...], coords: np.ndarray,
-                    confidence: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    def _candidates(self, coords: np.ndarray, confidence: np.ndarray,
+                    gate: float) -> list[tuple[int, int]]:
         """(track row, skeleton index) pairs within the gate, ordered like
         sorting (distance, person id, skeleton index) tuples."""
-        n_pairs = len(self._row_ids) * len(skeletons)
+        n_pairs = len(self._row_ids) * len(coords)
         if n_pairs == 0:
             return []
         if n_pairs == 1:  # numpy's per-call cost outweighs one pair
-            pid = self._row_ids[0]
-            d = skeleton_distance(self.persons[pid].last_skeleton, skeletons[0])
+            d = _row_distance(self._coords[0], self._confidence[0], coords[0], confidence[0])
             return [(0, 0)] if d is not None and d <= gate else []
         dist = distance_matrix(self._coords, self._confidence, coords, confidence)
         rows, cols = np.nonzero(dist <= gate)  # NaN (no shared joint) compares false
@@ -146,7 +149,7 @@ class PoseTracker:
         assignment = Assignment(frame_index=frame.frame_index)
         used_rows: set[int] = set()
         used_skeletons: set[int] = set()
-        for row, sidx in self._candidates(frame.skeletons, coords, confidence, gate):
+        for row, sidx in self._candidates(coords, confidence, gate):
             if row in used_rows or sidx in used_skeletons:
                 continue
             used_rows.add(row)
@@ -154,24 +157,20 @@ class PoseTracker:
             pid = self._row_ids[row]
             assignment.pairs.append((pid, sidx))
             assignment.id_by_skeleton[sidx] = pid
-            skel = frame.skeletons[sidx]
             person = self.persons[pid]
-            person.last_skeleton = skel
             person.last_seen_frame = frame.frame_index
             person.frames_missing = 0
-            self._coords[row] = skel.coords
-            self._confidence[row] = skel.confidence
+            self._coords[row] = coords[sidx]
+            self._confidence[row] = confidence[sidx]
 
         fresh = []
-        for sidx, skel in enumerate(frame.skeletons):
+        for sidx in range(len(coords)):
             # a skeleton with no detected joint can never be matched again
-            if sidx in used_skeletons or not skel.detected.any():
+            if sidx in used_skeletons or not (confidence[sidx] > 0).any():
                 continue
             pid = self._next_id
             self._next_id += 1  # ids are never reused
-            self.persons[pid] = TrackedPerson(
-                id=pid, last_skeleton=skel, last_seen_frame=frame.frame_index
-            )
+            self.persons[pid] = TrackedPerson(id=pid, last_seen_frame=frame.frame_index)
             self._row_ids.append(pid)
             fresh.append(sidx)
             assignment.new_ids.append(sidx)

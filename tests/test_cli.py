@@ -78,6 +78,30 @@ class TestSimulateAnalyze:
         assert len(traces) == 1
 
 
+def _person_2d(bad):
+    """One format-A person whose fifth keypoint value is `bad`."""
+    values = [1.0, 2.0, 0.9] * 25
+    values[4] = bad
+    return {"pose_keypoints_2d": values}
+
+
+CSV_HEADER = "frame,person,joint,x,y,z,confidence\n"
+# syntactically valid documents with one malformed value each
+MALFORMED_VALUES = [
+    pytest.param("a.ndjson", json.dumps({"people": [1]}), id="person-not-object"),
+    pytest.param("a.ndjson", json.dumps({"people": [{"pose_keypoints_2d": 5}]}),
+                 id="keypoints-not-array"),
+    pytest.param("a.ndjson", json.dumps({"people": [_person_2d("a")]}), id="string-value"),
+    pytest.param("a.ndjson", json.dumps({"people": [_person_2d({})]}), id="object-value"),
+    pytest.param("a.ndjson", json.dumps({"people": [_person_2d([1])]}), id="nested-value"),
+    pytest.param("a.ndjson", json.dumps({"people": [{"pose_keypoints_2d": [[1.0]] * 75}]}),
+                 id="every-value-nested"),
+    pytest.param("b.csv", CSV_HEADER + "abc,0,4,1.0,2.0,0.0,0.9\n", id="csv-frame-not-int"),
+    pytest.param("b.csv", CSV_HEADER + "0,0,4,1.0\n", id="csv-missing-columns"),
+    pytest.param("b.csv", CSV_HEADER + "0,0,4,1.0,2.0,0.0,zz\n", id="csv-confidence-not-number"),
+]
+
+
 class TestExitCodes:
     def test_missing_input(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.ndjson")]) == EXIT_BAD_INPUT
@@ -100,6 +124,13 @@ class TestExitCodes:
         lines[3] = json.dumps(doc)
         session.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("name,content", MALFORMED_VALUES)
+    def test_malformed_value(self, tmp_path, capsys, name, content):
+        session = tmp_path / name
+        session.write_text(content)
+        assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
+        assert "unreadable input" in capsys.readouterr().err
 
     def test_corrupt_model(self, tmp_path):
         bad = tmp_path / "bad_model.json"

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import (ParseError, RawSkeleton, SchemaError,
@@ -69,7 +72,7 @@ class TestParseFrame:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         skel = make_skeleton(rng)
-        frame = SkeletonFrame(frame_index=7, skeletons=(skel,), source_fps=25.0)
+        frame = SkeletonFrame.of(7, (skel,), 25.0)
         reparsed = parse_frame(serialize_frame(frame), 7, 25.0)
         assert np.allclose(reparsed.skeletons[0].coords, skel.coords)
         assert np.allclose(reparsed.skeletons[0].confidence, skel.confidence)
@@ -112,7 +115,7 @@ def test_negative_zero_confidence_is_undetected():
 def test_frame_stacks_skeleton_arrays(n):
     rng = np.random.default_rng(n)
     skels = tuple(make_skeleton(rng, confidence=0.5 + 0.1 * i) for i in range(n))
-    frame = SkeletonFrame(frame_index=0, skeletons=skels)
+    frame = SkeletonFrame.of(0, skels)
     assert frame.coords.shape == (n, NUM_JOINTS, 3)
     assert frame.confidence.shape == (n, NUM_JOINTS)
     for i, skel in enumerate(skels):
@@ -181,7 +184,7 @@ class TestNormalizeSkeleton:
 def test_session_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     frames = [
-        SkeletonFrame(frame_index=i, skeletons=(make_skeleton(rng),), source_fps=30.0)
+        SkeletonFrame.of(i, (make_skeleton(rng),), 30.0)
         for i in range(3)
     ]
     path = tmp_path / "session.csv"
@@ -194,6 +197,90 @@ def test_session_csv_round_trip(tmp_path):
 
 def test_frame_invariants():
     with pytest.raises(SchemaError):
-        SkeletonFrame(frame_index=-1, skeletons=())
+        SkeletonFrame.of(-1, ())
     with pytest.raises(SchemaError):
-        SkeletonFrame(frame_index=0, skeletons=(), source_fps=0.0)
+        SkeletonFrame.of(0, (), 0.0)
+
+
+@st.composite
+def frame_arrays(draw):
+    """Writable (S, 25, 3) coords and (S, 25) confidences of a valid 1-6
+    person frame with gaps: undetected joints sit at the origin, and every
+    person has a detected joint (a CSV has no row for one without)."""
+    n = draw(st.integers(1, 6))
+    coords = draw(arrays(np.float64, (n, NUM_JOINTS, 3),
+                         elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    conf = draw(arrays(np.float64, (n, NUM_JOINTS),
+                       elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    conf[~(conf > 0).any(axis=1), 0] = 1.0
+    coords[conf == 0] = 0.0
+    return coords, conf
+
+
+def format_a(coords, conf):
+    flat = np.concatenate([coords, conf[..., None]], axis=2).reshape(len(coords), -1)
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    return json.dumps({"people": [{"pose_keypoints_3d": row} for row in flat.tolist()]})
+
+
+def format_b(path, coords, conf):
+    """Every joint as a row, undetected ones included."""
+    lines = ["frame,person,joint,x,y,z,confidence"]
+    for p in range(len(coords)):
+        for j in range(NUM_JOINTS):
+            x, y, z = coords[p, j].tolist()
+            lines.append(f"0,{p},{j},{x!r},{y!r},{z!r},{float(conf[p, j])!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+BAD_VALUES = [("coords", float("nan")), ("coords", float("inf")), ("coords", float("-inf")),
+              ("confidence", float("nan")), ("confidence", -0.5), ("confidence", 1.5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_arrays(), st.data(), st.sampled_from(BAD_VALUES))
+def test_bad_keypoint_rejected_by_every_entry(tmp_path_factory, keypoints, data, bad):
+    coords, conf = keypoints
+    p = data.draw(st.integers(0, len(coords) - 1))
+    j = data.draw(st.integers(0, NUM_JOINTS - 1))
+    field, value = bad
+    if field == "coords":
+        conf[p, j] = 0.5  # parsing zeroes an undetected joint's coordinates
+        coords[p, j, data.draw(st.integers(0, 2))] = value
+    else:
+        conf[p, j] = value
+    with pytest.raises(SchemaError):
+        parse_frame(format_a(coords, conf), 0)
+    path = tmp_path_factory.getbasetemp() / "bad.csv"
+    format_b(path, coords, conf)
+    with pytest.raises(SchemaError):
+        load_session_csv(path)
+    with pytest.raises(SchemaError):
+        SkeletonFrame.of(0, [RawSkeleton(coords=c, confidence=k) for c, k in zip(coords, conf)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_arrays())
+def test_valid_frame_round_trips_bit_exactly(tmp_path_factory, keypoints):
+    frame = SkeletonFrame(3, *keypoints)
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_session_csv(path, [frame])
+    for back in (parse_frame(serialize_frame(frame), 3), *load_session_csv(path)):
+        assert back.frame_index == 3
+        assert back.coords.tobytes() == frame.coords.tobytes()
+        assert back.confidence.tobytes() == frame.confidence.tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(frame_arrays())
+def test_skeletons_are_read_only_row_views(keypoints):
+    frame = SkeletonFrame(0, *keypoints)
+    skeletons = frame.skeletons
+    assert len(skeletons) == len(frame.coords)
+    for i, skel in enumerate(skeletons):
+        assert np.shares_memory(skel.coords, frame.coords[i])
+        assert np.shares_memory(skel.confidence, frame.confidence[i])
+        with pytest.raises(ValueError):
+            skel.coords[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            skel.confidence[0] = 1.0

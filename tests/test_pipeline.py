@@ -3,6 +3,7 @@ import pytest
 
 from repcount.body25 import NUM_JOINTS
 from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
+from repcount.kinematics import angle_for
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
 from repcount.recognizer import UNKNOWN, classify_with_reject
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
@@ -77,8 +78,7 @@ class TestEndToEnd:
         frames = list(frames_a)
         offset = len(frames)
         for f in frames_b:
-            frames.append(type(f)(frame_index=f.frame_index + offset,
-                                  skeletons=f.skeletons, source_fps=f.source_fps))
+            frames.append(SkeletonFrame.of(f.frame_index + offset, f.skeletons, f.source_fps))
         # huge gate so the posture change does not spawn a second person
         result = analyze_frames(frames, model=model, thresholds=thresholds,
                                 config=EngineConfig(max_match_distance=1e9))
@@ -102,6 +102,32 @@ class TestEndToEnd:
         frames_in_trace = [r[0] for r in rows]
         assert frames_in_trace == sorted(frames_in_trace)
 
+    def test_trace_state_is_bounded(self, trained_model):
+        # a squat set, then a push-up set of the same person, with gaps
+        model, thresholds, _ = trained_model
+        frames = []
+        for exercise in ("squat", "push-up"):
+            spec = SyntheticSessionSpec(
+                persons=(PersonMotion(exercise, full_cycles=3, noise_sigma=5.0,
+                                      gap_rate=0.2),), seed=19)
+            frames += [SkeletonFrame.of(f.frame_index + len(frames), f.skeletons, f.source_fps)
+                       for f in generate_session(spec)[0]]
+        engine = SessionEngine(model=model, thresholds=thresholds,
+                               config=EngineConfig(max_match_distance=1e9, keep_traces=True))
+        for f in frames:
+            engine.process_frame(f)
+            # only the sample awaiting its successor holds a raw angle
+            assert all(len(s.raw_angles) <= 1 for s in engine.persons.values())
+        engine.finalize()
+        (state,) = engine.persons.values()
+        assert state.raw_angles == {}
+        assert [s.exercise for s in state.closed_sets] == ["squat", "push-up"]
+        for ex_set in state.closed_sets:
+            profile = engine.profiles[ex_set.exercise]
+            assert ex_set.trace
+            for f, raw, _, _ in ex_set.trace:
+                assert raw == angle_for(profile, frames[f].skeletons[0])
+
     def test_finalize_twice_rejected(self, trained_model):
         model, thresholds, _ = trained_model
         engine = SessionEngine(model=model, thresholds=thresholds)
@@ -117,7 +143,7 @@ EMPTY_SKELETON = RawSkeleton(coords=np.zeros((NUM_JOINTS, 3)),
 class TestSkeletonWithoutJoints:
     def test_never_becomes_a_person(self, trained_model):
         model, thresholds, _ = trained_model
-        frames = [SkeletonFrame(frame_index=i, skeletons=(EMPTY_SKELETON,))
+        frames = [SkeletonFrame.of(i, (EMPTY_SKELETON,))
                   for i in range(300)]
         result = analyze_frames(frames, model=model, thresholds=thresholds)
         assert result.summaries == []
@@ -128,8 +154,7 @@ class TestSkeletonWithoutJoints:
         spec = SyntheticSessionSpec(
             persons=(PersonMotion("squat", full_cycles=4),), seed=17)
         frames, truth = generate_session(spec)
-        with_empty = [SkeletonFrame(frame_index=f.frame_index,
-                                    skeletons=(EMPTY_SKELETON, *f.skeletons))
+        with_empty = [SkeletonFrame.of(f.frame_index, (EMPTY_SKELETON, *f.skeletons))
                       for f in frames]
         (summary,) = analyze_frames(with_empty, model=model,
                                     thresholds=thresholds).summaries

@@ -32,7 +32,7 @@ def skeleton_at(offset, rng=None, detected=None):
 
 
 def frame(index, *skeletons, fps=30.0):
-    return SkeletonFrame(frame_index=index, skeletons=tuple(skeletons), source_fps=fps)
+    return SkeletonFrame.of(index, skeletons, fps)
 
 
 class TestSkeletonDistance:
@@ -255,8 +255,8 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(seed)
         t = PoseTracker(max_match_distance=gate)
         first = random_skeletons(rng, n_tracks)
-        t.match_frame(frame(0, *first))
-        persons = {pid: p.last_skeleton for pid, p in t.persons.items()}
+        a0 = t.match_frame(frame(0, *first))
+        persons = {pid: first[sidx] for sidx, pid in a0.id_by_skeleton.items()}
         skeletons = random_skeletons(rng, n_skeletons)
         a = t.match_frame(frame(1, *skeletons))
         assert a.pairs == reference_match(persons, skeletons, gate)
