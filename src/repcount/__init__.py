@@ -2,7 +2,7 @@
 keypoint streams."""
 
 from .counting import RepCounter, RepEvent
-from .keypoints import (RawSkeleton, SkeletonFrame, load_frames,
+from .keypoints import (RawSkeleton, SkeletonFrame, load_frames, normalize_frame,
                         normalize_skeleton, parse_frame)
 from .kinematics import ExerciseProfile, builtin_profiles, joint_angle
 from .pipeline import EngineConfig, SessionEngine, analyze_frames
@@ -19,6 +19,6 @@ __all__ = [
     "RepCounter", "RepEvent", "SessionEngine", "SessionResult",
     "SkeletonFrame", "SyntheticSessionSpec", "analyze_frames",
     "builtin_profiles", "classify_with_reject", "generate_session",
-    "joint_angle", "load_frames", "normalize_skeleton", "parse_frame", "render_json",
-    "render_text", "skeleton_distance", "train",
+    "joint_angle", "load_frames", "normalize_frame", "normalize_skeleton",
+    "parse_frame", "render_json", "render_text", "skeleton_distance", "train",
 ]

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .body25 import NUM_JOINTS
 from .counting import DEFAULT_TOLERANCE_DEG
 from .keypoints import (ParseError, SchemaError, iter_ndjson_frames, load_frames,
-                        normalize_skeleton, serialize_frame, write_session_csv)
+                        normalize_frame, serialize_frame, write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine, analyze_frames
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
@@ -110,14 +111,18 @@ def _load_training_data(args):
         label = labels_by_frame.get(frame.frame_index)
         if label is None:
             continue
-        for skel in frame.skeletons:
-            fv = normalize_skeleton(skel)
-            if fv is not None:
-                feats.append(fv)
-                labs.append(index[label])
-    if not feats:
+        rows = _normalized_rows(frame)
+        feats.append(rows)
+        labs += [index[label]] * len(rows)
+    if not labs:
         raise TrainingError("no usable labeled frames")
-    return np.asarray(feats), np.asarray(labs), class_names
+    return np.concatenate(feats), np.asarray(labs), class_names
+
+
+def _normalized_rows(frame) -> np.ndarray:
+    """The features of a frame's normalizable skeletons, in skeleton order."""
+    features, ok = normalize_frame(frame.coords, frame.confidence)
+    return features[ok]
 
 
 def cmd_train(args) -> int:
@@ -161,8 +166,8 @@ def cmd_calibrate(args) -> int:
                                         seed=args.seed)
         else:
             frames = load_frames(args.data, args.fps)
-            feats = [normalize_skeleton(s) for f in frames for s in f.skeletons]
-            x = np.asarray([fv for fv in feats if fv is not None])
+            x = np.concatenate([np.empty((0, 2 * NUM_JOINTS)),
+                                *(_normalized_rows(f) for f in frames)])
         thresholds = calibrate_reject(model, x)
     except (OSError, ParseError, SchemaError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

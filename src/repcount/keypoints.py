@@ -145,8 +145,11 @@ def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -
         rows = _keypoint_rows(person, i)
         coords[i, :, : rows.shape[1] - 1] = rows[:, :-1]
         confidence[i] = rows[:, -1]
-    # undetected joints carry no positional meaning; a negative confidence
-    # is left for SkeletonFrame to reject, as format B does
+    # undetected joints carry no positional meaning and are zeroed, so a
+    # non-finite one is rejected first, as format B does; a negative
+    # confidence is left for SkeletonFrame to reject
+    if not np.isfinite(coords).all():
+        raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
     undetected = confidence == 0
     coords[undetected] = 0.0
     confidence[undetected] = 0.0  # -0.0 becomes 0.0
@@ -228,21 +231,31 @@ def write_session_csv(path: str | Path, frames: Iterable[SkeletonFrame]) -> None
                 writer.writerow([frame.frame_index, p, j, repr(x), repr(y), repr(z), repr(c)])
 
 
-def normalize_skeleton(skel: RawSkeleton) -> Optional[np.ndarray]:
-    """Produce the 50-value recognition feature vector, or None when the
-    skeleton cannot be normalized.
+def normalize_frame(coords: np.ndarray, confidence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 50-value recognition features of every skeleton of a frame.
 
-    Coordinates are translated so the mid-hip is the origin and scaled so the
-    neck-to-mid-hip distance is 1; undetected joints are imputed as (0, 0);
-    z is discarded.
+    Takes (S, 25, 3) coordinates and (S, 25) confidences and returns the
+    (S, 50) features and an (S,) mask of the rows that could be normalized;
+    the other rows carry no meaning. Coordinates are translated so the
+    mid-hip is the origin and scaled so the neck-to-mid-hip distance is 1;
+    undetected joints are imputed as (0, 0); z is discarded. A skeleton is
+    rejected when its neck or mid-hip is undetected or its torso is shorter
+    than TORSO_EPSILON.
     """
-    if not skel.has(NECK, MID_HIP):
-        return None
-    xy = skel.coords[:, :2]
-    origin = xy[MID_HIP]
-    torso = float(np.linalg.norm(xy[NECK] - origin))
-    if torso < TORSO_EPSILON:
-        return None
-    out = (xy - origin) / torso
-    out = np.where(skel.detected[:, None], out, 0.0)
-    return out.ravel()
+    xy = coords[:, :, :2]
+    origin = xy[:, MID_HIP]
+    d = xy[:, NECK] - origin
+    torso = np.sqrt(np.vecdot(d, d))  # bit for bit what np.linalg.norm gives one row
+    # neck and mid-hip detected: the smaller confidence of the two is > 0
+    ok = (np.minimum(confidence[:, NECK], confidence[:, MID_HIP]) > 0) & (torso >= TORSO_EPSILON)
+    out = xy - origin[:, None]
+    out /= np.where(ok, torso, 1.0)[:, None, None]  # rejected rows divide by 1, never by 0
+    out = np.where((confidence > 0)[..., None], out, 0.0)
+    return out.reshape(len(out), 2 * NUM_JOINTS), ok
+
+
+def normalize_skeleton(skel: RawSkeleton) -> Optional[np.ndarray]:
+    """One skeleton's 50-value feature vector (see normalize_frame), or None
+    when it cannot be normalized."""
+    features, ok = normalize_frame(skel.coords[None], skel.confidence[None])
+    return features[0] if ok[0] else None

@@ -16,7 +16,7 @@ import numpy as np
 
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_DEBOUNCE_DEG, DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
-from .keypoints import SkeletonFrame, normalize_skeleton
+from .keypoints import SkeletonFrame, normalize_frame
 from .kinematics import ExerciseProfile, angle_for, builtin_profiles
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
@@ -77,10 +77,13 @@ class SessionEngine:
         self.frame_count += 1
         assignment = self.tracker.match_frame(frame)
         # a skeleton without an id (no detected joint) is skipped
-        tracked = [(sidx, skel) for sidx, skel in enumerate(frame.skeletons)
-                   if sidx in assignment.id_by_skeleton]
-        labels = self._frame_labels([skel for _, skel in tracked])
-        for (sidx, skel), label in zip(tracked, labels):
+        tracked = sorted(assignment.id_by_skeleton)
+        if len(tracked) == len(frame.coords):
+            labels = self._frame_labels(frame.coords, frame.confidence)
+        else:
+            labels = self._frame_labels(frame.coords[tracked], frame.confidence[tracked])
+        skeletons = None  # row views, built once and only for an exercising person
+        for sidx, label in zip(tracked, labels):
             pid = assignment.id_by_skeleton[sidx]
             state = self.persons.get(pid)
             if state is None:
@@ -90,21 +93,24 @@ class SessionEngine:
             windowed = state.window.current()
             state.last_window_label = windowed
             if windowed in self.profiles:
-                self._step_exercise(state, windowed, skel, frame.frame_index)
+                if skeletons is None:
+                    skeletons = frame.skeletons
+                self._step_exercise(state, windowed, skeletons[sidx], frame.frame_index)
 
-    def _frame_labels(self, skeletons) -> list[str]:
-        """Per-skeleton labels; two or more normalizable skeletons share one
-        forward pass, a single one takes the cheaper one-row call."""
-        labels = [UNKNOWN] * len(skeletons)
+    def _frame_labels(self, coords: np.ndarray, confidence: np.ndarray) -> list[str]:
+        """Labels of the skeleton rows of (S, 25, 3) coords and (S, 25)
+        confidences, normalized in one call; two or more normalizable rows
+        share one forward pass, a single one takes the cheaper one-row call."""
+        labels = [UNKNOWN] * len(coords)
         if self.model is None:
             return labels
-        features = [normalize_skeleton(skel) for skel in skeletons]
-        rows = [i for i, feature in enumerate(features) if feature is not None]
+        features, ok = normalize_frame(coords, confidence)
+        rows = [i for i, good in enumerate(ok.tolist()) if good]
         if len(rows) == 1:
             labels[rows[0]] = classify_with_reject(self.model, self.thresholds,
                                                    features[rows[0]])
         elif rows:
-            batch = np.stack([features[i] for i in rows])
+            batch = features if len(rows) == len(labels) else features[rows]
             for i, label in zip(rows, classify_with_reject(self.model, self.thresholds, batch)):
                 labels[i] = label
         return labels

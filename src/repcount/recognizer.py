@@ -8,7 +8,7 @@ per-class confidence bound are labeled unknown instead of forcing a class.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -247,20 +247,28 @@ class LabelWindow:
     def __init__(self, size: int = LABEL_WINDOW_SIZE):
         self.size = size
         self._labels: deque[str] = deque(maxlen=size)
+        self._counts: dict[str, int] = {}  # label -> occurrences in the window
 
     def push(self, label: str) -> None:
+        counts = self._counts
+        if len(self._labels) == self.size:
+            evicted = self._labels[0]
+            if counts[evicted] == 1:
+                del counts[evicted]
+            else:
+                counts[evicted] -= 1
         self._labels.append(label)
+        counts[label] = counts.get(label, 0) + 1
 
     def current(self) -> str:
         """Most frequent label in the window; WARMUP until the window is
         full; ties break toward the most recent label among the tied."""
         if len(self._labels) < self.size:
             return WARMUP
-        counts = Counter(self._labels)
+        counts = self._counts
         best = max(counts.values())
-        tied = {label for label, c in counts.items() if c == best}
         for label in reversed(self._labels):
-            if label in tied:
+            if counts[label] == best:
                 return label
         raise AssertionError("unreachable")
 

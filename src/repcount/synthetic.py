@@ -21,7 +21,7 @@ import numpy as np
 
 from . import body25 as b
 from .body25 import NUM_JOINTS
-from .keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
+from .keypoints import RawSkeleton, SkeletonFrame, normalize_frame
 from .kinematics import ExerciseProfile, builtin_profiles
 
 DEFAULT_PERIOD = 20  # frames per cycle
@@ -343,15 +343,14 @@ def make_labeled_dataset(class_names: list[str], frames_per_class: int,
         frames, _ = generate_session(spec)
         count = 0
         for frame in frames:
-            skel = frame.skeletons[0]
+            coords = frame.coords
             if glitch_rng.random() < glitch_rate:
-                coords = skel.coords.copy()
-                coords[:, :2] += glitch_rng.normal(0.0, glitch_jitter, size=(NUM_JOINTS, 2))
-                skel = RawSkeleton(coords=coords, confidence=skel.confidence)
-            fv = normalize_skeleton(skel)
-            if fv is None:
+                coords = coords.copy()
+                coords[0, :, :2] += glitch_rng.normal(0.0, glitch_jitter, size=(NUM_JOINTS, 2))
+            features, ok = normalize_frame(coords, frame.confidence)
+            if not ok[0]:
                 continue
-            feats.append(fv)
+            feats.append(features[0])
             labels.append(ci)
             count += 1
             if count >= frames_per_class:

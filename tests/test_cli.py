@@ -106,12 +106,16 @@ class TestExitCodes:
     def test_missing_input(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.ndjson")]) == EXIT_BAD_INPUT
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_keypoint(self, tmp_path, value):
+    @pytest.mark.parametrize("value,confidence", [
+        pytest.param(float("nan"), 1.0, id="nan"),
+        pytest.param(float("inf"), 1.0, id="inf"),
+        pytest.param(float("nan"), 0.0, id="nan-undetected"),  # zeroed when parsed
+    ])
+    def test_non_finite_keypoint(self, tmp_path, value, confidence):
         session = simulate(tmp_path, full_cycles=1)
         lines = session.read_text().splitlines()
         doc = json.loads(lines[3])
-        doc["people"][0]["pose_keypoints_3d"][4 * 4:4 * 4 + 4] = [value, 1.0, 0.0, 1.0]
+        doc["people"][0]["pose_keypoints_3d"][4 * 4:4 * 4 + 4] = [value, 1.0, 0.0, confidence]
         lines[3] = json.dumps(doc)  # written as NaN / Infinity
         session.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
@@ -189,6 +193,12 @@ class TestCalibrate:
         assert "ci_low" in printed
         doc = json.loads(out.read_text())
         assert set(doc["reject_thresholds"]) == {"push-up", "pull-up", "squat"}
+
+    def test_no_normalizable_skeleton(self, tmp_path, model_path):
+        session = tmp_path / "empty.ndjson"
+        session.write_text('{"people": []}\n')
+        assert main(["calibrate", "--model", model_path, "--data", str(session)]) \
+            == EXIT_BAD_DATASET
 
 
 def test_bench_smoke(tmp_path, model_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
-from repcount.keypoints import (ParseError, RawSkeleton, SchemaError,
-                                SkeletonFrame, load_session_csv, normalize_skeleton,
-                                parse_frame, serialize_frame, write_session_csv)
+from repcount.keypoints import (TORSO_EPSILON, ParseError, RawSkeleton, SchemaError,
+                                SkeletonFrame, load_session_csv, normalize_frame,
+                                normalize_skeleton, parse_frame, serialize_frame,
+                                write_session_csv)
 
 
 def make_skeleton(rng=None, confidence=1.0):
@@ -181,6 +183,69 @@ class TestNormalizeSkeleton:
         assert np.all(np.isfinite(fv))
 
 
+def per_skeleton_normalize(skel: RawSkeleton):
+    """normalize_skeleton as it was written before normalize_frame existed."""
+    if not skel.has(NECK, MID_HIP):
+        return None
+    xy = skel.coords[:, :2]
+    origin = xy[MID_HIP]
+    torso = float(np.linalg.norm(xy[NECK] - origin))
+    if torso < TORSO_EPSILON:
+        return None
+    out = (xy - origin) / torso
+    out = np.where(skel.detected[:, None], out, 0.0)
+    return out.ravel()
+
+
+@st.composite
+def normalize_cases(draw):
+    """A 0-8 person frame with gaps, some persons without a neck or mid-hip,
+    and some with a torso at, just above or below TORSO_EPSILON."""
+    n = draw(st.integers(0, 8))
+    coords = draw(arrays(np.float64, (n, NUM_JOINTS, 3),
+                         elements=st.floats(-1e4, 1e4, allow_nan=False)))
+    conf = draw(arrays(np.float64, (n, NUM_JOINTS),
+                       elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    for i in range(n):
+        case = draw(st.sampled_from(["any", "torso detected", "no neck", "no mid-hip",
+                                     "short torso", "torso at epsilon"]))
+        if case == "torso detected":
+            conf[i, [NECK, MID_HIP]] = 1.0
+        elif case == "no neck":
+            conf[i, NECK] = 0.0
+        elif case == "no mid-hip":
+            conf[i, MID_HIP] = 0.0
+        elif case == "short torso":
+            conf[i, [NECK, MID_HIP]] = 1.0
+            length = TORSO_EPSILON * draw(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-6, 2.0]))
+            heading = draw(st.floats(0.0, 2 * math.pi))
+            coords[i, NECK, :2] = (coords[i, MID_HIP, :2]
+                                   + length * np.array([math.cos(heading), math.sin(heading)]))
+        elif case == "torso at epsilon":
+            conf[i, [NECK, MID_HIP]] = 1.0
+            coords[i, MID_HIP, :2] = 0.0
+            coords[i, NECK, :2] = (0.0, TORSO_EPSILON)
+    return coords, conf
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalize_cases())
+def test_normalize_frame_is_per_skeleton_normalize_bit_for_bit(case):
+    coords, conf = case
+    features, ok = normalize_frame(coords, conf)
+    assert features.shape == (len(coords), 2 * NUM_JOINTS) and ok.shape == (len(coords),)
+    for i in range(len(coords)):
+        skel = RawSkeleton(coords=coords[i], confidence=conf[i])
+        want = per_skeleton_normalize(skel)
+        assert bool(ok[i]) == (want is not None)
+        one_row = normalize_skeleton(skel)
+        if want is None:
+            assert one_row is None
+        else:
+            assert features[i].tobytes() == want.tobytes()
+            assert one_row.tobytes() == want.tobytes()
+
+
 def test_session_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     frames = [
@@ -234,6 +299,7 @@ def format_b(path, coords, conf):
 
 
 BAD_VALUES = [("coords", float("nan")), ("coords", float("inf")), ("coords", float("-inf")),
+              ("undetected coords", float("nan")), ("undetected coords", float("inf")),
               ("confidence", float("nan")), ("confidence", -0.5), ("confidence", 1.5)]
 
 
@@ -245,7 +311,10 @@ def test_bad_keypoint_rejected_by_every_entry(tmp_path_factory, keypoints, data,
     j = data.draw(st.integers(0, NUM_JOINTS - 1))
     field, value = bad
     if field == "coords":
-        conf[p, j] = 0.5  # parsing zeroes an undetected joint's coordinates
+        conf[p, j] = 0.5
+        coords[p, j, data.draw(st.integers(0, 2))] = value
+    elif field == "undetected coords":  # parsing zeroes these, after checking them
+        conf[p, j] = 0.0
         coords[p, j, data.draw(st.integers(0, 2))] = value
     else:
         conf[p, j] = value

@@ -178,7 +178,7 @@ def test_batched_labels_equal_per_skeleton_labels(trained_model):
             feature = normalize_skeleton(skel)
             want.append(UNKNOWN if feature is None
                         else classify_with_reject(model, thresholds, feature))
-        assert engine._frame_labels(f.skeletons) == want
+        assert engine._frame_labels(f.coords, f.confidence) == want
         seen.update(want)
     # the reject rule and every class are exercised
     assert seen == {UNKNOWN, *model.class_names}

@@ -1,7 +1,10 @@
 import math
+from collections import Counter, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repcount.recognizer import (UNKNOWN, WARMUP, CalibrationError, LabelWindow,
                                  MlpModel, ModelFormatError, RejectThresholds,
@@ -244,6 +247,39 @@ class TestLabelWindow:
         for label in ["a"] * 10 + ["b"] * 6:
             w.push(label)
         assert w.current() == "b"
+
+
+class CounterLabelWindow:
+    """The vote as it was first written: a fresh Counter per call."""
+
+    def __init__(self, size):
+        self.size = size
+        self._labels = deque(maxlen=size)
+
+    def push(self, label):
+        self._labels.append(label)
+
+    def current(self):
+        if len(self._labels) < self.size:
+            return WARMUP
+        counts = Counter(self._labels)
+        best = max(counts.values())
+        tied = {label for label, c in counts.items() if c == best}
+        for label in reversed(self._labels):
+            if label in tied:
+                return label
+        raise AssertionError("unreachable")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.lists(st.sampled_from(["a", "b", "c", UNKNOWN]), max_size=60))
+def test_label_window_equals_counter_vote(size, labels):
+    """Kept counts give the Counter vote through warm-up, ties and eviction."""
+    window, reference = LabelWindow(size), CounterLabelWindow(size)
+    for label in labels:
+        window.push(label)
+        reference.push(label)
+        assert window.current() == reference.current()
 
 
 class TestModelIO:

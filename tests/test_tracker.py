@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repcount import recognizer, tracker
+from repcount import pipeline, recognizer, tracker
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
 from repcount.pipeline import analyze_frames
@@ -274,10 +274,11 @@ def crowd_session(n_persons=16, cycles=2, seed=4):
 
 def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
     """On a 16-person stream the tracker never falls back to pairwise
-    distances, and each frame makes one forward pass for all persons."""
+    distances, and each frame makes one normalize call and one forward pass
+    for all persons."""
     model, thresholds, _ = trained_model
     frames = crowd_session()
-    calls = {"distance": 0, "forward": 0, "rows": 0}
+    calls = {"distance": 0, "normalize": 0, "forward": 0, "rows": 0}
 
     def counting_distance(a, b):
         calls["distance"] += 1
@@ -288,14 +289,21 @@ def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
         calls["rows"] += len(np.atleast_2d(features))
         return forward(m, features)
 
+    def counting_normalize(coords, confidence):
+        calls["normalize"] += 1
+        return normalize_frame(coords, confidence)
+
     forward = recognizer.forward
+    normalize_frame = pipeline.normalize_frame
     monkeypatch.setattr(tracker, "skeleton_distance", counting_distance)
+    monkeypatch.setattr(pipeline, "normalize_frame", counting_normalize)
     monkeypatch.setattr(recognizer, "forward", counting_forward)
     result = analyze_frames(frames, model=model, thresholds=thresholds)
     normalizable = [sum(normalize_skeleton(s) is not None for s in f.skeletons)
                     for f in frames]
     assert min(normalizable) >= 2
     assert calls["distance"] == 0
+    assert calls["normalize"] == len(frames)
     assert calls["forward"] == len(frames)
     assert calls["rows"] == sum(normalizable)
     assert len(result.summaries) == 16
