@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .body25 import NUM_JOINTS
 from .counting import DEFAULT_TOLERANCE_DEG
 from .keypoints import (ParseError, SchemaError, iter_ndjson_frames, load_frames,
                         normalize_frame, serialize_frame, write_session_csv)
@@ -165,9 +164,10 @@ def cmd_calibrate(args) -> int:
             x, _ = make_labeled_dataset(model.class_names, args.synthetic_frames // 3,
                                         seed=args.seed)
         else:
-            frames = load_frames(args.data, args.fps)
-            x = np.concatenate([np.empty((0, 2 * NUM_JOINTS)),
-                                *(_normalized_rows(f) for f in frames)])
+            rows = [_normalized_rows(f) for f in load_frames(args.data, args.fps)]
+            if not any(len(r) for r in rows):
+                raise CalibrationError("no normalizable skeleton in --data")
+            x = np.concatenate(rows)
         thresholds = calibrate_reject(model, x)
     except (OSError, ParseError, SchemaError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -249,7 +249,7 @@ def normalize_frame(coords: np.ndarray, confidence: np.ndarray) -> tuple[np.ndar
     # neck and mid-hip detected: the smaller confidence of the two is > 0
     ok = (np.minimum(confidence[:, NECK], confidence[:, MID_HIP]) > 0) & (torso >= TORSO_EPSILON)
     out = xy - origin[:, None]
-    out /= np.where(ok, torso, 1.0)[:, None, None]  # rejected rows divide by 1, never by 0
+    out = out / np.where(ok, torso, 1.0)[:, None, None]  # rejected rows divide by 1, never by 0
     out = np.where((confidence > 0)[..., None], out, 0.0)
     return out.reshape(len(out), 2 * NUM_JOINTS), ok
 

@@ -76,20 +76,16 @@ class SessionEngine:
             self.fps = frame.source_fps
         self.frame_count += 1
         assignment = self.tracker.match_frame(frame)
-        # a skeleton without an id (no detected joint) is skipped
-        tracked = sorted(assignment.id_by_skeleton)
-        if len(tracked) == len(frame.coords):
-            labels = self._frame_labels(frame.coords, frame.confidence)
-        else:
-            labels = self._frame_labels(frame.coords[tracked], frame.confidence[tracked])
+        labels = self._frame_labels(frame.coords, frame.confidence)
         skeletons = None  # row views, built once and only for an exercising person
-        for sidx, label in zip(tracked, labels):
+        # a skeleton without an id (no detected joint) is skipped
+        for sidx in sorted(assignment.id_by_skeleton):
             pid = assignment.id_by_skeleton[sidx]
             state = self.persons.get(pid)
             if state is None:
                 state = self.persons[pid] = _PersonState(person_id=pid)
             state.frames_seen.append(frame.frame_index)
-            state.window.push(label)
+            state.window.push(labels[sidx])
             windowed = state.window.current()
             state.last_window_label = windowed
             if windowed in self.profiles:
@@ -105,13 +101,13 @@ class SessionEngine:
         if self.model is None:
             return labels
         features, ok = normalize_frame(coords, confidence)
-        rows = [i for i, good in enumerate(ok.tolist()) if good]
+        rows = np.flatnonzero(ok).tolist()
         if len(rows) == 1:
             labels[rows[0]] = classify_with_reject(self.model, self.thresholds,
                                                    features[rows[0]])
         elif rows:
-            batch = features if len(rows) == len(labels) else features[rows]
-            for i, label in zip(rows, classify_with_reject(self.model, self.thresholds, batch)):
+            batch = classify_with_reject(self.model, self.thresholds, features[rows])
+            for i, label in zip(rows, batch):
                 labels[i] = label
         return labels
 

@@ -177,6 +177,15 @@ class TestNormalizeSkeleton:
         coords[NECK] = coords[MID_HIP]
         assert normalize_skeleton(RawSkeleton(coords=coords, confidence=skel.confidence)) is None
 
+    def test_integer_coordinates(self):
+        skel = make_skeleton()
+        ints = np.round(skel.coords * 100).astype(np.int64)
+        fv = normalize_skeleton(RawSkeleton(coords=ints, confidence=skel.confidence))
+        expected = normalize_skeleton(RawSkeleton(coords=ints.astype(np.float64),
+                                                  confidence=skel.confidence))
+        assert fv.dtype == np.float64
+        assert fv.tobytes() == expected.tobytes()
+
     def test_feature_shape_and_finite(self):
         fv = normalize_skeleton(make_skeleton())
         assert fv.shape == (2 * NUM_JOINTS,)
