@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NoReturn, Optional
 
 import numpy as np
 
@@ -53,7 +55,8 @@ class RawSkeleton:
         return self.confidence > 0
 
     def has(self, *joints: int) -> bool:
-        return all(self.confidence[j] > 0 for j in joints)
+        conf = self.confidence.tolist()
+        return all(conf[j] > 0 for j in joints)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +100,17 @@ class SkeletonFrame:
         return tuple(map(RawSkeleton, self.coords, self.confidence))
 
 
-def _keypoint_rows(person, person_idx) -> np.ndarray:
-    """One format-A person as a (25, stride) array: x, y, c or x, y, z, c rows."""
+# packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
+# as doubles
+_KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
+
+
+def _keypoint_rows(person, person_idx, spells_boolean: bool) -> np.ndarray:
+    """One format-A person as a (25, stride) array: x, y, c or x, y, z, c rows.
+
+    Values must be JSON numbers. Packing them as doubles rejects strings,
+    null, objects, arrays and integers beyond float, but converts booleans,
+    so these are looked for when the document spells one (spells_boolean)."""
     if not isinstance(person, dict):
         raise SchemaError(f"person {person_idx}: must be an object")
     if "pose_keypoints_3d" in person:
@@ -118,10 +130,10 @@ def _keypoint_rows(person, person_idx) -> np.ndarray:
     if n != NUM_JOINTS:
         raise SchemaError(f"person {person_idx}: expected {NUM_JOINTS} joints, got {n}")
     try:
-        rows = np.array(values, dtype=np.float64)
-        if rows.ndim == 1:
-            return rows.reshape(NUM_JOINTS, stride)
-    except (TypeError, ValueError):  # a non-numeric string, an object, a nested array
+        if not (spells_boolean and any(type(v) is bool for v in values)):
+            packed = _KEYPOINT_PACKERS[stride].pack(*values)
+            return np.frombuffer(packed).reshape(NUM_JOINTS, stride)
+    except struct.error:
         pass
     raise SchemaError(f"person {person_idx}: keypoint values must be numbers")
 
@@ -141,8 +153,11 @@ def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -
         raise SchemaError('"people" must be an array')
     coords = np.zeros((len(people), NUM_JOINTS, 3))
     confidence = np.empty((len(people), NUM_JOINTS))
+    # JSON booleans would convert to numbers; a document that spells one is
+    # searched for them (a one-letter test is a memchr, a word search is slow)
+    spells_boolean = ("u" in data and "true" in data) or ("a" in data and "false" in data)
     for i, person in enumerate(people):
-        rows = _keypoint_rows(person, i)
+        rows = _keypoint_rows(person, i, spells_boolean)
         coords[i, :, : rows.shape[1] - 1] = rows[:, :-1]
         confidence[i] = rows[:, -1]
     # undetected joints carry no positional meaning and are zeroed, so a
@@ -189,41 +204,143 @@ def load_frames(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFram
         return list(iter_ndjson_frames(fh, source_fps))
 
 
+# the format-B columns, in the order of the fields of _CSV_ROW
+_CSV_COLUMNS = ("frame", "person", "joint", "x", "y", "z", "confidence")
+_CSV_ROW = np.dtype([("frame", np.int64), ("person", np.int64), ("joint", np.int64),
+                     ("xyz", np.float64, (3,)), ("confidence", np.float64)])
+# rows per np.loadtxt call: enough to amortize the call, few enough that a
+# parsed chunk stays small next to the assembled frames
+_CSV_CHUNK_ROWS = 8192
+
+
 def load_session_csv(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFrame]:
-    """Load a session CSV (format B): frame,person,joint,x,y,z,confidence."""
-    by_frame: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+    """Load a session CSV (format B): the columns frame, person, joint, x, y,
+    z and confidence, found by name in the header, in any order and among
+    any others.
+
+    Rows may come in any order; blank lines are skipped, and of repeated
+    (frame, person, joint) rows the last one counts. Frames come out sorted
+    by frame number, their persons by id. Rows are read in chunks by
+    np.loadtxt; when one is rejected, the first bad row of the file is
+    reported with its line number.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"frame", "person", "joint", "x", "y", "z", "confidence"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SchemaError(f"session CSV must have columns {sorted(required)}")
+        usecols = _csv_usecols(next(csv.reader(fh), None))
+        keys, coords, confidence = _read_csv_rows(fh, usecols, path)
+    if len(keys) == 0:
+        return []
+    order = np.lexsort((keys[:, 1], keys[:, 0]))  # by frame, then person
+    # one array at a time, so each grown array is freed before the next copy
+    frame = keys[order, 0]
+    coords = coords[order]
+    confidence = confidence[order]
+    starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]]).tolist()
+    return [SkeletonFrame(f, coords[a:b], confidence[a:b], source_fps)
+            for f, a, b in zip(frame[starts].tolist(), starts, starts[1:] + [len(frame)])]
+
+
+def _read_csv_rows(fh, usecols: list[int],
+                   path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the rows after the header of a session CSV into one skeleton per
+    (frame, person): returns their (n, 2) keys in order of first appearance
+    and (m, 25, 3) coordinates and (m, 25) confidences, of which the first n
+    rows belong to the keys (m >= n)."""
+    slots: dict[tuple[int, int], int] = {}  # (frame, person) -> row of the arrays
+    coords = np.zeros((0, NUM_JOINTS, 3))
+    confidence = np.zeros((0, NUM_JOINTS))
+    with warnings.catch_warnings():
+        # blank lines and an empty last chunk are not worth a warning
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        # some NumPy releases read "3.0" as an integer with this warning
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        while True:
+            try:
+                rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", quotechar='"',
+                                  comments=None, usecols=usecols,
+                                  max_rows=_CSV_CHUNK_ROWS, ndmin=1)
+            except ValueError as exc:
+                _raise_first_bad_row(path, exc)
+            if len(rows) == 0:
+                break
+            joint = rows["joint"]
+            if joint.min() < 0 or joint.max() >= NUM_JOINTS:
+                _raise_first_bad_row(path)
+            # the rows of one (frame, person) usually come in a run: look each
+            # run up once
+            frame, person = rows["frame"], rows["person"]
+            head = np.flatnonzero(np.r_[True, (frame[1:] != frame[:-1])
+                                        | (person[1:] != person[:-1])])
+            run_slot = [slots.setdefault(key, len(slots))
+                        for key in zip(frame[head].tolist(), person[head].tolist())]
+            if len(slots) > len(coords):
+                # a quarter to spare: spare rows are still held while the
+                # caller copies the used ones out
+                size = max(len(slots), len(coords) * 5 // 4)
+                coords = _grown(coords, size)
+                confidence = _grown(confidence, size)
+            flat = np.repeat(run_slot, np.diff(head, append=len(rows))) * NUM_JOINTS + joint
+            # the last of repeated rows counts: np.unique returns the first
+            # index of each value, here in reversed row order
+            _, first = np.unique(flat[::-1], return_index=True)
+            last = len(flat) - 1 - first
+            coords.reshape(-1, 3)[flat[last]] = rows["xyz"][last]
+            confidence.reshape(-1)[flat[last]] = rows["confidence"][last]
+            if len(rows) < _CSV_CHUNK_ROWS:
+                break
+    return np.array(list(slots), dtype=np.int64).reshape(-1, 2), coords, confidence
+
+
+def _csv_usecols(header: Optional[list[str]]) -> list[int]:
+    """The indices of the format-B columns in a header row; of repeated names
+    the last one counts."""
+    index = {name: i for i, name in enumerate(header or ())}
+    if not index.keys() >= set(_CSV_COLUMNS):
+        raise SchemaError(f"session CSV must have columns {sorted(_CSV_COLUMNS)}")
+    return [index[name] for name in _CSV_COLUMNS]
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """a extended with zero rows to `size` rows."""
+    out = np.zeros((size, *a.shape[1:]))
+    out[:len(a)] = a
+    return out
+
+
+def _csv_number(token: Optional[str], parse):
+    """parse(token) for a numeral np.loadtxt reads as well: ASCII apart from
+    surrounding whitespace, without digit separators, an integer in int64."""
+    value = parse(token)  # a missing column (None) raises TypeError
+    if (not token.strip().isascii() or "_" in token
+            or (parse is int and not -2**63 <= value < 2**63)):
+        raise ValueError(f"unsupported numeral {token!r}: digit separators, non-ASCII "
+                         "digits and integers beyond int64 are not read")
+    return value
+
+
+def _raise_first_bad_row(path: str | Path, cause: Optional[ValueError] = None) -> NoReturn:
+    """Raise the error of the first bad row of a session CSV, in file order:
+    a value that is not a number np.loadtxt reads, or a joint index out of
+    range. Only called once np.loadtxt or the joint check rejected a chunk."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        usecols = _csv_usecols(next(reader, None))
         for row in reader:
-            try:  # a missing column reads as None
-                f, p, j = int(row["frame"]), int(row["person"]), int(row["joint"])
-                xyz = (float(row["x"]), float(row["y"]), float(row["z"]))
-                c = float(row["confidence"])
+            if not row:
+                continue
+            values = [row[i] if i < len(row) else None for i in usecols]
+            try:  # frame, person and joint are integers, the rest floats
+                j = [_csv_number(v, int if k < 3 else float) for k, v in enumerate(values)][2]
             except (TypeError, ValueError) as exc:
                 raise SchemaError(f"line {reader.line_num}: malformed row: {exc}") from exc
             if not 0 <= j < NUM_JOINTS:
                 raise SchemaError(f"joint index {j} out of range")
-            persons = by_frame.setdefault(f, {})
-            if p not in persons:
-                persons[p] = (np.zeros((NUM_JOINTS, 3)), np.zeros(NUM_JOINTS))
-            coords, conf = persons[p]
-            coords[j] = xyz
-            conf[j] = c
-    frames = []
-    for f in sorted(by_frame):
-        persons = [by_frame[f][p] for p in sorted(by_frame[f])]
-        frames.append(SkeletonFrame(f, np.stack([coords for coords, _ in persons]),
-                                    np.stack([conf for _, conf in persons]), source_fps))
-    return frames
+    raise SchemaError(f"malformed session CSV: {cause}") from cause
 
 
 def write_session_csv(path: str | Path, frames: Iterable[SkeletonFrame]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "person", "joint", "x", "y", "z", "confidence"])
+        writer.writerow(_CSV_COLUMNS)
         for frame in frames:
             for p, j in zip(*np.nonzero(frame.confidence > 0)):  # by person, then joint
                 x, y, z = frame.coords[p, j].tolist()

@@ -67,9 +67,14 @@ def joint_angle(a, b, c) -> float:
     return math.degrees(math.acos(cosang))
 
 
-def _triple_confidence(skel: RawSkeleton, triple) -> float:
-    conf = skel.confidence
-    return (conf[triple[0]] + conf[triple[1]] + conf[triple[2]]) / 3.0
+def _detected(conf: list[float], triple) -> bool:
+    a, b, c = triple
+    return conf[a] > 0 and conf[b] > 0 and conf[c] > 0
+
+
+def _triple_confidence(conf: list[float], triple) -> float:
+    a, b, c = triple
+    return (conf[a] + conf[b] + conf[c]) / 3.0
 
 
 def angle_for(profile: ExerciseProfile, skel: RawSkeleton) -> Optional[float]:
@@ -82,10 +87,11 @@ def angle_for(profile: ExerciseProfile, skel: RawSkeleton) -> Optional[float]:
     """
     primary = profile.joint_triple
     mirrored = mirror_triple(primary)
-    have_primary = skel.has(*primary)
-    have_mirror = skel.has(*mirrored)
+    conf = skel.confidence.tolist()  # one conversion, then plain float reads
+    have_primary = _detected(conf, primary)
+    have_mirror = _detected(conf, mirrored)
     if have_primary and have_mirror:
-        triple = primary if _triple_confidence(skel, primary) >= _triple_confidence(skel, mirrored) else mirrored
+        triple = primary if _triple_confidence(conf, primary) >= _triple_confidence(conf, mirrored) else mirrored
     elif have_primary:
         triple = primary
     elif have_mirror:

@@ -4,7 +4,9 @@ import pytest
 
 from repcount.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATASET, EXIT_BAD_INPUT,
                           EXIT_BAD_MODEL, EXIT_OK, main)
+from repcount.keypoints import serialize_frame, write_session_csv
 from repcount.recognizer import save_model
+from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
 
 
 @pytest.fixture()
@@ -96,10 +98,35 @@ MALFORMED_VALUES = [
     pytest.param("a.ndjson", json.dumps({"people": [_person_2d([1])]}), id="nested-value"),
     pytest.param("a.ndjson", json.dumps({"people": [{"pose_keypoints_2d": [[1.0]] * 75}]}),
                  id="every-value-nested"),
+    pytest.param("a.ndjson", json.dumps({"people": [_person_2d("1.5")]}), id="numeric-string"),
+    pytest.param("a.ndjson", json.dumps({"people": [_person_2d(True)]}), id="boolean"),
+    pytest.param("a.ndjson", json.dumps({"people": [_person_2d(10 ** 400)]}),
+                 id="integer-beyond-float"),
     pytest.param("b.csv", CSV_HEADER + "abc,0,4,1.0,2.0,0.0,0.9\n", id="csv-frame-not-int"),
     pytest.param("b.csv", CSV_HEADER + "0,0,4,1.0\n", id="csv-missing-columns"),
     pytest.param("b.csv", CSV_HEADER + "0,0,4,1.0,2.0,0.0,zz\n", id="csv-confidence-not-number"),
 ]
+
+
+def test_csv_and_ndjson_give_identical_reports(tmp_path, model_path):
+    """One noisy four-person session, written in both input formats, gives
+    byte-identical reports."""
+    motions = tuple(PersonMotion(ex, full_cycles=8, partial_cycles=2, noise_sigma=5.0,
+                                 gap_rate=0.05)
+                    for ex in ("squat", "push-up", "pull-up", "squat"))
+    frames, _ = generate_session(SyntheticSessionSpec(persons=motions, seed=7))
+    write_session_csv(tmp_path / "session.csv", frames)
+    with open(tmp_path / "session.ndjson", "wb") as fh:
+        for frame in frames:
+            fh.write(serialize_frame(frame) + b"\n")
+    reports = []
+    for name in ("session.csv", "session.ndjson"):
+        out_json, out_text = tmp_path / f"{name}.json", tmp_path / f"{name}.txt"
+        assert main(["analyze", str(tmp_path / name), "--model", model_path,
+                     "--out-json", str(out_json), "--out-text", str(out_text)]) == EXIT_OK
+        reports.append((out_json.read_bytes(), out_text.read_bytes()))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][0])["persons"]
 
 
 class TestExitCodes:

@@ -2,13 +2,41 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repcount import body25
-from repcount.body25 import NUM_JOINTS
+from repcount.body25 import NUM_JOINTS, mirror_triple
 from repcount.keypoints import RawSkeleton
 from repcount.kinematics import (DegenerateGeometryError, ExerciseProfile,
                                  ProfileError, angle_for, builtin_profiles,
                                  joint_angle, load_profiles)
+
+
+def reference_angle_for(profile, skel):
+    """angle_for as it read the confidences through numpy scalars."""
+    def mean_confidence(triple):
+        conf = skel.confidence
+        return (conf[triple[0]] + conf[triple[1]] + conf[triple[2]]) / 3.0
+
+    primary = profile.joint_triple
+    mirrored = mirror_triple(primary)
+    have_primary = all(skel.confidence[j] > 0 for j in primary)
+    have_mirror = all(skel.confidence[j] > 0 for j in mirrored)
+    if have_primary and have_mirror:
+        triple = primary if mean_confidence(primary) >= mean_confidence(mirrored) else mirrored
+    elif have_primary:
+        triple = primary
+    elif have_mirror:
+        triple = mirrored
+    else:
+        return None
+    a, b, c = triple
+    try:
+        return joint_angle(skel.coords[a], skel.coords[b], skel.coords[c])
+    except DegenerateGeometryError:
+        return None
 
 
 class TestJointAngle:
@@ -147,3 +175,20 @@ class TestProfiles:
         path.write_text(json.dumps([{"name": "bad"}]))
         with pytest.raises(ProfileError):
             load_profiles(path)
+
+
+# few confidence levels, so both sides are often detected with equal means
+CONFIDENCE_LEVELS = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, (NUM_JOINTS, 3), elements=st.floats(-100, 100)),
+       arrays(np.float64, NUM_JOINTS, elements=CONFIDENCE_LEVELS),
+       st.sampled_from(sorted(builtin_profiles())))
+def test_angle_for_equals_numpy_scalar_reference(coords, conf, name):
+    """Side choice, gaps and angles bit for bit as with numpy scalar reads."""
+    profile = builtin_profiles()[name]
+    skel = RawSkeleton(coords=coords, confidence=conf)
+    want = reference_angle_for(profile, skel)
+    got = angle_for(profile, skel)
+    assert got == want if want is not None else got is None
