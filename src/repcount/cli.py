@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -41,6 +42,16 @@ def _load_profiles_arg(args):
     return builtin_profiles()
 
 
+def _number_arg_error(fps: float, tolerance: float = 0.0) -> str | None:
+    """Why --fps (finite, > 0) or --tolerance (finite, >= 0) is invalid, or
+    None when both are valid."""
+    if not (math.isfinite(fps) and fps > 0):
+        return f"--fps must be a finite number > 0, got {fps!r}"
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        return f"--tolerance must be a finite number >= 0, got {tolerance!r}"
+    return None
+
+
 def _read_frames(args):
     if args.input == "-":
         return list(iter_ndjson_frames(sys.stdin, args.fps))
@@ -48,6 +59,9 @@ def _read_frames(args):
 
 
 def cmd_analyze(args) -> int:
+    if (message := _number_arg_error(args.fps, args.tolerance)) is not None:
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         profiles = _load_profiles_arg(args)
     except (OSError, ProfileError, json.JSONDecodeError) as exc:
@@ -69,8 +83,7 @@ def cmd_analyze(args) -> int:
     config = EngineConfig(tolerance=args.tolerance, keep_traces=bool(args.out_csv))
     engine = SessionEngine(model=model, thresholds=thresholds,
                            profiles=profiles, config=config)
-    for frame in frames:
-        engine.process_frame(frame)
+    engine.process_frames(frames)
     result = engine.finalize()
 
     text = render_text(result)
@@ -209,6 +222,9 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     if args.repetitions < 1:
         print("error: --repetitions must be >= 1", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    if (message := _number_arg_error(args.fps)) is not None:
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     model = thresholds = None
     if args.model:

@@ -178,14 +178,26 @@ def serialize_frame(frame: SkeletonFrame) -> bytes:
     return json.dumps({"people": people}, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
+def _located(exc: ParseError | SchemaError, where: str) -> ParseError | SchemaError:
+    """exc with its message prefixed by `where`; a ParseError keeps its offset."""
+    if isinstance(exc, ParseError):
+        return ParseError(f"{where}: {exc}", offset=exc.offset)
+    return SchemaError(f"{where}: {exc}")
+
+
 def iter_ndjson_frames(lines: Iterable[str], source_fps: float = 30.0) -> Iterator[SkeletonFrame]:
-    """Yield frames from a newline-delimited stream of format-A documents."""
+    """Yield frames from a newline-delimited stream of format-A documents.
+    A bad document's error names its line (1-based, blank lines counted)."""
     index = 0
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        yield parse_frame(line, index, source_fps)
+        try:
+            frame = parse_frame(line, index, source_fps)
+        except (ParseError, SchemaError) as exc:
+            raise _located(exc, f"line {number}") from exc
+        yield frame
         index += 1
 
 
@@ -196,7 +208,10 @@ def load_frames(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFram
     if path.is_dir():
         frames = []
         for i, child in enumerate(sorted(path.glob("*.json"))):
-            frames.append(parse_frame(child.read_bytes(), i, source_fps))
+            try:
+                frames.append(parse_frame(child.read_bytes(), i, source_fps))
+            except (ParseError, SchemaError) as exc:
+                raise _located(exc, str(child)) from exc
         return frames
     if path.suffix.lower() == ".csv":
         return load_session_csv(path, source_fps)

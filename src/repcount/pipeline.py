@@ -1,16 +1,21 @@
 """The end-to-end session engine: parse -> track -> recognize -> angle ->
 condition -> count -> report.
 
-One SessionEngine processes one frame stream sequentially. Each tracked
-person carries a label window and a stack of exercise sets; when the
-windowed label switches to a different known exercise the current set's
-counter is finalized and a new one starts. Unknown and warmup labels pause
-counting without closing the set.
+One SessionEngine processes one frame stream sequentially. A frame's
+labels depend only on its own skeletons, so process_frames labels the
+frames of a chunk together; tracking, the label vote, angles, conditioning
+and counting then run frame by frame. Each tracked person carries a label
+window and a stack of exercise sets; when the windowed label switches to a
+different known exercise the current set's counter is finalized and a new
+one starts. Unknown and warmup labels pause counting without closing the
+set.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate, islice, pairwise
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -22,6 +27,10 @@ from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
 from .reporting import PersonSummary, SessionResult
 from .tracker import PoseTracker
+
+# frames labelled together by process_frames: one normalize_frame call and
+# one forward pass per chunk amortize NumPy's per-call cost
+_LABEL_CHUNK_FRAMES = 64
 
 
 @dataclass
@@ -68,6 +77,23 @@ class SessionEngine:
         self.fps: Optional[float] = None
         self.frame_count = 0
         self._finalized = False
+        # (frame, its labels) computed ahead by process_frames, in frame order
+        self._pending: deque[tuple[SkeletonFrame, list[str]]] = deque()
+
+    def process_frames(self, frames: Iterable[SkeletonFrame]) -> None:
+        """Process frames in order, labelling each chunk of
+        _LABEL_CHUNK_FRAMES frames together before processing its frames
+        one by one; nothing computed ahead outlives the call."""
+        if self._finalized:
+            raise RuntimeError("session already finalized")
+        frames = iter(frames)
+        try:
+            while chunk := list(islice(frames, _LABEL_CHUNK_FRAMES)):
+                self._pending.extend(zip(chunk, self._chunk_labels(chunk)))
+                for frame in chunk:
+                    self.process_frame(frame)
+        finally:
+            self._pending.clear()
 
     def process_frame(self, frame: SkeletonFrame) -> None:
         if self._finalized:
@@ -76,7 +102,10 @@ class SessionEngine:
             self.fps = frame.source_fps
         self.frame_count += 1
         assignment = self.tracker.match_frame(frame)
-        labels = self._frame_labels(frame.coords, frame.confidence)
+        if self._pending and self._pending[0][0] is frame:
+            labels = self._pending.popleft()[1]
+        else:  # a direct caller: the frame is a chunk of one
+            (labels,) = self._chunk_labels([frame])
         skeletons = None  # row views, built once and only for an exercising person
         # a skeleton without an id (no detected joint) is skipped
         for sidx in sorted(assignment.id_by_skeleton):
@@ -93,23 +122,21 @@ class SessionEngine:
                     skeletons = frame.skeletons
                 self._step_exercise(state, windowed, skeletons[sidx], frame.frame_index)
 
-    def _frame_labels(self, coords: np.ndarray, confidence: np.ndarray) -> list[str]:
-        """Labels of the skeleton rows of (S, 25, 3) coords and (S, 25)
-        confidences, normalized in one call; two or more normalizable rows
-        share one forward pass, a single one takes the cheaper one-row call."""
-        labels = [UNKNOWN] * len(coords)
-        if self.model is None:
-            return labels
-        features, ok = normalize_frame(coords, confidence)
-        rows = np.flatnonzero(ok).tolist()
-        if len(rows) == 1:
-            labels[rows[0]] = classify_with_reject(self.model, self.thresholds,
-                                                   features[rows[0]])
-        elif rows:
-            batch = classify_with_reject(self.model, self.thresholds, features[rows])
-            for i, label in zip(rows, batch):
-                labels[i] = label
-        return labels
+    def _chunk_labels(self, frames: list[SkeletonFrame]) -> list[list[str]]:
+        """The labels of the skeleton rows of each frame: every row of the
+        chunk is normalized in one call, and the normalizable ones are
+        classified in one forward pass."""
+        sizes = [len(frame.coords) for frame in frames]
+        labels = [UNKNOWN] * sum(sizes)
+        if self.model is not None and labels:
+            features, ok = normalize_frame(np.concatenate([f.coords for f in frames]),
+                                           np.concatenate([f.confidence for f in frames]))
+            rows = np.flatnonzero(ok)
+            if len(rows):
+                batch = classify_with_reject(self.model, self.thresholds, features[rows])
+                for i, label in zip(rows.tolist(), batch):
+                    labels[i] = label
+        return [labels[a:b] for a, b in pairwise(accumulate(sizes, initial=0))]
 
     def _step_exercise(self, state: _PersonState, exercise: str, skel, frame_index: int) -> None:
         if state.active is not None and state.active.exercise != exercise:
@@ -201,6 +228,5 @@ def analyze_frames(frames, model=None, thresholds=None, profiles=None,
     """Run a whole pre-parsed frame list through a fresh engine."""
     engine = SessionEngine(model=model, thresholds=thresholds,
                            profiles=profiles, config=config)
-    for frame in frames:
-        engine.process_frame(frame)
+    engine.process_frames(frames)
     return engine.finalize()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from repcount import pipeline
 from repcount.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATASET, EXIT_BAD_INPUT,
                           EXIT_BAD_MODEL, EXIT_OK, main)
 from repcount.keypoints import serialize_frame, write_session_csv
@@ -186,6 +187,31 @@ class TestExitCodes:
         session = simulate(tmp_path, full_cycles=1)
         assert main(["bench", str(session), "--repetitions", "0"]) == EXIT_BAD_CONFIG
 
+    # the input does not exist: the option must be rejected before it is read
+    @pytest.mark.parametrize("command", ["analyze", "bench"])
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_fps(self, tmp_path, capsys, command, fps):
+        assert main([command, str(tmp_path / "nope.ndjson"), f"--fps={fps}"]) == EXIT_BAD_CONFIG
+        assert "--fps must be a finite number > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-0.5"])
+    def test_bad_tolerance(self, tmp_path, capsys, tolerance):
+        assert main(["analyze", str(tmp_path / "nope.ndjson"),
+                     f"--tolerance={tolerance}"]) == EXIT_BAD_CONFIG
+        assert "--tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--fps=0.5", "--tolerance=0", "--tolerance=45"])
+    def test_edge_values_accepted(self, tmp_path, option):
+        session = simulate(tmp_path, full_cycles=1)
+        assert main(["analyze", str(session), option,
+                     "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+
+    def test_malformed_ndjson_line_is_named(self, tmp_path, capsys):
+        session = tmp_path / "a.ndjson"
+        session.write_text('{"people": []}\n\n{"people": [1]}\n')
+        assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
+        assert "unreadable input: line 3: person 0: must be an object" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_synthetic_training_writes_artifacts(self, tmp_path, capsys):
@@ -235,3 +261,26 @@ def test_bench_smoke(tmp_path, model_path, capsys):
     out = capsys.readouterr().out
     assert "pipeline throughput" in out
     assert "frames/s" in out
+
+
+def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_path,
+                                                             monkeypatch):
+    """A wrapper of SessionEngine.process_frame with the signature (self,
+    frame) sees every frame once, in order, and the report is unchanged."""
+    session = simulate(tmp_path, exercise="squat", full_cycles=6, noise=4.0, gap_rate=0.05)
+    argv = ["analyze", str(session), "--model", model_path,
+            "--out-text", str(tmp_path / "t.txt")]
+    assert main([*argv, "--out-json", str(tmp_path / "plain.json")]) == EXIT_OK
+    process_frame = pipeline.SessionEngine.process_frame
+    seen = []
+
+    def wrapped(self, frame):
+        seen.append(frame.frame_index)
+        return process_frame(self, frame)
+
+    monkeypatch.setattr(pipeline.SessionEngine, "process_frame", wrapped)
+    assert main([*argv, "--out-json", str(tmp_path / "wrapped.json")]) == EXIT_OK
+    n_frames = len(session.read_text().splitlines())
+    assert n_frames > 2 * pipeline._LABEL_CHUNK_FRAMES
+    assert seen == list(range(n_frames))
+    assert (tmp_path / "wrapped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import (TORSO_EPSILON, ParseError, RawSkeleton, SchemaError,
-                                SkeletonFrame, load_session_csv, normalize_frame,
-                                normalize_skeleton, parse_frame, serialize_frame,
-                                write_session_csv)
+                                SkeletonFrame, iter_ndjson_frames, load_frames,
+                                load_session_csv, normalize_frame, normalize_skeleton,
+                                parse_frame, serialize_frame, write_session_csv)
 
 
 def make_skeleton(rng=None, confidence=1.0):
@@ -362,3 +362,30 @@ def test_skeletons_are_read_only_row_views(keypoints):
             skel.coords[0, 0] = 1.0
         with pytest.raises(ValueError):
             skel.confidence[0] = 1.0
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    pytest.param('{"people": [}', ParseError, "malformed frame document at offset 12",
+                 id="parse"),
+    pytest.param('{"people": [{"pose_keypoints_2d": [1.0]}]}', SchemaError,
+                 "person 0: keypoint array length 1", id="schema"),
+])
+def test_ndjson_error_names_its_line(bad, error, message):
+    lines = ['{"people": []}', "", "   ", '{"people": []}', bad, '{"people": []}']
+    with pytest.raises(error) as exc:
+        list(iter_ndjson_frames(line + "\n" for line in lines))
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"line 5: {message}")
+    if error is ParseError:
+        assert exc.value.offset == 12
+
+
+def test_directory_error_names_its_file(tmp_path):
+    (tmp_path / "000.json").write_text('{"people": []}')
+    (tmp_path / "001.json").write_text('{"people": 3}')
+    with pytest.raises(SchemaError, match=r'001\.json: "people" must be an array'):
+        load_frames(tmp_path)
+    (tmp_path / "001.json").write_text('{"people": [')
+    with pytest.raises(ParseError, match=r"001\.json: malformed frame document") as exc:
+        load_frames(tmp_path)
+    assert exc.value.offset == 12

@@ -1,11 +1,18 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repcount.body25 import NUM_JOINTS
-from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
+from repcount import pipeline
+from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
+from repcount.keypoints import (RawSkeleton, SkeletonFrame, normalize_frame,
+                                normalize_skeleton)
 from repcount.kinematics import angle_for
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
-from repcount.recognizer import UNKNOWN, classify_with_reject
+from repcount.recognizer import UNKNOWN, LabelWindow, classify_with_reject
+from repcount.reporting import render_json
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
 
@@ -171,14 +178,158 @@ def test_batched_labels_equal_per_skeleton_labels(trained_model):
         shuffle_order=True, seed=18)
     frames, _ = generate_session(spec)
     engine = SessionEngine(model=model, thresholds=thresholds)
-    seen = set()
+    want = []
     for f in frames:
-        want = []
+        labels = []
         for skel in f.skeletons:
             feature = normalize_skeleton(skel)
-            want.append(UNKNOWN if feature is None
-                        else classify_with_reject(model, thresholds, feature))
-        assert engine._frame_labels(f.coords, f.confidence) == want
-        seen.update(want)
+            labels.append(UNKNOWN if feature is None
+                          else classify_with_reject(model, thresholds, feature))
+        assert engine._chunk_labels([f]) == [labels]
+        want.append(labels)
+    assert engine._chunk_labels(frames) == want
     # the reject rule and every class are exercised
-    assert seen == {UNKNOWN, *model.class_names}
+    assert {label for labels in want for label in labels} == {UNKNOWN, *model.class_names}
+
+
+def frame_labels_reference(model, thresholds, coords, confidence):
+    """SessionEngine._frame_labels as it was before frames were labelled in
+    chunks: one frame at a time, a single normalizable row as a 1-D call."""
+    labels = [UNKNOWN] * len(coords)
+    if model is None:
+        return labels
+    features, ok = normalize_frame(coords, confidence)
+    rows = np.flatnonzero(ok).tolist()
+    if len(rows) == 1:
+        labels[rows[0]] = classify_with_reject(model, thresholds, features[rows[0]])
+    elif rows:
+        batch = classify_with_reject(model, thresholds, features[rows])
+        for i, label in zip(rows, batch):
+            labels[i] = label
+    return labels
+
+
+class PerFrameEngine(SessionEngine):
+    """The engine with every frame labelled by the per-frame reference."""
+
+    def _chunk_labels(self, frames):
+        return [frame_labels_reference(self.model, self.thresholds, f.coords, f.confidence)
+                for f in frames]
+
+
+@functools.cache
+def six_person_source():
+    spec = SyntheticSessionSpec(
+        persons=tuple(PersonMotion(ex, full_cycles=2, noise_sigma=5.0, gap_rate=0.05)
+                      for ex in ("squat", "push-up", "sit-up", "pull-up", "squat", "push-up")),
+        seed=21)
+    return generate_session(spec)[0]
+
+
+ROW_CASES = ["as is"] * 4 + ["gaps", "no neck", "no mid-hip", "no joint"]
+
+
+@st.composite
+def label_sessions(draw):
+    """Consecutive frames of a six-person session; each frame keeps any
+    subset of its persons (sometimes none), and a kept row may lose some
+    joints, its neck or mid-hip (it cannot be normalized), or every joint
+    (it is never tracked)."""
+    source = six_person_source()
+    start = draw(st.integers(0, len(source) - 1))
+    frames = []
+    for f in source[start:start + draw(st.integers(1, 40))]:
+        keep = draw(st.lists(st.booleans(), min_size=len(f.coords), max_size=len(f.coords)))
+        if draw(st.integers(0, 9)) == 0:
+            keep = [False] * len(keep)
+        coords, conf = f.coords[keep].copy(), f.confidence[keep].copy()
+        for i in range(len(coords)):
+            case = draw(st.sampled_from(ROW_CASES))
+            if case == "gaps":
+                lost = draw(st.lists(st.integers(0, NUM_JOINTS - 1), max_size=8))
+                conf[i, lost] = 0.0
+            elif case == "no neck":
+                conf[i, NECK] = 0.0
+            elif case == "no mid-hip":
+                conf[i, MID_HIP] = 0.0
+            elif case == "no joint":
+                conf[i] = 0.0
+            coords[i][conf[i] == 0] = 0.0
+        frames.append(SkeletonFrame(len(frames), coords, conf))
+    return frames
+
+
+@settings(max_examples=100, deadline=None)
+@given(label_sessions(), st.integers(1, 9))
+def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk):
+    """Frames labelled in chunks of any size get the labels of the
+    per-frame path, and the report is the one a hand loop of
+    process_frame gives with per-frame labels."""
+    model, thresholds, _ = trained_model
+    want = [frame_labels_reference(model, thresholds, f.coords, f.confidence) for f in frames]
+    pushed = []
+    push = LabelWindow.push
+
+    def recording_push(window, label):
+        pushed.append(label)
+        push(window, label)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_LABEL_CHUNK_FRAMES", chunk)
+        mp.setattr(LabelWindow, "push", recording_push)
+        assert SessionEngine(model=model, thresholds=thresholds)._chunk_labels(frames) == want
+        chunked = analyze_frames(frames, model=model, thresholds=thresholds)
+        chunked_pushed, pushed = pushed, []
+        reference = PerFrameEngine(model=model, thresholds=thresholds)
+        for f in frames:
+            reference.process_frame(f)
+    assert chunked_pushed == pushed
+    assert render_json(chunked) == render_json(reference.finalize())
+
+
+def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, trained_model):
+    model, thresholds, _ = trained_model
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", full_cycles=3),), seed=20))
+    monkeypatch.setattr(pipeline, "_LABEL_CHUNK_FRAMES", 8)
+    engine = SessionEngine(model=model, thresholds=thresholds)
+    engine.process_frames(frames[:12])
+    assert not engine._pending
+    match_frame = engine.tracker.match_frame
+
+    def failing_match(frame):
+        if frame.frame_index == 20:
+            raise RuntimeError("tracker failed")
+        return match_frame(frame)
+
+    monkeypatch.setattr(engine.tracker, "match_frame", failing_match)
+    with pytest.raises(RuntimeError, match="tracker failed"):
+        engine.process_frames(frames[12:])
+    assert not engine._pending
+    engine.finalize()
+    with pytest.raises(RuntimeError, match="finalized"):
+        engine.process_frames(frames)
+
+
+def test_labels_computed_ahead_belong_to_their_frame(monkeypatch, trained_model):
+    """A process_frame wrapper that passes on only the even frames gets the
+    report of the engine that was given only those; the odd frames, whose
+    skeletons have no neck, would label every row unknown."""
+    model, thresholds, _ = trained_model
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", full_cycles=4, noise_sigma=5.0),
+                 PersonMotion("push-up", full_cycles=4, noise_sigma=5.0)), seed=22))
+    for i in range(1, len(frames), 2):
+        confidence = frames[i].confidence.copy()
+        confidence[:, NECK] = 0.0
+        frames[i] = SkeletonFrame(i, frames[i].coords, confidence)
+    want = render_json(analyze_frames(frames[::2], model=model, thresholds=thresholds))
+    assert b'"total_reps":4' in want.replace(b" ", b"")
+    process_frame = SessionEngine.process_frame
+
+    def every_other_frame(self, frame):
+        if frame.frame_index % 2 == 0:
+            process_frame(self, frame)
+
+    monkeypatch.setattr(SessionEngine, "process_frame", every_other_frame)
+    assert render_json(analyze_frames(frames, model=model, thresholds=thresholds)) == want

@@ -274,10 +274,11 @@ def crowd_session(n_persons=16, cycles=2, seed=4):
 
 def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
     """On a 16-person stream the tracker never falls back to pairwise
-    distances, and each frame makes one normalize call and one forward pass
-    for all persons."""
+    distances, and each chunk of frames makes one normalize call and one
+    forward pass for all persons of its frames."""
     model, thresholds, _ = trained_model
     frames = crowd_session()
+    chunk = 16  # 52 frames: three full chunks and a partial one
     calls = {"distance": 0, "normalize": 0, "forward": 0, "rows": 0}
 
     def counting_distance(a, b):
@@ -298,12 +299,13 @@ def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
     monkeypatch.setattr(tracker, "skeleton_distance", counting_distance)
     monkeypatch.setattr(pipeline, "normalize_frame", counting_normalize)
     monkeypatch.setattr(recognizer, "forward", counting_forward)
+    monkeypatch.setattr(pipeline, "_LABEL_CHUNK_FRAMES", chunk)
     result = analyze_frames(frames, model=model, thresholds=thresholds)
     normalizable = [sum(normalize_skeleton(s) is not None for s in f.skeletons)
                     for f in frames]
     assert min(normalizable) >= 2
     assert calls["distance"] == 0
-    assert calls["normalize"] == len(frames)
-    assert calls["forward"] == len(frames)
+    assert calls["normalize"] == math.ceil(len(frames) / chunk) == 4
+    assert calls["forward"] == math.ceil(len(frames) / chunk)
     assert calls["rows"] == sum(normalizable)
     assert len(result.summaries) == 16
