@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .counting import DEFAULT_TOLERANCE_DEG
-from .keypoints import (ParseError, SchemaError, iter_ndjson_frames, load_frames,
-                        normalize_frame, serialize_frame, write_session_csv)
+from .keypoints import (ParseError, SchemaError, load_frames, normalize_frame, read_ndjson,
+                        serialize_frame, write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine, analyze_frames
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
@@ -54,7 +54,7 @@ def _number_arg_error(fps: float, tolerance: float = 0.0) -> str | None:
 
 def _read_frames(args):
     if args.input == "-":
-        return list(iter_ndjson_frames(sys.stdin, args.fps))
+        return read_ndjson(sys.stdin.buffer, args.fps)
     return load_frames(args.input, args.fps)
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn, Optional
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional, Sequence
 
 import numpy as np
 
@@ -70,20 +72,7 @@ class SkeletonFrame:
     source_fps: float = 30.0
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise SchemaError("frame_index must be >= 0")
-        if self.source_fps <= 0:
-            raise SchemaError("source_fps must be > 0")
-        n = len(self.coords)
-        if self.coords.shape != (n, NUM_JOINTS, 3) or self.confidence.shape != (n, NUM_JOINTS):
-            raise SchemaError(f"expected ({n}, {NUM_JOINTS}, 3) coords and ({n}, {NUM_JOINTS}) "
-                              f"confidences, got {self.coords.shape} and {self.confidence.shape}")
-        # NaN fails every comparison, so a NaN confidence fails the bounds
-        if not (np.isfinite(self.coords).all()
-                and (n == 0 or 0.0 <= self.confidence.min() and self.confidence.max() <= 1.0)):
-            raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
-        self.coords.flags.writeable = False
-        self.confidence.flags.writeable = False
+        _check_frame_arrays(self.frame_index, self.coords, self.confidence, self.source_fps)
 
     @classmethod
     def of(cls, frame_index: int, skeletons, source_fps: float = 30.0) -> SkeletonFrame:
@@ -93,6 +82,30 @@ class SkeletonFrame:
         return cls(frame_index, np.stack([s.coords for s in skeletons], dtype=np.float64),
                    np.stack([s.confidence for s in skeletons], dtype=np.float64), source_fps)
 
+    @classmethod
+    def split(cls, indices: Sequence[int], sizes: Sequence[int], coords: np.ndarray,
+              confidence: np.ndarray, source_fps: float = 30.0) -> list[SkeletonFrame]:
+        """Frames indices[k] holding the next sizes[k] rows of the (N, 25, 3)
+        coords and (N, 25) confidences, in order, as row slices.
+
+        The pair is checked once, by the rule each frame is held to, and made
+        read-only, so the slices are not checked again. It is rejected
+        exactly when one of its frames would be."""
+        if sum(sizes) != len(coords):
+            raise SchemaError(f"frame sizes add up to {sum(sizes)}, not to {len(coords)} rows")
+        _check_frame_arrays(min(indices, default=0), coords, confidence, source_fps)
+        frames = []
+        start = 0
+        for index, end in zip(indices, accumulate(sizes)):
+            frame = object.__new__(cls)  # checked above: __init__ would check again
+            object.__setattr__(frame, "frame_index", index)
+            object.__setattr__(frame, "coords", coords[start:end])
+            object.__setattr__(frame, "confidence", confidence[start:end])
+            object.__setattr__(frame, "source_fps", source_fps)
+            frames.append(frame)
+            start = end
+        return frames
+
     @property
     def skeletons(self) -> tuple[RawSkeleton, ...]:
         """Row views of the arrays, one per person; built on each access,
@@ -100,13 +113,37 @@ class SkeletonFrame:
         return tuple(map(RawSkeleton, self.coords, self.confidence))
 
 
+def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.ndarray,
+                        source_fps: float) -> None:
+    """The rule of a SkeletonFrame, over the arrays of one frame or of several
+    stacked (first_index is the smallest frame index); makes them read-only."""
+    if first_index < 0:
+        raise SchemaError("frame_index must be >= 0")
+    if not (math.isfinite(source_fps) and source_fps > 0):
+        raise SchemaError(f"source_fps must be a finite number > 0, got {source_fps!r}")
+    n = len(coords)
+    if coords.shape != (n, NUM_JOINTS, 3) or confidence.shape != (n, NUM_JOINTS):
+        raise SchemaError(f"expected ({n}, {NUM_JOINTS}, 3) coords and ({n}, {NUM_JOINTS}) "
+                          f"confidences, got {coords.shape} and {confidence.shape}")
+    # NaN fails every comparison, so a NaN confidence fails the bounds
+    if not (np.isfinite(coords).all()
+            and (n == 0 or 0.0 <= confidence.min() and confidence.max() <= 1.0)):
+        raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
+    coords.flags.writeable = False
+    confidence.flags.writeable = False
+
+
 # packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
 # as doubles
 _KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
+# format-A documents decoded together: enough to amortize the NumPy calls per
+# chunk over its frames, few enough that a chunk's documents stay small
+_JSON_CHUNK_FRAMES = 64
 
 
-def _keypoint_rows(person, person_idx, spells_boolean: bool) -> np.ndarray:
-    """One format-A person as a (25, stride) array: x, y, c or x, y, z, c rows.
+def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, bytes]:
+    """One format-A person's stride, 3 (x, y, c) or 4 (x, y, z, c), and
+    keypoint values packed as 25 * stride doubles.
 
     Values must be JSON numbers. Packing them as doubles rejects strings,
     null, objects, arrays and integers beyond float, but converts booleans,
@@ -131,44 +168,72 @@ def _keypoint_rows(person, person_idx, spells_boolean: bool) -> np.ndarray:
         raise SchemaError(f"person {person_idx}: expected {NUM_JOINTS} joints, got {n}")
     try:
         if not (spells_boolean and any(type(v) is bool for v in values)):
-            packed = _KEYPOINT_PACKERS[stride].pack(*values)
-            return np.frombuffer(packed).reshape(NUM_JOINTS, stride)
+            return stride, _KEYPOINT_PACKERS[stride].pack(*values)
     except struct.error:
         pass
     raise SchemaError(f"person {person_idx}: keypoint values must be numbers")
 
 
-def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -> SkeletonFrame:
-    """Parse one keypoint frame document (input format A)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def _utf8(data: bytes) -> str:
+    """data decoded from UTF-8; a ParseError names the first bad byte."""
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed frame document at offset {exc.pos}: {exc.msg}", offset=exc.pos) from exc
-    if not isinstance(doc, dict) or "people" not in doc:
-        raise SchemaError('frame document must be an object with a "people" array')
-    people = doc["people"]
-    if not isinstance(people, list):
-        raise SchemaError('"people" must be an array')
-    coords = np.zeros((len(people), NUM_JOINTS, 3))
-    confidence = np.empty((len(people), NUM_JOINTS))
-    # JSON booleans would convert to numbers; a document that spells one is
-    # searched for them (a one-letter test is a memchr, a word search is slow)
-    spells_boolean = ("u" in data and "true" in data) or ("a" in data and "false" in data)
-    for i, person in enumerate(people):
-        rows = _keypoint_rows(person, i, spells_boolean)
-        coords[i, :, : rows.shape[1] - 1] = rows[:, :-1]
-        confidence[i] = rows[:, -1]
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start) from exc
+
+
+def _decode_chunk(docs: Sequence[str | bytes], first_index: int,
+                  source_fps: float) -> list[SkeletonFrame]:
+    """Frames first_index, first_index + 1, ... from format-A documents, as
+    row slices of one array pair. Raises the error of the first document to
+    fail a structural check, or else one of the pair's value checks."""
+    packed: dict[int, list[bytes]] = {3: [], 4: []}  # per stride, in row order
+    rows: dict[int, list[int]] = {3: [], 4: []}  # per stride, the rows packed
+    sizes: list[int] = []
+    n = 0  # rows so far
+    for doc in docs:
+        text = _utf8(doc) if isinstance(doc, bytes) else doc
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed frame document at offset {exc.pos}: {exc.msg}",
+                             offset=exc.pos) from exc
+        if not isinstance(data, dict) or "people" not in data:
+            raise SchemaError('frame document must be an object with a "people" array')
+        people = data["people"]
+        if not isinstance(people, list):
+            raise SchemaError('"people" must be an array')
+        # JSON booleans would convert to numbers; a document that spells one is
+        # searched for them (a one-letter test is a memchr, a word search is slow)
+        spells_boolean = ("u" in text and "true" in text) or ("a" in text and "false" in text)
+        for i, person in enumerate(people):
+            stride, values = _packed_keypoints(person, i, spells_boolean)
+            packed[stride].append(values)
+            rows[stride].append(n + i)
+        sizes.append(len(people))
+        n += len(people)
+    coords = np.zeros((n, NUM_JOINTS, 3))
+    confidence = np.empty((n, NUM_JOINTS))
+    for stride, values in packed.items():
+        if values:
+            keypoints = np.frombuffer(b"".join(values)).reshape(-1, NUM_JOINTS, stride)
+            coords[rows[stride], :, : stride - 1] = keypoints[..., :-1]
+            confidence[rows[stride]] = keypoints[..., -1]
     # undetected joints carry no positional meaning and are zeroed, so a
     # non-finite one is rejected first, as format B does; a negative
-    # confidence is left for SkeletonFrame to reject
+    # confidence is left for the frame check to reject
     if not np.isfinite(coords).all():
         raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
     undetected = confidence == 0
     coords[undetected] = 0.0
     confidence[undetected] = 0.0  # -0.0 becomes 0.0
-    return SkeletonFrame(frame_index, coords, confidence, source_fps)
+    return SkeletonFrame.split(range(first_index, first_index + len(docs)), sizes,
+                               coords, confidence, source_fps)
+
+
+def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -> SkeletonFrame:
+    """Parse one keypoint frame document (input format A); bytes must be UTF-8."""
+    return _decode_chunk([data], frame_index, source_fps)[0]
 
 
 def serialize_frame(frame: SkeletonFrame) -> bytes:
@@ -185,20 +250,63 @@ def _located(exc: ParseError | SchemaError, where: str) -> ParseError | SchemaEr
     return SchemaError(f"{where}: {exc}")
 
 
-def iter_ndjson_frames(lines: Iterable[str], source_fps: float = 30.0) -> Iterator[SkeletonFrame]:
-    """Yield frames from a newline-delimited stream of format-A documents.
+def _decode_located(docs: list[str | bytes], places: list[str], first_index: int,
+                    source_fps: float) -> list[SkeletonFrame]:
+    """_decode_chunk(docs, ...); when it fails, the documents are decoded
+    again one by one, and the error of the first bad one is raised, prefixed
+    by its place."""
+    try:
+        return _decode_chunk(docs, first_index, source_fps)
+    except (ParseError, SchemaError):
+        for k, (doc, place) in enumerate(zip(docs, places)):
+            try:
+                _decode_chunk([doc], first_index + k, source_fps)
+            except (ParseError, SchemaError) as exc:
+                raise _located(exc, place) from exc
+        raise  # unreachable: a chunk fails only where one of its documents does
+
+
+def _stripped(line: str | bytes) -> str | bytes:
+    """line without surrounding whitespace, decoded when it is UTF-8 bytes;
+    other bytes are left for _decode_chunk to reject in line order."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError:
+            pass
+    return line.strip()
+
+
+def iter_ndjson_frames(lines: Iterable[str | bytes],
+                       source_fps: float = 30.0) -> Iterator[SkeletonFrame]:
+    """Yield frames from a newline-delimited stream of format-A documents,
+    decoded in chunks of _JSON_CHUNK_FRAMES; a bytes line must be UTF-8.
     A bad document's error names its line (1-based, blank lines counted)."""
     index = 0
+    docs: list[str | bytes] = []
+    places: list[str] = []
     for number, line in enumerate(lines, 1):
-        line = line.strip()
+        line = _stripped(line)
         if not line:
             continue
-        try:
-            frame = parse_frame(line, index, source_fps)
-        except (ParseError, SchemaError) as exc:
-            raise _located(exc, f"line {number}") from exc
-        yield frame
-        index += 1
+        docs.append(line)
+        places.append(f"line {number}")
+        if len(docs) == _JSON_CHUNK_FRAMES:
+            yield from _decode_located(docs, places, index, source_fps)
+            index += len(docs)
+            docs, places = [], []
+    if docs:
+        yield from _decode_located(docs, places, index, source_fps)
+
+
+def read_ndjson(fh: BinaryIO, source_fps: float = 30.0) -> list[SkeletonFrame]:
+    """The frames of a binary stream of format-A documents, one a line.
+
+    Lines end at LF, CR or CRLF, as in text mode; each is decoded from
+    UTF-8 on its own, so a bad byte's error names its line."""
+    lines = (part for line in fh
+             for part in (line.splitlines() if b"\r" in line else (line,)))
+    return list(iter_ndjson_frames(lines, source_fps))
 
 
 def load_frames(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFrame]:
@@ -206,17 +314,24 @@ def load_frames(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFram
     order), a newline-delimited JSON file, or a format-B CSV file."""
     path = Path(path)
     if path.is_dir():
+        children = sorted(path.glob("*.json"))
         frames = []
-        for i, child in enumerate(sorted(path.glob("*.json"))):
-            try:
-                frames.append(parse_frame(child.read_bytes(), i, source_fps))
-            except (ParseError, SchemaError) as exc:
-                raise _located(exc, str(child)) from exc
+        for start in range(0, len(children), _JSON_CHUNK_FRAMES):
+            chunk = children[start:start + _JSON_CHUNK_FRAMES]
+            places = list(map(str, chunk))
+            docs = []
+            for child in chunk:
+                try:
+                    docs.append(child.read_bytes())
+                except OSError:  # a bad file before this one is named first
+                    _decode_located(docs, places, start, source_fps)
+                    raise
+            frames += _decode_located(docs, places, start, source_fps)
         return frames
     if path.suffix.lower() == ".csv":
         return load_session_csv(path, source_fps)
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(iter_ndjson_frames(fh, source_fps))
+    with open(path, "rb") as fh:
+        return read_ndjson(fh, source_fps)
 
 
 # the format-B columns, in the order of the fields of _CSV_ROW
@@ -237,11 +352,15 @@ def load_session_csv(path: str | Path, source_fps: float = 30.0) -> list[Skeleto
     (frame, person, joint) rows the last one counts. Frames come out sorted
     by frame number, their persons by id. Rows are read in chunks by
     np.loadtxt; when one is rejected, the first bad row of the file is
-    reported with its line number.
+    reported with its line number. A file that is not UTF-8 raises a
+    ParseError naming the line and byte of its first bad byte.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        usecols = _csv_usecols(next(csv.reader(fh), None))
-        keys, coords, confidence = _read_csv_rows(fh, usecols, path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            usecols = _csv_usecols(next(csv.reader(fh), None))
+            keys, coords, confidence = _read_csv_rows(fh, usecols, path)
+    except UnicodeDecodeError as exc:
+        _raise_not_utf8(path, exc)
     if len(keys) == 0:
         return []
     order = np.lexsort((keys[:, 1], keys[:, 0]))  # by frame, then person
@@ -249,9 +368,9 @@ def load_session_csv(path: str | Path, source_fps: float = 30.0) -> list[Skeleto
     frame = keys[order, 0]
     coords = coords[order]
     confidence = confidence[order]
-    starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]]).tolist()
-    return [SkeletonFrame(f, coords[a:b], confidence[a:b], source_fps)
-            for f, a, b in zip(frame[starts].tolist(), starts, starts[1:] + [len(frame)])]
+    starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
+    return SkeletonFrame.split(frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist(),
+                               coords, confidence, source_fps)
 
 
 def _read_csv_rows(fh, usecols: list[int],
@@ -273,6 +392,8 @@ def _read_csv_rows(fh, usecols: list[int],
                 rows = np.loadtxt(fh, dtype=_CSV_ROW, delimiter=",", quotechar='"',
                                   comments=None, usecols=usecols,
                                   max_rows=_CSV_CHUNK_ROWS, ndmin=1)
+            except UnicodeDecodeError:  # a ValueError too, but no bad row
+                raise
             except ValueError as exc:
                 _raise_first_bad_row(path, exc)
             if len(rows) == 0:
@@ -350,6 +471,20 @@ def _raise_first_bad_row(path: str | Path, cause: Optional[ValueError] = None) -
             if not 0 <= j < NUM_JOINTS:
                 raise SchemaError(f"joint index {j} out of range")
     raise SchemaError(f"malformed session CSV: {cause}") from cause
+
+
+def _raise_not_utf8(path: str | Path, cause: UnicodeDecodeError) -> NoReturn:
+    """Raise a ParseError naming the line (counted as text mode counts them)
+    and the offset of the first byte of a file that is not UTF-8; cause is
+    what reading it as text raised."""
+    data = Path(path).read_bytes()
+    try:
+        _utf8(data)
+    except ParseError as exc:
+        head = data[:exc.offset]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise _located(exc, f"line {line}") from cause
+    raise ParseError(f"not UTF-8: {cause.reason}") from cause  # the file changed since
 
 
 def write_session_csv(path: str | Path, frames: Iterable[SkeletonFrame]) -> None:

@@ -14,6 +14,7 @@ unrealistically hostile model.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -197,8 +198,8 @@ class PersonMotion:
             raise SpecError("period must be >= 8 frames")
         if not 0 <= self.gap_rate < 1:
             raise SpecError("gap_rate must lie in [0, 1)")
-        if self.noise_sigma < 0 or self.pos_jitter < 0:
-            raise SpecError("noise parameters must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.noise_sigma, self.pos_jitter)):
+            raise SpecError("noise parameters must be finite numbers >= 0")
 
     @property
     def expected_counts(self) -> tuple[int, int, int]:
@@ -218,8 +219,8 @@ class SyntheticSessionSpec:
     def validate(self) -> None:
         if not self.persons:
             raise SpecError("spec needs at least one person")
-        if self.fps <= 0:
-            raise SpecError("fps must be > 0")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise SpecError("fps must be a finite number > 0")
         if self.lead_in < 0:
             raise SpecError("lead_in must be >= 0")
         for p in self.persons:

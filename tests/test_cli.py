@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -205,6 +207,51 @@ class TestExitCodes:
         session = simulate(tmp_path, full_cycles=1)
         assert main(["analyze", str(session), option,
                      "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--fps", "nan", "fps must be a finite number > 0"),
+        ("--fps", "inf", "fps must be a finite number > 0"),
+        ("--noise", "nan", "noise parameters must be finite numbers >= 0"),
+        ("--noise", "inf", "noise parameters must be finite numbers >= 0"),
+    ])
+    def test_simulate_non_finite_number(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "x.ndjson"
+        assert main(["simulate", "--out", str(out), option, value]) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["ndjson", "directory", "csv", "stdin"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, monkeypatch, mode):
+        bad = b'{"people": [\xff]}'
+        if mode == "ndjson":
+            session, where = tmp_path / "a.ndjson", "line 2"
+            session.write_bytes(b'{"people": []}\n' + bad + b"\n")
+        elif mode == "directory":
+            session = tmp_path / "frames"
+            session.mkdir()
+            (session / "000.json").write_bytes(bad)
+            where = str(session / "000.json")
+        elif mode == "csv":
+            session, where = tmp_path / "a.csv", "line 2"
+            session.write_bytes(b"frame,person,joint,x,y,z,confidence\n0,0,\xff\n")
+        else:
+            session, where = "-", "line 2"
+            stdin = io.TextIOWrapper(io.BytesIO(b'{"people": []}\n' + bad + b"\n"))
+            monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["analyze", str(session)]) == EXIT_BAD_INPUT
+        assert f"unreadable input: {where}: not UTF-8 at byte" in capsys.readouterr().err
+
+    def test_stdin_is_read_as_ndjson(self, tmp_path, capsys, monkeypatch, model_path):
+        session = simulate(tmp_path, exercise="squat", full_cycles=3)
+        capsys.readouterr()
+        assert main(["analyze", str(session), "--model", model_path]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert "Total Reps:  3" in want
+        # CRLF line ends, as a text-mode read of the file takes them
+        data = session.read_bytes().replace(b"\n", b"\r\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["analyze", "-", "--model", model_path]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
     def test_malformed_ndjson_line_is_named(self, tmp_path, capsys):
         session = tmp_path / "a.ndjson"

@@ -26,6 +26,18 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             SyntheticSessionSpec(persons=()).validate()
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "pos_jitter"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_noise_must_be_finite_and_non_negative(self, field, value):
+        with pytest.raises(SpecError, match="noise parameters must be finite numbers >= 0"):
+            PersonMotion("squat", full_cycles=1, **{field: value}).validate()
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -30.0])
+    def test_fps_must_be_finite_and_positive(self, fps):
+        spec = SyntheticSessionSpec(persons=(PersonMotion("squat", full_cycles=1),), fps=fps)
+        with pytest.raises(SpecError, match="fps must be a finite number > 0"):
+            spec.validate()
+
     def test_expected_counts(self):
         m = PersonMotion("squat", full_cycles=4, partial_cycles=2)
         assert m.expected_counts == (6, 4, 2)
