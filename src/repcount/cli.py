@@ -52,6 +52,20 @@ def _number_arg_error(fps: float, tolerance: float = 0.0) -> str | None:
     return None
 
 
+def _train_arg_error(args) -> str | None:
+    """Why a number of the train command is invalid, or None when all are
+    valid."""
+    if args.epochs < 1:
+        return f"--epochs must be >= 1, got {args.epochs}"
+    if args.batch_size < 1:
+        return f"--batch-size must be >= 1, got {args.batch_size}"
+    if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
+        return f"--learning-rate must be a finite number > 0, got {args.learning_rate!r}"
+    if not 0 <= args.calibrate_split < 1:  # NaN fails the comparison
+        return f"--calibrate-split must lie in [0, 1), got {args.calibrate_split!r}"
+    return None
+
+
 def _read_frames(args):
     if args.input == "-":
         return read_ndjson(sys.stdin.buffer, args.fps)
@@ -138,6 +152,9 @@ def _normalized_rows(frame) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
+    if (message := _train_arg_error(args)) is not None:
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         x, y, class_names = _load_training_data(args)
         config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
@@ -150,7 +167,7 @@ def cmd_train(args) -> int:
     if args.calibrate_split > 0:
         n_cal = int(len(x) * args.calibrate_split)
         try:
-            thresholds = calibrate_reject(model, x[-n_cal:])
+            thresholds = calibrate_reject(model, x[len(x) - n_cal:])
         except CalibrationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_DATASET

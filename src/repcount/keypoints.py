@@ -56,10 +56,6 @@ class RawSkeleton:
         """Boolean mask of joints with nonzero confidence."""
         return self.confidence > 0
 
-    def has(self, *joints: int) -> bool:
-        conf = self.confidence.tolist()
-        return all(conf[j] > 0 for j in joints)
-
 
 @dataclass(frozen=True, eq=False)
 class SkeletonFrame:

@@ -14,7 +14,6 @@ from typing import Optional
 
 from . import body25
 from .body25 import NUM_JOINTS, mirror_triple
-from .keypoints import RawSkeleton
 
 LIMB_EPSILON = 1e-9  # input units; below this a limb vector is degenerate
 
@@ -36,8 +35,13 @@ class ExerciseProfile:
     motion_type: str  # "push" or "pull"
 
     def __post_init__(self):
-        a, b, c = self.joint_triple
-        if len({a, b, c}) != 3 or not all(0 <= j < NUM_JOINTS for j in (a, b, c)):
+        if not isinstance(self.name, str):
+            raise ProfileError(f"profile name must be a string, got {self.name!r}")
+        triple = self.joint_triple
+        # bool is an int subclass, and NumPy reads it as a mask, not an index
+        if not (isinstance(triple, tuple) and len(triple) == 3
+                and all(type(j) is int and 0 <= j < NUM_JOINTS for j in triple)
+                and len(set(triple)) == 3):
             raise ProfileError(f"{self.name}: joint triple must be 3 distinct BODY_25 indices")
         if not 0 <= self.rom_low < self.rom_high <= 180:
             raise ProfileError(f"{self.name}: need 0 <= rom_low < rom_high <= 180")
@@ -77,8 +81,9 @@ def _triple_confidence(conf: list[float], triple) -> float:
     return (conf[a] + conf[b] + conf[c]) / 3.0
 
 
-def angle_for(profile: ExerciseProfile, skel: RawSkeleton) -> Optional[float]:
-    """Measure the profile's major-joint angle on a skeleton.
+def angle_for(profile: ExerciseProfile, coords, confidence) -> Optional[float]:
+    """Measure the profile's major-joint angle on one person's (25, 3)
+    coordinate row and (25,) confidence row.
 
     The profile's triple names the primary (right) side; when any of its
     joints is undetected the mirrored left triple is used instead, and when
@@ -87,7 +92,7 @@ def angle_for(profile: ExerciseProfile, skel: RawSkeleton) -> Optional[float]:
     """
     primary = profile.joint_triple
     mirrored = mirror_triple(primary)
-    conf = skel.confidence.tolist()  # one conversion, then plain float reads
+    conf = confidence.tolist()  # one conversion, then plain float reads
     have_primary = _detected(conf, primary)
     have_mirror = _detected(conf, mirrored)
     if have_primary and have_mirror:
@@ -100,7 +105,7 @@ def angle_for(profile: ExerciseProfile, skel: RawSkeleton) -> Optional[float]:
         return None
     a, b, c = triple
     try:
-        return joint_angle(skel.coords[a], skel.coords[b], skel.coords[c])
+        return joint_angle(coords[a], coords[b], coords[c])
     except DegenerateGeometryError:
         return None
 
@@ -116,14 +121,24 @@ def builtin_profiles() -> dict[str, ExerciseProfile]:
     return {p.name: p for p in profiles}
 
 
+def _degrees(value) -> float:
+    """A JSON number of a profile as a float; a TypeError for anything else."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number of degrees, got {value!r}")
+    return float(value)
+
+
 def load_profiles(path: str | Path) -> dict[str, ExerciseProfile]:
     """Load a profile registry from a JSON config file.
 
     The file holds a list of objects with keys name, joint_triple (3 BODY_25
     indices, vertex in the middle), rom_low, rom_high, motion_type.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"profile config is not UTF-8: {exc}") from exc
     if not isinstance(raw, list):
         raise ProfileError("profile config must be a JSON list")
     profiles = {}
@@ -132,11 +147,11 @@ def load_profiles(path: str | Path) -> dict[str, ExerciseProfile]:
             profile = ExerciseProfile(
                 name=entry["name"],
                 joint_triple=tuple(entry["joint_triple"]),
-                rom_low=float(entry["rom_low"]),
-                rom_high=float(entry["rom_high"]),
+                rom_low=_degrees(entry["rom_low"]),
+                rom_high=_degrees(entry["rom_high"]),
                 motion_type=entry["motion_type"],
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ProfileError(f"bad profile entry {entry!r}: {exc}") from exc
         profiles[profile.name] = profile
     return profiles

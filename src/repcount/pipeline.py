@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .conditioning import StreamingConditioner
-from .counting import DEFAULT_DEBOUNCE_DEG, DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
+from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
 from .keypoints import SkeletonFrame, normalize_frame
 from .kinematics import ExerciseProfile, angle_for, builtin_profiles
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
@@ -36,9 +36,7 @@ _LABEL_CHUNK_FRAMES = 64
 @dataclass
 class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
-    debounce: float = DEFAULT_DEBOUNCE_DEG
     max_match_distance: Optional[float] = None
-    retention_window: int = 30
     keep_traces: bool = False  # retain per-set angle traces for CSV export
 
 
@@ -71,8 +69,7 @@ class SessionEngine:
         self.thresholds = thresholds
         self.profiles = profiles if profiles is not None else builtin_profiles()
         self.config = config
-        self.tracker = PoseTracker(max_match_distance=config.max_match_distance,
-                                   retention_window=config.retention_window)
+        self.tracker = PoseTracker(max_match_distance=config.max_match_distance)
         self.persons: dict[int, _PersonState] = {}
         self.fps: Optional[float] = None
         self.frame_count = 0
@@ -106,7 +103,6 @@ class SessionEngine:
             labels = self._pending.popleft()[1]
         else:  # a direct caller: the frame is a chunk of one
             (labels,) = self._chunk_labels([frame])
-        skeletons = None  # row views, built once and only for an exercising person
         # a skeleton without an id (no detected joint) is skipped
         for sidx in sorted(assignment.id_by_skeleton):
             pid = assignment.id_by_skeleton[sidx]
@@ -118,9 +114,8 @@ class SessionEngine:
             windowed = state.window.current()
             state.last_window_label = windowed
             if windowed in self.profiles:
-                if skeletons is None:
-                    skeletons = frame.skeletons
-                self._step_exercise(state, windowed, skeletons[sidx], frame.frame_index)
+                self._step_exercise(state, windowed, frame.coords[sidx],
+                                    frame.confidence[sidx], frame.frame_index)
 
     def _chunk_labels(self, frames: list[SkeletonFrame]) -> list[list[str]]:
         """The labels of the skeleton rows of each frame: every row of the
@@ -138,7 +133,8 @@ class SessionEngine:
                     labels[i] = label
         return [labels[a:b] for a, b in pairwise(accumulate(sizes, initial=0))]
 
-    def _step_exercise(self, state: _PersonState, exercise: str, skel, frame_index: int) -> None:
+    def _step_exercise(self, state: _PersonState, exercise: str, coords: np.ndarray,
+                       confidence: np.ndarray, frame_index: int) -> None:
         if state.active is not None and state.active.exercise != exercise:
             self._close_set(state)
         profile = self.profiles[exercise]
@@ -147,10 +143,9 @@ class SessionEngine:
                 exercise=exercise,
                 conditioner=StreamingConditioner(profile.rom_mid),
                 counter=RepCounter(profile, person_id=state.person_id,
-                                   tolerance=self.config.tolerance,
-                                   debounce=self.config.debounce),
+                                   tolerance=self.config.tolerance),
             )
-        raw = angle_for(profile, skel)
+        raw = angle_for(profile, coords, confidence)
         # a sample with an angle is always emitted later, and pops it then
         if self.config.keep_traces and raw is not None:
             state.raw_angles[frame_index] = raw

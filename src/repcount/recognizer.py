@@ -24,6 +24,8 @@ MODEL_FORMAT_VERSION = 1
 
 # z-score of the central 90% normal confidence interval
 CI_Z = 1.645
+# velocity decay of the momentum SGD that train runs
+MOMENTUM = 0.9
 
 
 class TrainingError(ValueError):
@@ -73,9 +75,6 @@ class RejectThresholds:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
-    if logits.ndim == 1:
-        exps = np.exp(logits - logits.max())
-        return exps / exps.sum()
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exps = np.exp(shifted)
     return exps / np.sum(exps, axis=-1, keepdims=True)
@@ -99,7 +98,6 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
 class TrainConfig:
     hidden_dims: tuple[int, ...] = (64, 64)
     learning_rate: float = 0.01
-    momentum: float = 0.9
     batch_size: int = 32
     epochs: int = 50
     seed: int = 0
@@ -161,7 +159,8 @@ def train(features: np.ndarray, labels: np.ndarray, class_names: list[str],
 
     labels are integer class indices into class_names. Returns
     (model, history) where history is a list of (epoch, loss, accuracy)
-    rows measured on the training set after each epoch.
+    rows measured on the training set after each epoch. Raises TrainingError
+    on a degenerate dataset or when the parameters become non-finite.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -182,10 +181,13 @@ def train(features: np.ndarray, labels: np.ndarray, class_names: list[str],
             idx = order[start:start + config.batch_size]
             _, gw, gb = loss_and_grads(model, x[idx], y_onehot[idx])
             for i in range(len(model.weights)):
-                vel_w[i] = config.momentum * vel_w[i] - config.learning_rate * gw[i]
-                vel_b[i] = config.momentum * vel_b[i] - config.learning_rate * gb[i]
+                vel_w[i] = MOMENTUM * vel_w[i] - config.learning_rate * gw[i]
+                vel_b[i] = MOMENTUM * vel_b[i] - config.learning_rate * gb[i]
                 model.weights[i] += vel_w[i]
                 model.biases[i] += vel_b[i]
+        if not all(np.isfinite(p).all() for p in (*model.weights, *model.biases)):
+            raise TrainingError(f"parameters became non-finite in epoch {epoch}; "
+                                "lower the learning rate")
         probs = forward(model, x)
         loss = float(-np.mean(np.log(probs[np.arange(n), y] + 1e-12)))
         acc = float(np.mean(np.argmax(probs, axis=1) == y))
@@ -222,23 +224,19 @@ def classify_with_reject(model: MlpModel, thresholds: Optional[RejectThresholds]
     probability falls below that class's calibrated ci_low.
 
     A (n, 50) batch goes through one forward pass and gives a list of n
-    labels, each row judged on its own. A model without thresholds
-    (thresholds=None) never rejects.
+    labels, each row judged on its own; one vector is judged as the (1, 50)
+    batch holding it. A model without thresholds (thresholds=None) never
+    rejects.
     """
     probs = forward(model, features)
-    if probs.ndim == 2:
-        top = probs.argmax(axis=1)
-        names = [model.class_names[ci] for ci in top.tolist()]
-        if thresholds is None:
-            return names
+    batch = np.atleast_2d(probs)
+    top = batch.argmax(axis=1)
+    names = [model.class_names[ci] for ci in top.tolist()]
+    if thresholds is not None:
         ci_low = np.array([thresholds.bounds[name][0] for name in model.class_names])
-        rejected = (probs.max(axis=1) < ci_low[top]).tolist()
-        return [UNKNOWN if r else name for name, r in zip(names, rejected)]
-    ci = int(np.argmax(probs))
-    name = model.class_names[ci]
-    if thresholds is not None and float(probs[ci]) < thresholds.bounds[name][0]:
-        return UNKNOWN
-    return name
+        rejected = (batch.max(axis=1) < ci_low[top]).tolist()
+        names = [UNKNOWN if r else name for name, r in zip(names, rejected)]
+    return names if probs.ndim == 2 else names[0]
 
 
 class LabelWindow:

@@ -32,6 +32,13 @@ FULL_CYCLE_OVERSHOOT = 5.0  # degrees past each ROM bound
 PARTIAL_CYCLE_SPAN = 10.0  # degrees around the ROM midpoint
 NOISE_AR_COEFF = 0.85  # AR(1) coefficient of the angle-noise process
 BASE_CONFIDENCE = 0.9
+# make_labeled_dataset: per-joint positional jitter (px) and angle noise
+# (degrees) of its sessions, and the fraction of frames given a glitch of
+# GLITCH_JITTER px std on every joint
+DATASET_POS_JITTER = 4.0
+DATASET_NOISE_SIGMA = 5.0
+GLITCH_RATE = 0.08
+GLITCH_JITTER = 35.0
 
 
 class SpecError(ValueError):
@@ -320,13 +327,11 @@ def generate_session(spec: SyntheticSessionSpec,
 
 
 def make_labeled_dataset(class_names: list[str], frames_per_class: int,
-                         pos_jitter: float = 4.0, noise_sigma: float = 5.0,
-                         glitch_rate: float = 0.08, glitch_jitter: float = 35.0,
                          seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Labeled recognition features for training and evaluation.
 
     Generates one long session per class and normalizes every skeleton. A
-    small fraction of frames (glitch_rate) receives heavy positional noise
+    small fraction of frames (GLITCH_RATE) receives heavy positional noise
     on every joint, mimicking estimator glitches; these ambiguous frames
     give the softmax probability distribution the lower tail the reject
     calibration relies on. Returns (features, integer labels), shuffled,
@@ -337,17 +342,17 @@ def make_labeled_dataset(class_names: list[str], frames_per_class: int,
     for ci, name in enumerate(class_names):
         cycles = frames_per_class // DEFAULT_PERIOD + 2
         spec = SyntheticSessionSpec(
-            persons=(PersonMotion(name, full_cycles=cycles, noise_sigma=noise_sigma,
-                                  pos_jitter=pos_jitter),),
+            persons=(PersonMotion(name, full_cycles=cycles, noise_sigma=DATASET_NOISE_SIGMA,
+                                  pos_jitter=DATASET_POS_JITTER),),
             seed=seed + ci, lead_in=0,
         )
         frames, _ = generate_session(spec)
         count = 0
         for frame in frames:
             coords = frame.coords
-            if glitch_rng.random() < glitch_rate:
+            if glitch_rng.random() < GLITCH_RATE:
                 coords = coords.copy()
-                coords[0, :, :2] += glitch_rng.normal(0.0, glitch_jitter, size=(NUM_JOINTS, 2))
+                coords[0, :, :2] += glitch_rng.normal(0.0, GLITCH_JITTER, size=(NUM_JOINTS, 2))
             features, ok = normalize_frame(coords, frame.confidence)
             if not ok[0]:
                 continue

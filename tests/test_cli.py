@@ -2,6 +2,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from repcount import pipeline
@@ -195,6 +196,64 @@ class TestExitCodes:
     def test_bad_fps(self, tmp_path, capsys, command, fps):
         assert main([command, str(tmp_path / "nope.ndjson"), f"--fps={fps}"]) == EXIT_BAD_CONFIG
         assert "--fps must be a finite number > 0" in capsys.readouterr().err
+
+    # the data does not exist: the option must be rejected before it is read
+    @pytest.mark.parametrize("options,message", [
+        pytest.param(["--epochs", "0", "--calibrate-split", "0"], "--epochs must be >= 1",
+                     id="epochs-0"),
+        pytest.param(["--batch-size", "0"], "--batch-size must be >= 1", id="batch-size-0"),
+        pytest.param(["--learning-rate", "nan"], "--learning-rate must be a finite number > 0",
+                     id="learning-rate-nan"),
+        pytest.param(["--learning-rate", "0"], "--learning-rate must be a finite number > 0",
+                     id="learning-rate-0"),
+        pytest.param(["--calibrate-split", "inf"], "--calibrate-split must lie in [0, 1)",
+                     id="calibrate-split-inf"),
+        pytest.param(["--calibrate-split", "nan"], "--calibrate-split must lie in [0, 1)",
+                     id="calibrate-split-nan"),
+        pytest.param(["--calibrate-split", "1.5"], "--calibrate-split must lie in [0, 1)",
+                     id="calibrate-split-1.5"),
+        pytest.param(["--calibrate-split", "1"], "--calibrate-split must lie in [0, 1)",
+                     id="calibrate-split-1"),
+        pytest.param(["--calibrate-split", "-0.1"], "--calibrate-split must lie in [0, 1)",
+                     id="calibrate-split-negative"),
+    ])
+    def test_bad_train_number(self, tmp_path, capsys, options, message):
+        out = tmp_path / "m.json"
+        assert main(["train", "--data", str(tmp_path / "nope.ndjson"),
+                     "--labels", str(tmp_path / "nope.csv"), "--out", str(out),
+                     *options]) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_diverging_parameters(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--synthetic-frames", "300", "--epochs", "3",
+                         "--learning-rate", "1e6", "--out", str(out)])
+        assert code == EXIT_BAD_DATASET
+        assert "parameters became non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_split_that_holds_no_row(self, tmp_path, capsys):
+        # 0.001 of 300 rows rounds down to none
+        out = tmp_path / "m.json"
+        assert main(["train", "--synthetic-frames", "300", "--epochs", "1",
+                     "--calibrate-split", "0.001", "--out", str(out)]) == EXIT_BAD_DATASET
+        assert "no held-out samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("triple", [
+        pytest.param([9, 10], id="two-joints"),
+        pytest.param([9, 10.5, 11], id="float-joint"),
+        pytest.param([9, True, 11], id="boolean-joint"),
+    ])
+    def test_malformed_profile_triple(self, tmp_path, capsys, triple):
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([{"name": "x", "joint_triple": triple, "rom_low": 60,
+                                         "rom_high": 160, "motion_type": "push"}]))
+        assert main(["analyze", str(tmp_path / "nope.ndjson"),
+                     "--profiles", str(profiles)]) == EXIT_BAD_CONFIG
+        assert "invalid profile config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-0.5"])
     def test_bad_tolerance(self, tmp_path, capsys, tolerance):

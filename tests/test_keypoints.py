@@ -194,7 +194,7 @@ class TestNormalizeSkeleton:
 
 def per_skeleton_normalize(skel: RawSkeleton):
     """normalize_skeleton as it was written before normalize_frame existed."""
-    if not skel.has(NECK, MID_HIP):
+    if not (skel.detected[NECK] and skel.detected[MID_HIP]):
         return None
     xy = skel.coords[:, :2]
     origin = xy[MID_HIP]

@@ -98,24 +98,24 @@ class TestAngleFor:
     def test_straight_right_arm_180(self):
         prof = builtin_profiles()["push-up"]
         skel = skeleton_with({2: (0, 0), 3: (10, 0), 4: (20, 0), 1: (0, 5), 8: (0, -55)})
-        assert angle_for(prof, skel) == pytest.approx(180.0)
+        assert angle_for(prof, skel.coords, skel.confidence) == pytest.approx(180.0)
 
     def test_missing_wrists_gives_gap(self):
         prof = builtin_profiles()["push-up"]
         skel = skeleton_with({2: (0, 0), 3: (10, 0), 5: (0, 2), 6: (10, 2)})
-        assert angle_for(prof, skel) is None
+        assert angle_for(prof, skel.coords, skel.confidence) is None
 
     def test_left_side_fallback(self):
         prof = builtin_profiles()["push-up"]
         # right wrist undetected; mirrored left triple is bent at 90
         skel = skeleton_with({2: (0, 0), 3: (10, 0),
                               5: (0, 0), 6: (10, 0), 7: (10, 10)})
-        assert angle_for(prof, skel) == pytest.approx(90.0)
+        assert angle_for(prof, skel.coords, skel.confidence) == pytest.approx(90.0)
 
     def test_constructed_90_knee(self):
         prof = builtin_profiles()["squat"]
         skel = skeleton_with({9: (0, 30), 10: (0, 0), 11: (25, 0)})
-        assert angle_for(prof, skel) == pytest.approx(90.0, abs=1e-6)
+        assert angle_for(prof, skel.coords, skel.confidence) == pytest.approx(90.0, abs=1e-6)
 
     def test_higher_confidence_side_wins(self):
         prof = builtin_profiles()["push-up"]
@@ -129,7 +129,7 @@ class TestAngleFor:
             coords[j, :2] = xy
             conf[j] = 0.9
         skel = RawSkeleton(coords=coords, confidence=conf)
-        assert angle_for(prof, skel) == pytest.approx(90.0)
+        assert angle_for(prof, skel.coords, skel.confidence) == pytest.approx(90.0)
 
 
 class TestProfiles:
@@ -157,6 +157,19 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             ExerciseProfile("x", (2, 3, 25), 10, 170, "push")
 
+    @pytest.mark.parametrize("triple", [
+        pytest.param((9, 10), id="two-joints"),
+        pytest.param((9, 10, 11, 12), id="four-joints"),
+        pytest.param((9, 10.5, 11), id="float-joint"),
+        pytest.param((9, 10.0, 11), id="integral-float-joint"),
+        pytest.param((9, True, 11), id="boolean-joint"),
+        pytest.param((-1, 10, 11), id="negative-joint"),
+        pytest.param([9, 10, 11], id="list"),
+    ])
+    def test_malformed_triple_rejected(self, triple):
+        with pytest.raises(ProfileError, match="joint triple"):
+            ExerciseProfile("x", triple, 10, 170, "push")
+
     def test_bad_motion_type_rejected(self):
         with pytest.raises(ProfileError):
             ExerciseProfile("x", (2, 3, 4), 10, 170, "sideways")
@@ -176,6 +189,40 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             load_profiles(path)
 
+    @pytest.mark.parametrize("changes", [
+        pytest.param({"joint_triple": [9, 10]}, id="two-joints"),
+        pytest.param({"joint_triple": [9, 10.5, 11]}, id="float-joint"),
+        pytest.param({"joint_triple": [9, True, 11]}, id="boolean-joint"),
+        pytest.param({"joint_triple": 10}, id="triple-not-array"),
+        pytest.param({"joint_triple": "abc"}, id="triple-string"),
+        pytest.param({"rom_low": "60"}, id="rom-string"),
+        pytest.param({"rom_low": True}, id="rom-boolean"),
+        pytest.param({"rom_high": 10 ** 400}, id="rom-beyond-float"),
+        pytest.param({"rom_high": None}, id="rom-null"),
+        pytest.param({"name": ["x"]}, id="name-not-string"),
+        pytest.param({"motion_type": ["push"]}, id="motion-type-array"),
+    ])
+    def test_load_profiles_malformed_entry(self, tmp_path, changes):
+        entry = {"name": "x", "joint_triple": [9, 10, 11], "rom_low": 60,
+                 "rom_high": 160, "motion_type": "push", **changes}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ProfileError):
+            load_profiles(path)
+
+    def test_load_profiles_not_utf8(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_bytes(b'[{"name": "\xff"}]')
+        with pytest.raises(ProfileError, match="not UTF-8"):
+            load_profiles(path)
+
+    @pytest.mark.parametrize("entry", [None, 5, "x", ["x"]])
+    def test_load_profiles_entry_not_object(self, tmp_path, entry):
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([entry]))
+        with pytest.raises(ProfileError):
+            load_profiles(path)
+
 
 # few confidence levels, so both sides are often detected with equal means
 CONFIDENCE_LEVELS = st.sampled_from([0.0, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
@@ -190,5 +237,5 @@ def test_angle_for_equals_numpy_scalar_reference(coords, conf, name):
     profile = builtin_profiles()[name]
     skel = RawSkeleton(coords=coords, confidence=conf)
     want = reference_angle_for(profile, skel)
-    got = angle_for(profile, skel)
+    got = angle_for(profile, skel.coords, skel.confidence)
     assert got == want if want is not None else got is None

@@ -133,7 +133,7 @@ class TestEndToEnd:
             profile = engine.profiles[ex_set.exercise]
             assert ex_set.trace
             for f, raw, _, _ in ex_set.trace:
-                assert raw == angle_for(profile, frames[f].skeletons[0])
+                assert raw == angle_for(profile, frames[f].coords[0], frames[f].confidence[0])
 
     def test_finalize_twice_rejected(self, trained_model):
         model, thresholds, _ = trained_model
@@ -141,6 +141,25 @@ class TestEndToEnd:
         engine.finalize()
         with pytest.raises(RuntimeError):
             engine.finalize()
+
+
+def test_engine_reads_rows_not_skeleton_views(trained_model, monkeypatch):
+    """The engine hands angle_for a person's rows of the frame arrays; the
+    RawSkeleton views of frame.skeletons are for API callers only."""
+    model, thresholds, _ = trained_model
+    spec = SyntheticSessionSpec(
+        persons=(PersonMotion("squat", full_cycles=4, partial_cycles=1),
+                 PersonMotion("push-up", full_cycles=3, noise_sigma=3.0, gap_rate=0.05)),
+        seed=23)
+    frames, truth = generate_session(spec)
+
+    def refuse(frame):
+        raise AssertionError("the engine built frame.skeletons")
+
+    monkeypatch.setattr(SkeletonFrame, "skeletons", property(refuse))
+    result = analyze_frames(frames, model=model, thresholds=thresholds)
+    assert [(s.predicted_exercise, s.total) for s in result.summaries] == \
+        [(t["exercise"], t["expected_counts"][0]) for t in truth]
 
 
 EMPTY_SKELETON = RawSkeleton(coords=np.zeros((NUM_JOINTS, 3)),

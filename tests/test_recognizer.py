@@ -188,34 +188,42 @@ class TestCalibrateReject:
             RejectThresholds(bounds={"a": (-0.1, 0.5)})
 
 
+def classify_one(model, thresholds, features):
+    """classify_with_reject of one feature vector, checked against row 0 of
+    the (1, n) batch holding it."""
+    label = classify_with_reject(model, thresholds, features)
+    assert classify_with_reject(model, thresholds, features[None]) == [label]
+    return label
+
+
 class TestClassifyWithReject:
     def test_accept_above_bound(self):
         model = logit_model()
         th = RejectThresholds(bounds={"a": (0.7, 1.0), "b": (0.0, 1.0)})
-        assert classify_with_reject(model, th, logits_for(0.9)) == "a"
+        assert classify_one(model, th, logits_for(0.9)) == "a"
 
     def test_probability_equal_to_bound_accepted(self):
         model = logit_model()
         f = logits_for(0.85)
         p = float(forward(model, f)[0])
         th = RejectThresholds(bounds={"a": (p, 1.0), "b": (0.0, 1.0)})
-        assert classify_with_reject(model, th, f) == "a"
+        assert classify_one(model, th, f) == "a"
 
     def test_reject_below_bound(self):
         model = logit_model()
         th = RejectThresholds(bounds={"a": (0.9, 1.0), "b": (0.0, 1.0)})
-        assert classify_with_reject(model, th, logits_for(0.8)) == UNKNOWN
+        assert classify_one(model, th, logits_for(0.8)) == UNKNOWN
 
     def test_two_sided_rejects_above_upper(self):
         model = logit_model()
         th = RejectThresholds(bounds={"a": (0.6, 0.9), "b": (0.0, 1.0)})
         # only ci_low rejects: a probability above ci_high is accepted
-        assert classify_with_reject(model, th, logits_for(0.95)) == "a"
+        assert classify_one(model, th, logits_for(0.95)) == "a"
 
     def test_off_never_rejects(self):
         model = logit_model()
         # a model saved without calibrated thresholds never rejects
-        assert classify_with_reject(model, None, logits_for(0.6)) == "a"
+        assert classify_one(model, None, logits_for(0.6)) == "a"
 
 
 class TestLabelWindow:

@@ -75,7 +75,7 @@ class TestGenerateSession:
             sched = angle_schedule(motion, lead_in=4)
             prof = builtin_profiles()[name]
             for f, frame in enumerate(frames):
-                measured = angle_for(prof, frame.skeletons[0])
+                measured = angle_for(prof, frame.coords[0], frame.confidence[0])
                 assert measured == pytest.approx(sched[f], abs=1e-6), name
 
     def test_deterministic_byte_identical(self):

@@ -208,7 +208,7 @@ def reference_match(persons, skeletons, gate=None):
     if gate is None:
         torsos = []
         for s in skeletons:
-            if s.has(NECK, MID_HIP):
+            if s.detected[NECK] and s.detected[MID_HIP]:
                 dx, dy, dz = s.coords[NECK] - s.coords[MID_HIP]
                 torsos.append(math.sqrt(dx * dx + dy * dy + dz * dz))
         gate = 0.5 * statistics.median(torsos) if torsos else float("inf")
