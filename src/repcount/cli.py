@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .counting import DEFAULT_TOLERANCE_DEG
-from .keypoints import (ParseError, SchemaError, load_frames, normalize_frame, read_ndjson,
-                        serialize_frame, write_session_csv)
+from .keypoints import (ParseError, SchemaError, _raise_not_utf8, load_frames, normalize_frame,
+                        read_ndjson, serialize_frame, write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine, analyze_frames
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
@@ -34,22 +34,6 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_MODEL = 3
 EXIT_BAD_CONFIG = 4
 EXIT_BAD_DATASET = 5
-
-
-def _load_profiles_arg(args):
-    if args.profiles:
-        return load_profiles(args.profiles)
-    return builtin_profiles()
-
-
-def _number_arg_error(fps: float, tolerance: float = 0.0) -> str | None:
-    """Why --fps (finite, > 0) or --tolerance (finite, >= 0) is invalid, or
-    None when both are valid."""
-    if not (math.isfinite(fps) and fps > 0):
-        return f"--fps must be a finite number > 0, got {fps!r}"
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        return f"--tolerance must be a finite number >= 0, got {tolerance!r}"
-    return None
 
 
 def _train_arg_error(args) -> str | None:
@@ -68,33 +52,29 @@ def _train_arg_error(args) -> str | None:
 
 def _read_frames(args):
     if args.input == "-":
-        return read_ndjson(sys.stdin.buffer, args.fps)
-    return load_frames(args.input, args.fps)
+        return read_ndjson(sys.stdin.buffer)
+    return load_frames(args.input)
 
 
 def cmd_analyze(args) -> int:
-    if (message := _number_arg_error(args.fps, args.tolerance)) is not None:
-        print(f"error: {message}", file=sys.stderr)
+    try:
+        config = EngineConfig(fps=args.fps, tolerance=args.tolerance,
+                              keep_traces=bool(args.out_csv))
+    except ValueError as exc:  # it names the field, which is the option's name
+        print(f"error: --{exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        profiles = _load_profiles_arg(args)
+        profiles = load_profiles(args.profiles) if args.profiles else builtin_profiles()
     except (OSError, ProfileError, json.JSONDecodeError) as exc:
         print(f"error: invalid profile config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    model = thresholds = None
-    if args.model:
-        try:
-            model, thresholds = load_model(args.model)
-        except ModelFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_MODEL
+    model, thresholds = load_model(args.model) if args.model else (None, None)
     try:
         frames = _read_frames(args)
     except (OSError, ParseError, SchemaError) as exc:
         print(f"error: unreadable input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    config = EngineConfig(tolerance=args.tolerance, keep_traces=bool(args.out_csv))
     engine = SessionEngine(model=model, thresholds=thresholds,
                            profiles=profiles, config=config)
     engine.process_frames(frames)
@@ -125,11 +105,8 @@ def _load_training_data(args):
         return x, y, class_names
     if not args.data or not args.labels:
         raise TrainingError("need --data and --labels (or --synthetic-frames)")
-    frames = load_frames(args.data, args.fps)
-    labels_by_frame = {}
-    with open(args.labels, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            labels_by_frame[int(row["frame"])] = row["label"]
+    frames = load_frames(args.data)
+    labels_by_frame = _read_labels(args.labels)
     class_names = sorted(set(labels_by_frame.values()))
     index = {name: i for i, name in enumerate(class_names)}
     feats, labs = [], []
@@ -143,6 +120,25 @@ def _load_training_data(args):
     if not labs:
         raise TrainingError("no usable labeled frames")
     return np.concatenate(feats), np.asarray(labs), class_names
+
+
+def _read_labels(path) -> dict[int, str]:
+    """frame -> label of a labels CSV with columns frame and label; a bad
+    row raises a TrainingError naming its line, a byte that is not UTF-8 a
+    ParseError naming its line."""
+    labels = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                if None in (row.get("frame"), row.get("label")):
+                    raise ValueError("need a frame and a label value (columns frame,label)")
+                labels[int(row["frame"])] = row["label"]
+    except UnicodeDecodeError as exc:
+        _raise_not_utf8(path, exc)
+    except ValueError as exc:
+        raise TrainingError(f"labels CSV line {reader.line_num}: {exc}") from exc
+    return labels
 
 
 def _normalized_rows(frame) -> np.ndarray:
@@ -184,17 +180,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        model, _ = load_model(args.model)
-    except ModelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL
+    model, _ = load_model(args.model)
     try:
         if args.synthetic_frames:
             x, _ = make_labeled_dataset(model.class_names, args.synthetic_frames // 3,
                                         seed=args.seed)
         else:
-            rows = [_normalized_rows(f) for f in load_frames(args.data, args.fps)]
+            rows = [_normalized_rows(f) for f in load_frames(args.data)]
             if not any(len(r) for r in rows):
                 raise CalibrationError("no normalizable skeleton in --data")
             x = np.concatenate(rows)
@@ -210,18 +202,13 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        persons = tuple(
-            PersonMotion(exercise=args.exercise, full_cycles=args.full_cycles,
-                         partial_cycles=args.partial_cycles, period=args.period,
-                         noise_sigma=args.noise, gap_rate=args.gap_rate)
-            for _ in range(args.persons)
-        )
-        spec = SyntheticSessionSpec(persons=persons, fps=args.fps, seed=args.seed)
-        frames, truth = generate_session(spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    persons = tuple(
+        PersonMotion(exercise=args.exercise, full_cycles=args.full_cycles,
+                     partial_cycles=args.partial_cycles, period=args.period,
+                     noise_sigma=args.noise, gap_rate=args.gap_rate)
+        for _ in range(args.persons)
+    )
+    frames, truth = generate_session(SyntheticSessionSpec(persons=persons, seed=args.seed))
     out = Path(args.out)
     if out.suffix.lower() == ".csv":
         write_session_csv(out, frames)
@@ -240,16 +227,7 @@ def cmd_bench(args) -> int:
     if args.repetitions < 1:
         print("error: --repetitions must be >= 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    if (message := _number_arg_error(args.fps)) is not None:
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    model = thresholds = None
-    if args.model:
-        try:
-            model, thresholds = load_model(args.model)
-        except ModelFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_MODEL
+    model, thresholds = load_model(args.model) if args.model else (None, None)
     try:
         frames = _read_frames(args)
     except (OSError, ParseError, SchemaError) as exc:
@@ -278,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="frame stream: NDJSON file, JSON dir, CSV, or '-'")
     p.add_argument("--model", help="model file path")
     p.add_argument("--profiles", help="exercise profile config (JSON)")
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--fps", type=float, default=30.0,
+                   help="frame rate of the session, for the time of each rep")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_DEG,
                    help="ROM bound tolerance, degrees")
     p.add_argument("--out-text", help="write the text report here (default stdout)")
@@ -298,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--calibrate-split", type=float, default=0.2,
                    help="fraction of data reused for reject calibration (0 disables)")
-    p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -307,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="held-out keypoint session")
     p.add_argument("--synthetic-frames", type=int, default=0)
     p.add_argument("--out", help="output model path (default: overwrite --model)")
-    p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_calibrate)
 
@@ -319,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--period", type=int, default=20)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--gap-rate", type=float, default=0.0)
-    p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help=".csv for format B, else NDJSON")
     p.add_argument("--truth-out", help="write the ground-truth record here")
@@ -328,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="measure post-pose pipeline throughput")
     p.add_argument("input")
     p.add_argument("--model")
-    p.add_argument("--fps", type=float, default=30.0)
     p.add_argument("--repetitions", type=int, default=5)
     p.set_defaults(func=cmd_bench)
     return parser
@@ -336,7 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # both are raised before any input is read or any data generated
+    except (ModelFormatError, SpecError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_MODEL if isinstance(exc, ModelFormatError) else EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

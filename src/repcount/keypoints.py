@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -60,27 +59,27 @@ class RawSkeleton:
 @dataclass(frozen=True, eq=False)
 class SkeletonFrame:
     """All persons of one frame as stacked arrays, validated on construction
-    and read-only afterwards."""
+    and read-only afterwards. A frame carries no time: the engine's frame
+    rate (EngineConfig.fps) turns its index into seconds."""
 
     frame_index: int
     coords: np.ndarray  # (S, 25, 3) finite float64, columns x, y, z
     confidence: np.ndarray  # (S, 25) float64 in [0, 1]
-    source_fps: float = 30.0
 
     def __post_init__(self):
-        _check_frame_arrays(self.frame_index, self.coords, self.confidence, self.source_fps)
+        _check_frame_arrays(self.frame_index, self.coords, self.confidence)
 
     @classmethod
-    def of(cls, frame_index: int, skeletons, source_fps: float = 30.0) -> SkeletonFrame:
+    def of(cls, frame_index: int, skeletons) -> SkeletonFrame:
         """A frame stacked from per-person skeletons, in their order."""
         if not skeletons:
-            return cls(frame_index, np.zeros((0, NUM_JOINTS, 3)), np.zeros((0, NUM_JOINTS)), source_fps)
+            return cls(frame_index, np.zeros((0, NUM_JOINTS, 3)), np.zeros((0, NUM_JOINTS)))
         return cls(frame_index, np.stack([s.coords for s in skeletons], dtype=np.float64),
-                   np.stack([s.confidence for s in skeletons], dtype=np.float64), source_fps)
+                   np.stack([s.confidence for s in skeletons], dtype=np.float64))
 
     @classmethod
     def split(cls, indices: Sequence[int], sizes: Sequence[int], coords: np.ndarray,
-              confidence: np.ndarray, source_fps: float = 30.0) -> list[SkeletonFrame]:
+              confidence: np.ndarray) -> list[SkeletonFrame]:
         """Frames indices[k] holding the next sizes[k] rows of the (N, 25, 3)
         coords and (N, 25) confidences, in order, as row slices.
 
@@ -89,7 +88,7 @@ class SkeletonFrame:
         exactly when one of its frames would be."""
         if sum(sizes) != len(coords):
             raise SchemaError(f"frame sizes add up to {sum(sizes)}, not to {len(coords)} rows")
-        _check_frame_arrays(min(indices, default=0), coords, confidence, source_fps)
+        _check_frame_arrays(min(indices, default=0), coords, confidence)
         frames = []
         start = 0
         for index, end in zip(indices, accumulate(sizes)):
@@ -97,7 +96,6 @@ class SkeletonFrame:
             object.__setattr__(frame, "frame_index", index)
             object.__setattr__(frame, "coords", coords[start:end])
             object.__setattr__(frame, "confidence", confidence[start:end])
-            object.__setattr__(frame, "source_fps", source_fps)
             frames.append(frame)
             start = end
         return frames
@@ -109,14 +107,11 @@ class SkeletonFrame:
         return tuple(map(RawSkeleton, self.coords, self.confidence))
 
 
-def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.ndarray,
-                        source_fps: float) -> None:
+def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.ndarray) -> None:
     """The rule of a SkeletonFrame, over the arrays of one frame or of several
     stacked (first_index is the smallest frame index); makes them read-only."""
     if first_index < 0:
         raise SchemaError("frame_index must be >= 0")
-    if not (math.isfinite(source_fps) and source_fps > 0):
-        raise SchemaError(f"source_fps must be a finite number > 0, got {source_fps!r}")
     n = len(coords)
     if coords.shape != (n, NUM_JOINTS, 3) or confidence.shape != (n, NUM_JOINTS):
         raise SchemaError(f"expected ({n}, {NUM_JOINTS}, 3) coords and ({n}, {NUM_JOINTS}) "
@@ -178,8 +173,7 @@ def _utf8(data: bytes) -> str:
         raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start) from exc
 
 
-def _decode_chunk(docs: Sequence[str | bytes], first_index: int,
-                  source_fps: float) -> list[SkeletonFrame]:
+def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> list[SkeletonFrame]:
     """Frames first_index, first_index + 1, ... from format-A documents, as
     row slices of one array pair. Raises the error of the first document to
     fail a structural check, or else one of the pair's value checks."""
@@ -224,12 +218,12 @@ def _decode_chunk(docs: Sequence[str | bytes], first_index: int,
     coords[undetected] = 0.0
     confidence[undetected] = 0.0  # -0.0 becomes 0.0
     return SkeletonFrame.split(range(first_index, first_index + len(docs)), sizes,
-                               coords, confidence, source_fps)
+                               coords, confidence)
 
 
-def parse_frame(data: bytes | str, frame_index: int, source_fps: float = 30.0) -> SkeletonFrame:
+def parse_frame(data: bytes | str, frame_index: int) -> SkeletonFrame:
     """Parse one keypoint frame document (input format A); bytes must be UTF-8."""
-    return _decode_chunk([data], frame_index, source_fps)[0]
+    return _decode_chunk([data], frame_index)[0]
 
 
 def serialize_frame(frame: SkeletonFrame) -> bytes:
@@ -246,17 +240,17 @@ def _located(exc: ParseError | SchemaError, where: str) -> ParseError | SchemaEr
     return SchemaError(f"{where}: {exc}")
 
 
-def _decode_located(docs: list[str | bytes], places: list[str], first_index: int,
-                    source_fps: float) -> list[SkeletonFrame]:
+def _decode_located(docs: list[str | bytes], places: list[str],
+                    first_index: int) -> list[SkeletonFrame]:
     """_decode_chunk(docs, ...); when it fails, the documents are decoded
     again one by one, and the error of the first bad one is raised, prefixed
     by its place."""
     try:
-        return _decode_chunk(docs, first_index, source_fps)
+        return _decode_chunk(docs, first_index)
     except (ParseError, SchemaError):
         for k, (doc, place) in enumerate(zip(docs, places)):
             try:
-                _decode_chunk([doc], first_index + k, source_fps)
+                _decode_chunk([doc], first_index + k)
             except (ParseError, SchemaError) as exc:
                 raise _located(exc, place) from exc
         raise  # unreachable: a chunk fails only where one of its documents does
@@ -273,8 +267,7 @@ def _stripped(line: str | bytes) -> str | bytes:
     return line.strip()
 
 
-def iter_ndjson_frames(lines: Iterable[str | bytes],
-                       source_fps: float = 30.0) -> Iterator[SkeletonFrame]:
+def iter_ndjson_frames(lines: Iterable[str | bytes]) -> Iterator[SkeletonFrame]:
     """Yield frames from a newline-delimited stream of format-A documents,
     decoded in chunks of _JSON_CHUNK_FRAMES; a bytes line must be UTF-8.
     A bad document's error names its line (1-based, blank lines counted)."""
@@ -288,24 +281,24 @@ def iter_ndjson_frames(lines: Iterable[str | bytes],
         docs.append(line)
         places.append(f"line {number}")
         if len(docs) == _JSON_CHUNK_FRAMES:
-            yield from _decode_located(docs, places, index, source_fps)
+            yield from _decode_located(docs, places, index)
             index += len(docs)
             docs, places = [], []
     if docs:
-        yield from _decode_located(docs, places, index, source_fps)
+        yield from _decode_located(docs, places, index)
 
 
-def read_ndjson(fh: BinaryIO, source_fps: float = 30.0) -> list[SkeletonFrame]:
+def read_ndjson(fh: BinaryIO) -> list[SkeletonFrame]:
     """The frames of a binary stream of format-A documents, one a line.
 
     Lines end at LF, CR or CRLF, as in text mode; each is decoded from
     UTF-8 on its own, so a bad byte's error names its line."""
     lines = (part for line in fh
              for part in (line.splitlines() if b"\r" in line else (line,)))
-    return list(iter_ndjson_frames(lines, source_fps))
+    return list(iter_ndjson_frames(lines))
 
 
-def load_frames(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFrame]:
+def load_frames(path: str | Path) -> list[SkeletonFrame]:
     """Load a session from a directory of per-frame JSON files (lexicographic
     order), a newline-delimited JSON file, or a format-B CSV file."""
     path = Path(path)
@@ -320,14 +313,14 @@ def load_frames(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFram
                 try:
                     docs.append(child.read_bytes())
                 except OSError:  # a bad file before this one is named first
-                    _decode_located(docs, places, start, source_fps)
+                    _decode_located(docs, places, start)
                     raise
-            frames += _decode_located(docs, places, start, source_fps)
+            frames += _decode_located(docs, places, start)
         return frames
     if path.suffix.lower() == ".csv":
-        return load_session_csv(path, source_fps)
+        return load_session_csv(path)
     with open(path, "rb") as fh:
-        return read_ndjson(fh, source_fps)
+        return read_ndjson(fh)
 
 
 # the format-B columns, in the order of the fields of _CSV_ROW
@@ -339,7 +332,7 @@ _CSV_ROW = np.dtype([("frame", np.int64), ("person", np.int64), ("joint", np.int
 _CSV_CHUNK_ROWS = 8192
 
 
-def load_session_csv(path: str | Path, source_fps: float = 30.0) -> list[SkeletonFrame]:
+def load_session_csv(path: str | Path) -> list[SkeletonFrame]:
     """Load a session CSV (format B): the columns frame, person, joint, x, y,
     z and confidence, found by name in the header, in any order and among
     any others.
@@ -366,7 +359,7 @@ def load_session_csv(path: str | Path, source_fps: float = 30.0) -> list[Skeleto
     confidence = confidence[order]
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
     return SkeletonFrame.split(frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist(),
-                               coords, confidence, source_fps)
+                               coords, confidence)
 
 
 def _read_csv_rows(fh, usecols: list[int],

@@ -131,16 +131,17 @@ def _degrees(value) -> float:
 def load_profiles(path: str | Path) -> dict[str, ExerciseProfile]:
     """Load a profile registry from a JSON config file.
 
-    The file holds a list of objects with keys name, joint_triple (3 BODY_25
-    indices, vertex in the middle), rom_low, rom_high, motion_type.
+    The file holds a non-empty list of objects with keys name, joint_triple
+    (3 BODY_25 indices, vertex in the middle), rom_low, rom_high,
+    motion_type.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ProfileError(f"profile config is not UTF-8: {exc}") from exc
-    if not isinstance(raw, list):
-        raise ProfileError("profile config must be a JSON list")
+    if not isinstance(raw, list) or not raw:
+        raise ProfileError("profile config must be a non-empty JSON list")
     profiles = {}
     for entry in raw:
         try:

@@ -12,6 +12,7 @@ set.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, pairwise
@@ -38,6 +39,13 @@ class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
     max_match_distance: Optional[float] = None
     keep_traces: bool = False  # retain per-set angle traces for CSV export
+    fps: float = 30.0  # frame rate of the session: a rep at frame f is at f / fps seconds
+
+    def __post_init__(self):
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ValueError(f"fps must be a finite number > 0, got {self.fps!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
 
 
 @dataclass
@@ -71,7 +79,6 @@ class SessionEngine:
         self.config = config
         self.tracker = PoseTracker(max_match_distance=config.max_match_distance)
         self.persons: dict[int, _PersonState] = {}
-        self.fps: Optional[float] = None
         self.frame_count = 0
         self._finalized = False
         # (frame, its labels) computed ahead by process_frames, in frame order
@@ -95,8 +102,6 @@ class SessionEngine:
     def process_frame(self, frame: SkeletonFrame) -> None:
         if self._finalized:
             raise RuntimeError("session already finalized")
-        if self.fps is None:
-            self.fps = frame.source_fps
         self.frame_count += 1
         assignment = self.tracker.match_frame(frame)
         if self._pending and self._pending[0][0] is frame:
@@ -156,7 +161,7 @@ class SessionEngine:
         """Count the conditioned samples of the active set, tracing them when asked."""
         current = state.active
         for f, filled, conditioned in samples:
-            current.counter.step(f, f / self.fps, conditioned)
+            current.counter.step(f, f / self.config.fps, conditioned)
             if self.config.keep_traces:
                 current.trace.append((f, state.raw_angles.pop(f, None), filled, conditioned))
 
@@ -198,7 +203,7 @@ class SessionEngine:
             ))
             id_history[pid] = state.frames_seen
         return SessionResult(
-            fps=self.fps if self.fps is not None else 30.0,
+            fps=self.config.fps,
             frame_count=self.frame_count,
             profiles=sorted(self.profiles),
             summaries=summaries,

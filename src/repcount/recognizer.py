@@ -292,7 +292,7 @@ def load_model(path: str | Path):
     """Read a model container; returns (model, thresholds-or-None)."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format in {path}")
@@ -306,7 +306,18 @@ def load_model(path: str | Path):
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
     raw = doc.get("reject_thresholds")
-    thresholds = None
-    if raw is not None:
-        thresholds = RejectThresholds(bounds={name: (float(lo), float(hi)) for name, (lo, hi) in raw.items()})
+    try:
+        thresholds = None if raw is None else _reject_thresholds(raw, model.class_names)
+    except (ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"corrupt model file {path}: reject_thresholds: {exc}") from exc
     return model, thresholds
+
+
+def _reject_thresholds(raw, class_names: list[str]) -> RejectThresholds:
+    """The reject_thresholds object of a model file, which maps each class
+    and no other to a [ci_low, ci_high] pair of numbers."""
+    if not (isinstance(raw, dict) and raw.keys() == set(class_names) and all(
+            isinstance(bound, list) and len(bound) == 2
+            and all(type(v) in (int, float) for v in bound) for bound in raw.values())):
+        raise ValueError(f"must map each class of {class_names} to [ci_low, ci_high], got {raw!r}")
+    return RejectThresholds(bounds={name: (float(lo), float(hi)) for name, (lo, hi) in raw.items()})

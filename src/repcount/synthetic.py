@@ -217,7 +217,6 @@ class PersonMotion:
 @dataclass(frozen=True)
 class SyntheticSessionSpec:
     persons: tuple[PersonMotion, ...]
-    fps: float = 30.0
     seed: int = 0
     lead_in: int = DEFAULT_LEAD_IN
     spacing: float = DEFAULT_SPACING
@@ -226,8 +225,6 @@ class SyntheticSessionSpec:
     def validate(self) -> None:
         if not self.persons:
             raise SpecError("spec needs at least one person")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise SpecError("fps must be a finite number > 0")
         if self.lead_in < 0:
             raise SpecError("lead_in must be >= 0")
         for p in self.persons:
@@ -312,7 +309,7 @@ def generate_session(spec: SyntheticSessionSpec,
         if spec.shuffle_order and len(skeletons) > 1:
             order = rng.permutation(len(skeletons))
             skeletons = [skeletons[i] for i in order]
-        frames.append(SkeletonFrame.of(f, skeletons, spec.fps))
+        frames.append(SkeletonFrame.of(f, skeletons))
 
     truth = [
         {
@@ -335,8 +332,13 @@ def make_labeled_dataset(class_names: list[str], frames_per_class: int,
     on every joint, mimicking estimator glitches; these ambiguous frames
     give the softmax probability distribution the lower tail the reject
     calibration relies on. Returns (features, integer labels), shuffled,
-    deterministic per seed.
+    deterministic per seed. Raises SpecError, before generating anything,
+    when frames_per_class < 1 or a class has no synthetic motion.
     """
+    if frames_per_class < 1:
+        raise SpecError(f"need at least 1 frame per class, got {frames_per_class}")
+    if unknown := [name for name in class_names if name not in POSE_BUILDERS]:
+        raise SpecError(f"no synthetic motion for class(es) {unknown}")
     glitch_rng = np.random.default_rng(seed + 5000)
     feats, labels = [], []
     for ci, name in enumerate(class_names):

@@ -8,8 +8,10 @@ import pytest
 from repcount import pipeline
 from repcount.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATASET, EXIT_BAD_INPUT,
                           EXIT_BAD_MODEL, EXIT_OK, main)
-from repcount.keypoints import serialize_frame, write_session_csv
-from repcount.recognizer import save_model
+from repcount.keypoints import load_frames, serialize_frame, write_session_csv
+from repcount.pipeline import EngineConfig, analyze_frames
+from repcount.recognizer import load_model, save_model
+from repcount.reporting import render_json
 from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
 
 
@@ -82,6 +84,42 @@ class TestSimulateAnalyze:
         assert len(lines) == 4
         traces = list(tmp_path.glob("events.person*.trace.csv"))
         assert len(traces) == 1
+
+
+class TestFrameRate:
+    @pytest.mark.parametrize("name", ["session.ndjson", "session.csv"])
+    def test_analyze_fps_is_the_engine_fps(self, tmp_path, model_path, name):
+        session = simulate(tmp_path, name=name, exercise="squat", full_cycles=3, noise=4.0)
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(session), "--model", model_path, "--fps", "12.5",
+                     "--out-json", str(out), "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+        model, thresholds = load_model(model_path)
+        result = analyze_frames(load_frames(session), model=model, thresholds=thresholds,
+                                config=EngineConfig(fps=12.5))
+        assert out.read_bytes() == render_json(result)
+        assert json.loads(out.read_bytes())["session"]["fps"] == 12.5
+
+    def test_empty_input_reports_the_fps_given(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "-", "--fps", "60", "--out-json", str(out),
+                     "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+        assert json.loads(out.read_bytes())["session"]["fps"] == 60.0
+
+    # the fps is the engine's alone: no other command takes it
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--out", "x.ndjson"], id="simulate"),
+        pytest.param(["train", "--out", "m.json"], id="train"),
+        pytest.param(["calibrate", "--model", "m.json"], id="calibrate"),
+        pytest.param(["bench", "x.ndjson"], id="bench"),
+    ])
+    def test_other_commands_reject_fps(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--fps", "30"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fps 30" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 def _person_2d(bad):
@@ -186,12 +224,35 @@ class TestExitCodes:
     def test_train_without_data(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.json")]) == EXIT_BAD_DATASET
 
+    def test_empty_profile_list(self, tmp_path, capsys):
+        session = simulate(tmp_path, exercise="push-up", full_cycles=2)
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text("[]")
+        assert main(["analyze", str(session), "--profiles", str(profiles)]) == EXIT_BAD_CONFIG
+        assert "non-empty" in capsys.readouterr().err
+
+    # the input does not exist: the model must be rejected before it is read
+    @pytest.mark.parametrize("thresholds", [
+        pytest.param([[0.5, 0.9]] * 3, id="list"),
+        pytest.param({"push-up": 0.5, "pull-up": [0.5, 0.9], "squat": [0.5, 0.9]},
+                     id="scalar-bound"),
+        pytest.param({"push-up": [0.5, 0.9], "pull-up": [0.5, 0.9]}, id="class-without-bound"),
+    ])
+    def test_malformed_reject_thresholds(self, tmp_path, capsys, model_path, thresholds):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["reject_thresholds"] = thresholds
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", str(tmp_path / "nope.ndjson"), "--model", str(bad)]) \
+            == EXIT_BAD_MODEL
+        assert "reject_thresholds" in capsys.readouterr().err
+
     def test_bench_bad_repetitions(self, tmp_path):
         session = simulate(tmp_path, full_cycles=1)
         assert main(["bench", str(session), "--repetitions", "0"]) == EXIT_BAD_CONFIG
 
     # the input does not exist: the option must be rejected before it is read
-    @pytest.mark.parametrize("command", ["analyze", "bench"])
+    @pytest.mark.parametrize("command", ["analyze"])
     @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
     def test_bad_fps(self, tmp_path, capsys, command, fps):
         assert main([command, str(tmp_path / "nope.ndjson"), f"--fps={fps}"]) == EXIT_BAD_CONFIG
@@ -268,8 +329,6 @@ class TestExitCodes:
                      "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
 
     @pytest.mark.parametrize("option,value,message", [
-        ("--fps", "nan", "fps must be a finite number > 0"),
-        ("--fps", "inf", "fps must be a finite number > 0"),
         ("--noise", "nan", "noise parameters must be finite numbers >= 0"),
         ("--noise", "inf", "noise parameters must be finite numbers >= 0"),
     ])
@@ -343,6 +402,33 @@ class TestTrain:
         assert "Total Reps:  4" in capsys.readouterr().out
 
 
+    # fewer than 1 frame per class of the 3
+    @pytest.mark.parametrize("frames", ["-30", "1", "2"])
+    def test_too_few_synthetic_frames(self, tmp_path, capsys, frames):
+        out = tmp_path / "model.json"
+        assert main(["train", "--synthetic-frames", frames, "--epochs", "2",
+                     "--calibrate-split", "0", "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert "need at least 1 frame per class" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels,where", [
+        pytest.param(b"frame,label\n0,squat\nx,squat\n", "line 3", id="frame-not-integer"),
+        pytest.param(b"frame,exercise\n0,squat\n", "line 2", id="no-label-column"),
+        pytest.param(b"frame,label\n0,squat\n1\n", "line 3", id="short-row"),
+        pytest.param(b"frame,label\n0,squat\n1,sq\xffuat\n", "line 3", id="not-utf8"),
+    ])
+    def test_malformed_labels(self, tmp_path, capsys, labels, where):
+        session = simulate(tmp_path, exercise="squat", full_cycles=1)
+        path = tmp_path / "labels.csv"
+        path.write_bytes(labels)
+        out = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(["train", "--data", str(session), "--labels", str(path),
+                     "--out", str(out)]) == EXIT_BAD_DATASET
+        assert f"{where}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_recalibrate_model(self, tmp_path, model_path, capsys):
         out = tmp_path / "recal.json"
@@ -352,6 +438,24 @@ class TestCalibrate:
         assert "ci_low" in printed
         doc = json.loads(out.read_text())
         assert set(doc["reject_thresholds"]) == {"push-up", "pull-up", "squat"}
+
+    def test_too_few_synthetic_frames(self, tmp_path, capsys, model_path):
+        before = open(model_path, "rb").read()
+        assert main(["calibrate", "--model", model_path,
+                     "--synthetic-frames", "-3"]) == EXIT_BAD_CONFIG
+        assert "need at least 1 frame per class" in capsys.readouterr().err
+        assert open(model_path, "rb").read() == before
+
+    def test_class_without_synthetic_motion(self, tmp_path, capsys, model_path):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["class_names"][0] = "jog"
+        doc["reject_thresholds"]["jog"] = doc["reject_thresholds"].pop("push-up")
+        path = tmp_path / "jog.json"
+        path.write_text(json.dumps(doc))
+        assert main(["calibrate", "--model", str(path), "--synthetic-frames", "300",
+                     "--out", str(tmp_path / "out.json")]) == EXIT_BAD_CONFIG
+        assert "no synthetic motion" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_no_normalizable_skeleton(self, tmp_path, model_path):
         session = tmp_path / "empty.ndjson"

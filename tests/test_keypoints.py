@@ -74,8 +74,8 @@ class TestParseFrame:
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         skel = make_skeleton(rng)
-        frame = SkeletonFrame.of(7, (skel,), 25.0)
-        reparsed = parse_frame(serialize_frame(frame), 7, 25.0)
+        frame = SkeletonFrame.of(7, (skel,))
+        reparsed = parse_frame(serialize_frame(frame), 7)
         assert np.allclose(reparsed.skeletons[0].coords, skel.coords)
         assert np.allclose(reparsed.skeletons[0].confidence, skel.confidence)
         # serialize is a fixed point
@@ -258,7 +258,7 @@ def test_normalize_frame_is_per_skeleton_normalize_bit_for_bit(case):
 def test_session_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     frames = [
-        SkeletonFrame.of(i, (make_skeleton(rng),), 30.0)
+        SkeletonFrame.of(i, (make_skeleton(rng),))
         for i in range(3)
     ]
     path = tmp_path / "session.csv"
@@ -272,8 +272,6 @@ def test_session_csv_round_trip(tmp_path):
 def test_frame_invariants():
     with pytest.raises(SchemaError):
         SkeletonFrame.of(-1, ())
-    with pytest.raises(SchemaError):
-        SkeletonFrame.of(0, (), 0.0)
 
 
 @st.composite

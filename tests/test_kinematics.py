@@ -210,6 +210,12 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             load_profiles(path)
 
+    def test_load_profiles_empty_list(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_text("[]")
+        with pytest.raises(ProfileError, match="non-empty"):
+            load_profiles(path)
+
     def test_load_profiles_not_utf8(self, tmp_path):
         path = tmp_path / "profiles.json"
         path.write_bytes(b'[{"name": "\xff"}]')

@@ -48,7 +48,7 @@ def _reference_keypoint_rows(person, person_idx, spells_boolean):
     raise SchemaError(f"person {person_idx}: keypoint values must be numbers")
 
 
-def reference_parse_frame(data, frame_index, source_fps=30.0):
+def reference_parse_frame(data, frame_index):
     """parse_frame as it was before chunked decoding, verbatim."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -73,10 +73,10 @@ def reference_parse_frame(data, frame_index, source_fps=30.0):
     undetected = confidence == 0
     coords[undetected] = 0.0
     confidence[undetected] = 0.0  # -0.0 becomes 0.0
-    return SkeletonFrame(frame_index, coords, confidence, source_fps)
+    return SkeletonFrame(frame_index, coords, confidence)
 
 
-def reference_iter_ndjson_frames(lines, source_fps=30.0):
+def reference_iter_ndjson_frames(lines):
     """iter_ndjson_frames as it was before chunked decoding: one document at
     a time, through reference_parse_frame."""
     index = 0
@@ -85,7 +85,7 @@ def reference_iter_ndjson_frames(lines, source_fps=30.0):
         if not line:
             continue
         try:
-            frame = reference_parse_frame(line, index, source_fps)
+            frame = reference_parse_frame(line, index)
         except (ParseError, SchemaError) as exc:
             if isinstance(exc, ParseError):
                 raise ParseError(f"line {number}: {exc}", offset=exc.offset) from exc
@@ -106,7 +106,6 @@ def assert_same_frames(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert type(g.frame_index) is int and g.frame_index == w.frame_index
-        assert g.source_fps == w.source_fps
         assert g.coords.tobytes() == w.coords.tobytes()
         assert g.confidence.tobytes() == w.confidence.tobytes()
         for a in (g.coords, g.confidence):
@@ -170,18 +169,18 @@ def streams(draw):
 @settings(max_examples=200, deadline=None)
 @given(streams(), st.integers(1, 9), st.sampled_from(["\n", "\r\n", "\r"]))
 def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, newline):
-    want_frames, want_error = outcome(lambda: reference_iter_ndjson_frames(lines, 25.0))
+    want_frames, want_error = outcome(lambda: reference_iter_ndjson_frames(lines))
     data = "".join(line + newline for line in lines).encode("utf-8")
     with mock.patch.object(keypoints, "_JSON_CHUNK_FRAMES", chunk_frames):
-        got = [outcome(lambda: iter_ndjson_frames((line + "\n" for line in lines), 25.0)),
-               outcome(lambda: read_ndjson(io.BytesIO(data), 25.0))]
+        got = [outcome(lambda: iter_ndjson_frames(line + "\n" for line in lines)),
+               outcome(lambda: read_ndjson(io.BytesIO(data)))]
     for got_frames, got_error in got:
         assert got_error == want_error
         if want_error is None:
             assert_same_frames(got_frames, want_frames)
     if want_error is None:  # parse_frame is the same decoder, one document at a time
         docs = [line for line in lines if line.strip()]
-        assert_same_frames([parse_frame(doc, i, 25.0) for i, doc in enumerate(docs)], want_frames)
+        assert_same_frames([parse_frame(doc, i) for i, doc in enumerate(docs)], want_frames)
 
 
 def per_document_error(doc: str, place: str):
@@ -245,8 +244,8 @@ def test_directory_frames_equal_stream_frames(tmp_path):
                                             for p in flat]}))
         (tmp_path / f"{i:03d}.json").write_text(lines[-1])
     with mock.patch.object(keypoints, "_JSON_CHUNK_FRAMES", 4):
-        got = load_frames(tmp_path, 12.5)
-    assert_same_frames(got, list(reference_iter_ndjson_frames(lines, 12.5)))
+        got = load_frames(tmp_path)
+    assert_same_frames(got, list(reference_iter_ndjson_frames(lines)))
 
 
 NOT_UTF8 = b'{"people": [\xff]}'
@@ -295,24 +294,13 @@ def test_session_csv_that_is_not_utf8_names_line_and_byte(tmp_path, text, line):
     assert exc.value.offset == byte
 
 
-@pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
-def test_non_finite_or_non_positive_fps_rejected(fps):
-    coords, confidence = np.zeros((1, NUM_JOINTS, 3)), np.ones((1, NUM_JOINTS))
-    with pytest.raises(SchemaError, match="source_fps must be a finite number > 0"):
-        SkeletonFrame(0, coords, confidence, fps)
-    with pytest.raises(SchemaError, match="source_fps must be a finite number > 0"):
-        SkeletonFrame.split([0], [1], coords, confidence, fps)
-    with pytest.raises(SchemaError, match="line 1: source_fps must be a finite number > 0"):
-        list(iter_ndjson_frames(['{"people": []}'], fps))
-
-
 BAD_VALUES = [float("nan"), float("inf"), -0.5, 1.5]
 
 
 @st.composite
 def split_cases(draw):
     """Frame indices, sizes and an array pair for SkeletonFrame.split, with
-    a negative index, a bad fps or bad values in some rows."""
+    a negative index or bad values in some rows."""
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     n = sum(sizes)
     coords = draw(arrays(np.float64, (n, NUM_JOINTS, 3), elements=st.floats(-1e3, 1e3)))
@@ -326,23 +314,22 @@ def split_cases(draw):
             conf[row, joint] = value
     first = draw(st.sampled_from([0, 0, 5, -1]))
     indices = list(range(first, first + len(sizes)))
-    fps = draw(st.sampled_from([30.0, 30.0, 7.5, 0.0, float("nan"), float("inf")]))
-    return indices, sizes, coords, conf, fps
+    return indices, sizes, coords, conf
 
 
 @settings(max_examples=300, deadline=None)
 @given(split_cases())
 def test_split_rejects_exactly_when_a_frame_would(case):
-    indices, sizes, coords, conf, fps = case
+    indices, sizes, coords, conf = case
     starts = np.cumsum([0] + sizes).tolist()
     want, errors = [], []
     for index, a, b in zip(indices, starts, starts[1:]):
         try:
-            want.append(SkeletonFrame(index, coords[a:b].copy(), conf[a:b].copy(), fps))
+            want.append(SkeletonFrame(index, coords[a:b].copy(), conf[a:b].copy()))
         except SchemaError as exc:
             errors.append(str(exc))
     try:
-        got = SkeletonFrame.split(indices, sizes, coords, conf, fps)
+        got = SkeletonFrame.split(indices, sizes, coords, conf)
     except SchemaError as exc:
         assert str(exc) in errors
         assert coords.flags.writeable and conf.flags.writeable  # left as they were

@@ -25,6 +25,29 @@ def run_session(spec, trained_model, **config_kw):
     return result, truth
 
 
+class TestEngineConfig:
+    def test_rep_times_use_the_configured_fps(self, trained_model):
+        spec = SyntheticSessionSpec(persons=(PersonMotion("squat", full_cycles=4),), seed=11)
+        result, _ = run_session(spec, trained_model, fps=12.5)
+        assert result.fps == 12.5
+        events = [e for s in result.summaries for e in s.events]
+        assert len(events) == 4
+        assert all(e.time_s == e.frame / 12.5 for e in events)
+
+    def test_empty_session_reports_the_configured_fps(self):
+        assert analyze_frames([], config=EngineConfig(fps=60.0)).fps == 60.0
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_rejects_bad_fps(self, fps):
+        with pytest.raises(ValueError, match="fps must be a finite number > 0"):
+            EngineConfig(fps=fps)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -0.5])
+    def test_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            EngineConfig(tolerance=tolerance)
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("exercise", ["push-up", "pull-up", "squat"])
     def test_noise_free_exact_counts(self, trained_model, exercise):
@@ -85,7 +108,7 @@ class TestEndToEnd:
         frames = list(frames_a)
         offset = len(frames)
         for f in frames_b:
-            frames.append(SkeletonFrame.of(f.frame_index + offset, f.skeletons, f.source_fps))
+            frames.append(SkeletonFrame.of(f.frame_index + offset, f.skeletons))
         # huge gate so the posture change does not spawn a second person
         result = analyze_frames(frames, model=model, thresholds=thresholds,
                                 config=EngineConfig(max_match_distance=1e9))
@@ -117,7 +140,7 @@ class TestEndToEnd:
             spec = SyntheticSessionSpec(
                 persons=(PersonMotion(exercise, full_cycles=3, noise_sigma=5.0,
                                       gap_rate=0.2),), seed=19)
-            frames += [SkeletonFrame.of(f.frame_index + len(frames), f.skeletons, f.source_fps)
+            frames += [SkeletonFrame.of(f.frame_index + len(frames), f.skeletons)
                        for f in generate_session(spec)[0]]
         engine = SessionEngine(model=model, thresholds=thresholds,
                                config=EngineConfig(max_match_distance=1e9, keep_traces=True))

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter, deque
 
@@ -316,6 +317,12 @@ class TestModelIO:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"format_version": 1, "class_names": ["\xff"]}')
+        with pytest.raises(ModelFormatError, match="unreadable model file"):
+            load_model(path)
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"format_version": 99}')
@@ -329,6 +336,27 @@ class TestModelIO:
         doc = path.read_text().replace('"layer_dims":[4,5,2]', '"layer_dims":[4,6,2]')
         path.write_text(doc)
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("thresholds", [
+        pytest.param([[0.5, 0.9], [0.4, 1.0]], id="list"),
+        pytest.param({"a": 0.5, "b": [0.4, 1.0]}, id="scalar-bound"),
+        pytest.param({"a": [0.5], "b": [0.4, 1.0]}, id="one-number"),
+        pytest.param({"a": ["0.5", 0.9], "b": [0.4, 1.0]}, id="string"),
+        pytest.param({"a": [0.5, 1.5], "b": [0.4, 1.0]}, id="beyond-one"),
+        pytest.param({"a": [0.5, float("inf")], "b": [0.4, 1.0]}, id="infinite"),
+        pytest.param({"a": [0.5, 10 ** 400], "b": [0.4, 1.0]}, id="beyond-float"),
+        pytest.param({"a": [0.9, 0.5], "b": [0.4, 1.0]}, id="reversed"),
+        pytest.param({"a": [0.5, 0.9]}, id="class-without-bound"),
+        pytest.param({"a": [0.5, 0.9], "b": [0.4, 1.0], "c": [0.1, 0.2]}, id="unknown-class"),
+    ])
+    def test_malformed_reject_thresholds_rejected(self, tmp_path, thresholds):
+        path = tmp_path / "model.json"
+        save_model(path, init_model(4, ["a", "b"], TrainConfig(hidden_dims=(5,), seed=2)))
+        doc = json.loads(path.read_text())
+        doc["reject_thresholds"] = thresholds
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="reject_thresholds: "):
             load_model(path)
 
 

@@ -16,7 +16,7 @@ from repcount.keypoints import SchemaError, SkeletonFrame, load_session_csv, wri
 COLUMNS = ("frame", "person", "joint", "x", "y", "z", "confidence")
 
 
-def reference_load_session_csv(path, source_fps=30.0):
+def reference_load_session_csv(path):
     """The csv.DictReader loader that load_session_csv replaced, verbatim."""
     by_frame: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -43,14 +43,14 @@ def reference_load_session_csv(path, source_fps=30.0):
     for f in sorted(by_frame):
         persons = [by_frame[f][p] for p in sorted(by_frame[f])]
         frames.append(SkeletonFrame(f, np.stack([coords for coords, _ in persons]),
-                                    np.stack([conf for _, conf in persons]), source_fps))
+                                    np.stack([conf for _, conf in persons])))
     return frames
 
 
 def outcome(load, path):
     """(frames, None) or (None, (error type, message))."""
     try:
-        return load(path, 25.0), None
+        return load(path), None
     except Exception as exc:  # noqa: BLE001  (the type is what is compared)
         return None, (type(exc), str(exc))
 
@@ -59,7 +59,6 @@ def assert_same_frames(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert type(g.frame_index) is int and g.frame_index == w.frame_index
-        assert g.source_fps == w.source_fps
         assert g.coords.tobytes() == w.coords.tobytes()
         assert g.confidence.tobytes() == w.confidence.tobytes()
 

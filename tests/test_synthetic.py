@@ -32,12 +32,6 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="noise parameters must be finite numbers >= 0"):
             PersonMotion("squat", full_cycles=1, **{field: value}).validate()
 
-    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), 0.0, -30.0])
-    def test_fps_must_be_finite_and_positive(self, fps):
-        spec = SyntheticSessionSpec(persons=(PersonMotion("squat", full_cycles=1),), fps=fps)
-        with pytest.raises(SpecError, match="fps must be a finite number > 0"):
-            spec.validate()
-
     def test_expected_counts(self):
         m = PersonMotion("squat", full_cycles=4, partial_cycles=2)
         assert m.expected_counts == (6, 4, 2)
@@ -129,6 +123,16 @@ class TestLabeledDataset:
         x, y = make_labeled_dataset(["push-up", "squat"], 60, seed=1)
         assert x.shape == (120, 50)
         assert np.bincount(y).tolist() == [60, 60]
+
+    @pytest.mark.parametrize("frames_per_class", [0, -1, -10])
+    def test_fewer_than_one_frame_per_class_rejected(self, frames_per_class):
+        with pytest.raises(SpecError, match="at least 1 frame per class"):
+            make_labeled_dataset(["push-up", "squat"], frames_per_class)
+
+    def test_class_without_motion_rejected(self, monkeypatch):
+        monkeypatch.setattr("repcount.synthetic.generate_session", None)  # never reached
+        with pytest.raises(SpecError, match="'jog'"):
+            make_labeled_dataset(["push-up", "jog"], 10)
 
     def test_deterministic(self):
         a = make_labeled_dataset(["push-up", "squat"], 40, seed=2)

@@ -31,8 +31,8 @@ def skeleton_at(offset, rng=None, detected=None):
     return RawSkeleton(coords=coords, confidence=conf)
 
 
-def frame(index, *skeletons, fps=30.0):
-    return SkeletonFrame.of(index, skeletons, fps)
+def frame(index, *skeletons):
+    return SkeletonFrame.of(index, skeletons)
 
 
 class TestSkeletonDistance:
