@@ -127,9 +127,10 @@ def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.nda
 # packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
 # as doubles
 _KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
-# format-A documents decoded together: enough to amortize the NumPy calls per
-# chunk over its frames, few enough that a chunk's documents stay small
-_JSON_CHUNK_FRAMES = 64
+# frames handled together: format-A documents decoded at once, and frames the
+# engine plans at once (SessionEngine.process_frames); enough to amortize the
+# NumPy calls per chunk over its frames, few enough that a chunk stays small
+CHUNK_FRAMES = 64
 
 
 def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, bytes]:
@@ -269,7 +270,7 @@ def _stripped(line: str | bytes) -> str | bytes:
 
 def iter_ndjson_frames(lines: Iterable[str | bytes]) -> Iterator[SkeletonFrame]:
     """Yield frames from a newline-delimited stream of format-A documents,
-    decoded in chunks of _JSON_CHUNK_FRAMES; a bytes line must be UTF-8.
+    decoded in chunks of CHUNK_FRAMES; a bytes line must be UTF-8.
     A bad document's error names its line (1-based, blank lines counted)."""
     index = 0
     docs: list[str | bytes] = []
@@ -280,7 +281,7 @@ def iter_ndjson_frames(lines: Iterable[str | bytes]) -> Iterator[SkeletonFrame]:
             continue
         docs.append(line)
         places.append(f"line {number}")
-        if len(docs) == _JSON_CHUNK_FRAMES:
+        if len(docs) == CHUNK_FRAMES:
             yield from _decode_located(docs, places, index)
             index += len(docs)
             docs, places = [], []
@@ -305,8 +306,8 @@ def load_frames(path: str | Path) -> list[SkeletonFrame]:
     if path.is_dir():
         children = sorted(path.glob("*.json"))
         frames = []
-        for start in range(0, len(children), _JSON_CHUNK_FRAMES):
-            chunk = children[start:start + _JSON_CHUNK_FRAMES]
+        for start in range(0, len(children), CHUNK_FRAMES):
+            chunk = children[start:start + CHUNK_FRAMES]
             places = list(map(str, chunk))
             docs = []
             for child in chunk:

@@ -10,7 +10,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
+
+import numpy as np
 
 from . import body25
 from .body25 import NUM_JOINTS, mirror_triple
@@ -59,7 +61,8 @@ def joint_angle(a, b, c) -> float:
     theta = arccos(BA . BC / (|BA| |BC|)), the cosine clamped to [-1, 1]
     so rounding near collinearity cannot push the result outside [0, 180].
     """
-    # scalar math: this runs per frame per person on 3-vectors
+    # scalar math on 3-vectors; _triple_sides is its array form, with the
+    # same operation order
     bax, bay, baz = a[0] - b[0], a[1] - b[1], (a[2] - b[2]) if len(a) > 2 else 0.0
     bcx, bcy, bcz = c[0] - b[0], c[1] - b[1], (c[2] - b[2]) if len(c) > 2 else 0.0
     nba = math.sqrt(bax * bax + bay * bay + baz * baz)
@@ -71,43 +74,68 @@ def joint_angle(a, b, c) -> float:
     return math.degrees(math.acos(cosang))
 
 
-def _detected(conf: list[float], triple) -> bool:
-    a, b, c = triple
-    return conf[a] > 0 and conf[b] > 0 and conf[c] > 0
+def _triple_sides(triples: list[tuple[int, int, int]], coords: np.ndarray,
+                  confidence: np.ndarray):
+    """(T, N) arrays for T triples on the rows of the (N, 25, 3) coords and
+    (N, 25) confidences: whether a triple's joints are all detected, their
+    mean confidence, and the clamped cosine at its vertex (NaN for a
+    degenerate limb), each with joint_angle's operation order."""
+    a, b, c = np.array(triples).T
+    conf = confidence.T  # joint-major views: a joint's values over the rows
+    ca, cb, cc = conf[a], conf[b], conf[c]
+    detected = (ca > 0) & (cb > 0) & (cc > 0)
+    mean = (ca + cb + cc) / 3.0
+    x, y, z = coords.transpose(2, 1, 0)
+    bax, bay, baz = x[a] - x[b], y[a] - y[b], z[a] - z[b]
+    bcx, bcy, bcz = x[c] - x[b], y[c] - y[b], z[c] - z[b]
+    with np.errstate(all="ignore"):  # degenerate limbs are masked below
+        nba = np.sqrt(bax * bax + bay * bay + baz * baz)
+        nbc = np.sqrt(bcx * bcx + bcy * bcy + bcz * bcz)
+        cosang = (bax * bcx + bay * bcy + baz * bcz) / (nba * nbc)
+    # min(1.0, max(-1.0, cosang)), which also maps NaN to -1.0
+    cosang = np.where(cosang > -1.0, cosang, -1.0)
+    cosang = np.where(cosang < 1.0, cosang, 1.0)
+    cosang[(nba <= LIMB_EPSILON) | (nbc <= LIMB_EPSILON)] = np.nan
+    return detected, mean, cosang
 
 
-def _triple_confidence(conf: list[float], triple) -> float:
-    a, b, c = triple
-    return (conf[a] + conf[b] + conf[c]) / 3.0
+def profile_cosines(profiles: Mapping[str, ExerciseProfile], coords: np.ndarray,
+                    confidence: np.ndarray) -> dict[str, list[float]]:
+    """By the profiles' keys, the clamped cosine of the angle angle_for
+    measures on each row of the (N, 25, 3) coords and (N, 25) confidences;
+    NaN where it measures none. Each distinct triple is computed once.
+
+    The profile's triple names the primary (right) side; when any of its
+    joints is undetected the mirrored left triple is used instead, and when
+    both sides are fully detected the side with higher mean confidence wins
+    (the primary on a tie). A degenerate limb on the chosen side is a gap.
+    """
+    index: dict[tuple[int, int, int], int] = {}  # distinct triple -> its position
+    for profile in profiles.values():
+        for triple in (profile.joint_triple, mirror_triple(profile.joint_triple)):
+            index.setdefault(triple, len(index))
+    have, mean, cosang = _triple_sides(list(index), coords, confidence)
+    primary = [index[p.joint_triple] for p in profiles.values()]
+    mirrored = [index[mirror_triple(p.joint_triple)] for p in profiles.values()]
+    have_m = have[mirrored]
+    use_p = have[primary] & (~have_m | (mean[primary] >= mean[mirrored]))
+    use_m = have_m & ~use_p
+    chosen = np.where(use_p, cosang[primary], np.where(use_m, cosang[mirrored], np.nan))
+    return dict(zip(profiles, chosen.tolist()))
+
+
+def angle_of_cosine(cosine: float) -> Optional[float]:
+    """Degrees of a profile_cosines value; None for a NaN (a gap)."""
+    return None if math.isnan(cosine) else math.degrees(math.acos(cosine))
 
 
 def angle_for(profile: ExerciseProfile, coords, confidence) -> Optional[float]:
     """Measure the profile's major-joint angle on one person's (25, 3)
-    coordinate row and (25,) confidence row.
-
-    The profile's triple names the primary (right) side; when any of its
-    joints is undetected the mirrored left triple is used instead, and when
-    both sides are fully detected the side with higher mean confidence wins.
-    Returns None (a gap) when neither side is usable.
-    """
-    primary = profile.joint_triple
-    mirrored = mirror_triple(primary)
-    conf = confidence.tolist()  # one conversion, then plain float reads
-    have_primary = _detected(conf, primary)
-    have_mirror = _detected(conf, mirrored)
-    if have_primary and have_mirror:
-        triple = primary if _triple_confidence(conf, primary) >= _triple_confidence(conf, mirrored) else mirrored
-    elif have_primary:
-        triple = primary
-    elif have_mirror:
-        triple = mirrored
-    else:
-        return None
-    a, b, c = triple
-    try:
-        return joint_angle(coords[a], coords[b], coords[c])
-    except DegenerateGeometryError:
-        return None
+    coordinate row and (25,) confidence row: profile_cosines on one row.
+    Returns None (a gap) when neither side is usable."""
+    name = profile.name
+    (cosine,) = profile_cosines({name: profile}, coords[None], confidence[None])[name]
+    return angle_of_cosine(cosine)
 
 
 # ROM bounds are artifact defaults chosen from standard exercise form; they

@@ -1,37 +1,37 @@
 """The end-to-end session engine: parse -> track -> recognize -> angle ->
 condition -> count -> report.
 
-One SessionEngine processes one frame stream sequentially. A frame's
-labels depend only on its own skeletons, so process_frames labels the
-frames of a chunk together; tracking, the label vote, angles, conditioning
-and counting then run frame by frame. Each tracked person carries a label
-window and a stack of exercise sets; when the windowed label switches to a
-different known exercise the current set's counter is finalized and a new
-one starts. Unknown and warmup labels pause counting without closing the
-set.
+One SessionEngine processes one frame stream sequentially. What depends
+only on a frame, or on it and the frame before it, is planned for a chunk
+of frames at once from one stack of their rows: the tracker's gates and
+candidate distances, the labels, and the angle cosines of every profile.
+Matching, the label vote, angles, conditioning and counting then run frame
+by frame on the plan. Each tracked person carries a label window and a
+stack of exercise sets; when the windowed label switches to a different
+known exercise the current set's counter is finalized and a new one
+starts. Unknown and warmup labels pause counting without closing the set.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, islice, pairwise
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from . import keypoints
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
 from .keypoints import SkeletonFrame, normalize_frame
-from .kinematics import ExerciseProfile, angle_for, builtin_profiles
+# angle_for stays bound here for tools that trace the engine's angle step by
+# this name; the engine measures angles through profile_cosines
+from .kinematics import (ExerciseProfile, angle_for, angle_of_cosine,  # noqa: F401
+                         builtin_profiles, profile_cosines)
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
 from .reporting import PersonSummary, SessionResult
-from .tracker import PoseTracker
-
-# frames labelled together by process_frames: one normalize_frame call and
-# one forward pass per chunk amortize NumPy's per-call cost
-_LABEL_CHUNK_FRAMES = 64
+from .tracker import PoseTracker, check_match_settings
 
 
 @dataclass
@@ -46,6 +46,7 @@ class EngineConfig:
             raise ValueError(f"fps must be a finite number > 0, got {self.fps!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
+        check_match_settings(self.max_match_distance)
 
 
 @dataclass
@@ -68,6 +69,14 @@ class _PersonState:
     raw_angles: dict[int, Optional[float]] = field(default_factory=dict)
 
 
+class _Planned(NamedTuple):
+    """A frame's part of its chunk's plan."""
+
+    labels: list[str]  # per skeleton
+    cosines: dict[str, list[float]]  # the chunk's profile_cosines
+    row: int  # the frame's first row in the chunk's cosine lists
+
+
 class SessionEngine:
     def __init__(self, model: Optional[MlpModel] = None,
                  thresholds: Optional[RejectThresholds] = None,
@@ -81,33 +90,33 @@ class SessionEngine:
         self.persons: dict[int, _PersonState] = {}
         self.frame_count = 0
         self._finalized = False
-        # (frame, its labels) computed ahead by process_frames, in frame order
-        self._pending: deque[tuple[SkeletonFrame, list[str]]] = deque()
+        # plans of the frames of the chunk in hand, by id() of the frame
+        self._pending: dict[int, _Planned] = {}
 
     def process_frames(self, frames: Iterable[SkeletonFrame]) -> None:
-        """Process frames in order, labelling each chunk of
-        _LABEL_CHUNK_FRAMES frames together before processing its frames
-        one by one; nothing computed ahead outlives the call."""
+        """Process frames in order, planning each chunk of
+        keypoints.CHUNK_FRAMES frames together before processing its frames
+        one by one; nothing planned ahead outlives the call."""
         if self._finalized:
             raise RuntimeError("session already finalized")
         frames = iter(frames)
-        try:
-            while chunk := list(islice(frames, _LABEL_CHUNK_FRAMES)):
-                self._pending.extend(zip(chunk, self._chunk_labels(chunk)))
+        while chunk := list(islice(frames, keypoints.CHUNK_FRAMES)):
+            try:
+                self._pending.update(zip(map(id, chunk), self._plan_chunk(chunk)))
                 for frame in chunk:
                     self.process_frame(frame)
-        finally:
-            self._pending.clear()
+            finally:  # the chunk holds its frames, so their ids stay theirs
+                self._pending.clear()
+                self.tracker.clear_plans()
 
     def process_frame(self, frame: SkeletonFrame) -> None:
         if self._finalized:
             raise RuntimeError("session already finalized")
         self.frame_count += 1
+        planned = self._pending.pop(id(frame), None)
+        if planned is None:  # a direct caller: the frame is a chunk of one
+            (planned,) = self._plan_chunk([frame])
         assignment = self.tracker.match_frame(frame)
-        if self._pending and self._pending[0][0] is frame:
-            labels = self._pending.popleft()[1]
-        else:  # a direct caller: the frame is a chunk of one
-            (labels,) = self._chunk_labels([frame])
         # a skeleton without an id (no detected joint) is skipped
         for sidx in sorted(assignment.id_by_skeleton):
             pid = assignment.id_by_skeleton[sidx]
@@ -115,22 +124,32 @@ class SessionEngine:
             if state is None:
                 state = self.persons[pid] = _PersonState(person_id=pid)
             state.frames_seen.append(frame.frame_index)
-            state.window.push(labels[sidx])
+            state.window.push(planned.labels[sidx])
             windowed = state.window.current()
             state.last_window_label = windowed
             if windowed in self.profiles:
-                self._step_exercise(state, windowed, frame.coords[sidx],
-                                    frame.confidence[sidx], frame.frame_index)
+                cosine = planned.cosines[windowed][planned.row + sidx]
+                self._step_exercise(state, windowed, cosine, frame.frame_index)
 
-    def _chunk_labels(self, frames: list[SkeletonFrame]) -> list[list[str]]:
-        """The labels of the skeleton rows of each frame: every row of the
-        chunk is normalized in one call, and the normalizable ones are
-        classified in one forward pass."""
+    def _plan_chunk(self, frames: list[SkeletonFrame]) -> list[_Planned]:
+        """Plan frames: the tracker plans each against the frame before it
+        and hands back the frames' rows, stacked once, from which the labels
+        and angle cosines of every row are computed."""
+        coords, confidence = self.tracker.plan(frames)
+        labels = self._chunk_labels(frames, coords, confidence)
+        cosines = profile_cosines(self.profiles, coords, confidence)
+        rows = accumulate((len(f.coords) for f in frames), initial=0)
+        return [_Planned(frame_labels, cosines, row) for frame_labels, row in zip(labels, rows)]
+
+    def _chunk_labels(self, frames: list[SkeletonFrame], coords: np.ndarray,
+                      confidence: np.ndarray) -> list[list[str]]:
+        """The labels of the skeleton rows of each frame, given the frames'
+        stacked rows: every row is normalized in one call, and the
+        normalizable ones are classified in one forward pass."""
         sizes = [len(frame.coords) for frame in frames]
-        labels = [UNKNOWN] * sum(sizes)
+        labels = [UNKNOWN] * len(coords)
         if self.model is not None and labels:
-            features, ok = normalize_frame(np.concatenate([f.coords for f in frames]),
-                                           np.concatenate([f.confidence for f in frames]))
+            features, ok = normalize_frame(coords, confidence)
             rows = np.flatnonzero(ok)
             if len(rows):
                 batch = classify_with_reject(self.model, self.thresholds, features[rows])
@@ -138,19 +157,21 @@ class SessionEngine:
                     labels[i] = label
         return [labels[a:b] for a, b in pairwise(accumulate(sizes, initial=0))]
 
-    def _step_exercise(self, state: _PersonState, exercise: str, coords: np.ndarray,
-                       confidence: np.ndarray, frame_index: int) -> None:
+    def _step_exercise(self, state: _PersonState, exercise: str, cosine: float,
+                       frame_index: int) -> None:
+        """Feed one frame's angle, given as its profile_cosines value, to the
+        person's set of the exercise, opening the set if needed."""
         if state.active is not None and state.active.exercise != exercise:
             self._close_set(state)
-        profile = self.profiles[exercise]
         if state.active is None:
+            profile = self.profiles[exercise]
             state.active = _ExerciseSet(
                 exercise=exercise,
                 conditioner=StreamingConditioner(profile.rom_mid),
                 counter=RepCounter(profile, person_id=state.person_id,
                                    tolerance=self.config.tolerance),
             )
-        raw = angle_for(profile, coords, confidence)
+        raw = angle_of_cosine(cosine)
         # a sample with an angle is always emitted later, and pops it then
         if self.config.keep_traces and raw is not None:
             state.raw_angles[frame_index] = raw

@@ -5,26 +5,71 @@ person (greedy smallest-distance-first); unmatched skeletons get fresh ids,
 except one with no detected joint, which is never tracked, and persons
 unseen for longer than the retention window are retired.
 Distances use raw coordinates, since spatial position is the identity cue.
+
+What depends only on a frame and the frame before it is planned ahead for
+a whole chunk of frames (PoseTracker.plan): each frame's gate, and the
+distances of the pairs of its skeletons with those of the frame before
+whose detected-joint bounding boxes lie within the gate. match_frame reads
+the pairs of the tracks seen in the frame before from its frame's plan;
+only tracks missing from that frame are measured when the frame comes.
 """
 from __future__ import annotations
 
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .body25 import MID_HIP, NECK, NUM_JOINTS
+from .body25 import MID_HIP, NECK
 from .keypoints import RawSkeleton, SkeletonFrame
 
 DEFAULT_RETENTION_WINDOW = 30  # frames (~1 s at 30 fps)
 # gate = this fraction of the median torso length observed in the frame
 AUTO_GATE_TORSO_FRACTION = 0.5
+# relative slack of the box-gap bound, against rounding in the gap and in
+# the distance it bounds
+BOX_GAP_SLACK = 1e-9
 
 
 class SequencingError(RuntimeError):
     """Frame fed to the tracker out of order."""
+
+
+def check_match_settings(max_match_distance: Optional[float],
+                         retention_window: int = DEFAULT_RETENTION_WINDOW) -> None:
+    """Raise ValueError unless the gate is None (automatic) or a finite
+    number >= 0, and the retention window an int >= 0."""
+    if max_match_distance is not None and not (math.isfinite(max_match_distance)
+                                               and max_match_distance >= 0):
+        raise ValueError("max_match_distance must be None or a finite number >= 0, "
+                         f"got {max_match_distance!r}")
+    if isinstance(retention_window, bool) or not (isinstance(retention_window, int)
+                                                  and retention_window >= 0):
+        raise ValueError(f"retention_window must be an int >= 0, got {retention_window!r}")
+
+
+def pair_distances(coords_a: np.ndarray, confidence_a: np.ndarray,
+                   coords_b: np.ndarray, confidence_b: np.ndarray) -> np.ndarray:
+    """Mean Euclidean distance over the joints detected in both rows, for K
+    row pairs given as (K, 25, 3) coords and (K, 25) confidences per side;
+    NaN where a pair shares no detected joint.
+
+    The tracker's one distance rule: a masked sum over all 25 joints, so a
+    pair gets the same bits whichever way it is reached.
+    """
+    shared = (confidence_a > 0) & (confidence_b > 0)
+    sq = coords_a - coords_b
+    np.multiply(sq, sq, out=sq)  # in place: fewer fresh arrays to fault in
+    # the same left-to-right sum as .sum(axis=2), without a slow short-axis reduce
+    norms = sq[..., 0] + sq[..., 1]
+    norms += sq[..., 2]
+    np.sqrt(norms, out=norms)
+    norms[~shared] = 0.0
+    with np.errstate(invalid="ignore"):
+        return norms.sum(axis=1) / shared.sum(axis=1)
 
 
 def skeleton_distance(a: RawSkeleton, b: RawSkeleton) -> Optional[float]:
@@ -33,18 +78,48 @@ def skeleton_distance(a: RawSkeleton, b: RawSkeleton) -> Optional[float]:
     Returns None (incomparable) when the two skeletons share no detected
     joint.
     """
-    return _row_distance(a.coords, a.confidence, b.coords, b.confidence)
+    (d,) = pair_distances(a.coords[None], a.confidence[None],
+                          b.coords[None], b.confidence[None]).tolist()
+    return None if math.isnan(d) else d
 
 
-def _row_distance(coords_a, confidence_a, coords_b, confidence_b) -> Optional[float]:
-    """skeleton_distance of two (25, 3) coordinate and (25,) confidence rows."""
-    shared = (confidence_a > 0) & (confidence_b > 0)
-    if not shared.any():
-        return None
-    diffs = coords_a[shared] - coords_b[shared]
-    # np.mean(np.linalg.norm(diffs, axis=1)) term for term, minus their call overhead
-    norms = np.sqrt((diffs * diffs).sum(axis=1))
-    return float(norms.sum() / len(norms))
+def distance_matrix(track_coords: np.ndarray, track_confidence: np.ndarray,
+                    coords: np.ndarray, confidence: np.ndarray) -> np.ndarray:
+    """(P, S) pair_distances of P tracks against S skeletons; NaN where a
+    pair shares no detected joint. Equal to skeleton_distance bit for bit."""
+    n_tracks, n_skeletons = len(track_coords), len(coords)
+    rows = np.repeat(np.arange(n_tracks), n_skeletons)
+    cols = np.tile(np.arange(n_skeletons), n_tracks)
+    return pair_distances(track_coords[rows], track_confidence[rows],
+                          coords[cols], confidence[cols]).reshape(n_tracks, n_skeletons)
+
+
+def detected_boxes(coords: np.ndarray, detected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(3, N) low and high corners, axis by axis, of the box around each
+    row's detected joints; a row without one gets the empty box (+inf, -inf)."""
+    low = np.empty((3, len(coords)))
+    high = np.empty((3, len(coords)))
+    for k in range(3):  # per axis: a reduce over (N, 25, 3) strides slowly
+        axis = coords[..., k]
+        low[k] = np.where(detected, axis, np.inf).min(axis=1)
+        high[k] = np.where(detected, axis, -np.inf).max(axis=1)
+    return low, high
+
+
+def box_gaps(low: np.ndarray, high: np.ndarray, rows_a: np.ndarray,
+             rows_b: np.ndarray) -> np.ndarray:
+    """Euclidean gap between the detected_boxes of rows rows_a[k] and
+    rows_b[k]; +inf if a box is empty.
+
+    Every joint of a row lies in its box, so each shared joint is at least
+    the gap apart, and so is their mean: a lower bound on pair_distances.
+    """
+    sq = 0.0
+    for k in range(3):  # gathers from one axis's row are far cheaper than of (N, 3) rows
+        lo, hi = low[k], high[k]
+        gap = np.maximum(np.maximum(lo[rows_b] - hi[rows_a], lo[rows_a] - hi[rows_b]), 0.0)
+        sq = sq + gap * gap
+    return np.sqrt(sq)
 
 
 @dataclass
@@ -64,134 +139,182 @@ class Assignment:
     id_by_skeleton: dict[int, int] = field(default_factory=dict)
 
 
-def _frame_torso_gate(coords: np.ndarray, confidence: np.ndarray) -> float:
-    """Gate from the stacked (S, 25, 3) coords and (S, 25) confidences."""
+class FramePlan(NamedTuple):
+    """What match_frame needs of a frame, computed ahead of it."""
+
+    frame: SkeletonFrame
+    prev: Optional[SkeletonFrame]  # the frame the candidates were measured against
+    gate: float
+    tracked: list[bool]  # per skeleton: has a detected joint
+    # (distance, skeleton of prev, skeleton of frame) for every pair within the gate
+    candidates: list[tuple[float, int, int]]
+
+
+def _frame_gates(bounds: list[int], coords: np.ndarray, confidence: np.ndarray) -> list[float]:
+    """Each frame's automatic gate: the fraction of the median torso length of
+    its skeletons whose neck and mid-hip are detected; inf without one.
+    bounds[k]:bounds[k + 1] are frame k's rows of the stacked arrays."""
     # confidences are >= 0, so the smaller one is > 0 iff both joints are seen
-    seen = np.minimum(confidence[:, NECK], confidence[:, MID_HIP]).tolist()
-    deltas = (coords[:, NECK] - coords[:, MID_HIP]).tolist()
-    # a Python loop over the few rows beats numpy's per-call cost here, and
-    # statistics.median beats np.median
-    torsos = [math.sqrt(dx * dx + dy * dy + dz * dz)
-              for (dx, dy, dz), c in zip(deltas, seen) if c > 0]
-    if not torsos:
-        return float("inf")
-    return AUTO_GATE_TORSO_FRACTION * statistics.median(torsos)
-
-
-def distance_matrix(track_coords: np.ndarray, track_confidence: np.ndarray,
-                    coords: np.ndarray, confidence: np.ndarray) -> np.ndarray:
-    """(P, S) skeleton_distance of P tracks against S skeletons in one
-    broadcast; NaN where a pair shares no detected joint.
-
-    Equal to the pairwise values up to the last bit: the masked sum adds
-    the same terms as skeleton_distance's mean, in a different order.
-    """
-    shared = (track_confidence > 0)[:, None, :] & (confidence > 0)[None, :, :]  # (P, S, 25)
-    n_tracks, n_skeletons = len(track_coords), len(coords)
-    # broadcasting over flat (25 * 3) rows is faster than over (25, 3) blocks
-    diffs = track_coords.reshape(n_tracks, 1, -1) - coords.reshape(1, n_skeletons, -1)
-    sq = (diffs * diffs).reshape(n_tracks, n_skeletons, NUM_JOINTS, 3)
-    # the same left-to-right sum as .sum(axis=3), without a slow short-axis reduce
-    norms = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-    n_shared = shared.sum(axis=2)
-    with np.errstate(invalid="ignore"):
-        return np.where(shared, norms, 0.0).sum(axis=2) / n_shared
+    seen = np.minimum(confidence[:, NECK], confidence[:, MID_HIP]) > 0
+    d = coords[:, NECK] - coords[:, MID_HIP]
+    torsos = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])[seen].tolist()
+    ends = np.concatenate(([0], np.cumsum(seen)))[bounds].tolist()
+    # statistics.median beats np.median on a frame's few rows
+    return [AUTO_GATE_TORSO_FRACTION * statistics.median(torsos[a:b]) if b > a else math.inf
+            for a, b in zip(ends, ends[1:])]
 
 
 class PoseTracker:
     """Single-writer sequential tracker for one session stream.
 
-    Each live track's last coordinates and confidences are array rows, in
-    ascending person-id order, so a frame's distances to all tracks come
-    from one broadcast.
+    A track's last skeleton is a reference (frame, skeleton index) to the
+    arrays of the frame it was last seen in.
     """
 
     def __init__(self, max_match_distance: Optional[float] = None,
                  retention_window: int = DEFAULT_RETENTION_WINDOW):
+        check_match_settings(max_match_distance, retention_window)
         self.max_match_distance = max_match_distance
         self.retention_window = retention_window
         self.persons: dict[int, TrackedPerson] = {}
         self._next_id = 1
-        self._last_frame_index: Optional[int] = None
-        self._row_ids: list[int] = []  # person id of each array row, ascending
-        self._coords = np.zeros((0, NUM_JOINTS, 3))
-        self._confidence = np.zeros((0, NUM_JOINTS))
+        self._last_frame: Optional[SkeletonFrame] = None
+        self._last_ids: dict[int, int] = {}  # skeleton of the last frame -> person id
+        self._rows: dict[int, tuple[SkeletonFrame, int]] = {}  # person id -> last skeleton
+        self._plans: dict[int, FramePlan] = {}  # by id() of a frame not yet matched
 
-    def _candidates(self, coords: np.ndarray, confidence: np.ndarray,
-                    gate: float) -> list[tuple[int, int]]:
-        """(track row, skeleton index) pairs within the gate, ordered like
-        sorting (distance, person id, skeleton index) tuples."""
-        n_pairs = len(self._row_ids) * len(coords)
-        if n_pairs == 0:
-            return []
-        if n_pairs == 1:  # numpy's per-call cost outweighs one pair
-            d = _row_distance(self._coords[0], self._confidence[0], coords[0], confidence[0])
-            return [(0, 0)] if d is not None and d <= gate else []
-        dist = distance_matrix(self._coords, self._confidence, coords, confidence)
-        rows, cols = np.nonzero(dist <= gate)  # NaN (no shared joint) compares false
-        # row-major nonzero is (person id, skeleton index) order; a stable
-        # sort by distance keeps it among ties
-        order = np.argsort(dist[rows, cols], kind="stable")
-        return list(zip(rows[order].tolist(), cols[order].tolist()))
+    def plan(self, frames: list[SkeletonFrame]) -> tuple[np.ndarray, np.ndarray]:
+        """Plan the matching of frames ahead of match_frame, each against the
+        frame before it, the first against the frame matched last. Returns
+        the frames' rows, stacked once: (N, 25, 3) coords and (N, 25)
+        confidences, for the other passes over the chunk."""
+        plans, coords, confidence = self._plan_frames(frames)
+        self._plans.update((id(plan.frame), plan) for plan in plans)
+        return coords, confidence
+
+    def clear_plans(self) -> None:
+        """Forget the plans of frames that have not been matched."""
+        self._plans.clear()
+
+    def _plan_frames(self, frames: list[SkeletonFrame]
+                     ) -> tuple[list[FramePlan], np.ndarray, np.ndarray]:
+        lead = 0 if self._last_frame is None else 1
+        frames = [self._last_frame, *frames] if lead else frames
+        coords = np.concatenate([f.coords for f in frames])
+        confidence = np.concatenate([f.confidence for f in frames])
+        sizes = [len(f.coords) for f in frames]
+        bounds = list(accumulate(sizes, initial=0))
+        detected = confidence > 0
+        tracked = detected.any(axis=1).tolist()
+        if self.max_match_distance is None:
+            gates = _frame_gates(bounds, coords, confidence)
+        else:
+            gates = [self.max_match_distance] * len(frames)
+
+        # every (row of frame q - 1, row of frame q) pair, q >= 1, in row
+        # order: each row of a frame pairs with the rows of the next frame
+        sizes_a, bounds_a = np.array(sizes), np.array(bounds)
+        fanout = np.repeat(sizes_a[1:], sizes_a[:-1])  # per row before the last frame
+        prev_rows = np.repeat(np.arange(len(fanout)), fanout)
+        first_paired = np.repeat(bounds_a[1:-1], sizes_a[:-1])  # next frame's first row
+        rows = np.arange(len(prev_rows)) - np.repeat(np.cumsum(fanout) - fanout - first_paired,
+                                                     fanout)
+        gate = np.repeat(np.repeat(gates[1:], sizes_a[:-1]), fanout)
+        # exact pruning: a pair whose boxes lie farther apart than the gate
+        # cannot be within it
+        low, high = detected_boxes(coords, detected)
+        near = np.flatnonzero(box_gaps(low, high, prev_rows, rows) <= gate * (1 + BOX_GAP_SLACK))
+        prev_rows, rows, gate = prev_rows[near], rows[near], gate[near]
+        dist = pair_distances(coords[prev_rows], confidence[prev_rows],
+                              coords[rows], confidence[rows])
+        hit = np.flatnonzero(dist <= gate)  # NaN (no shared joint) compares false
+        prev_rows, rows = prev_rows[hit], rows[hit]
+        frame_of = np.searchsorted(bounds_a, rows, side="right") - 1
+        candidates = list(zip(dist[hit].tolist(), (prev_rows - bounds_a[frame_of - 1]).tolist(),
+                              (rows - bounds_a[frame_of]).tolist()))
+        # prev_rows ascend, so a frame's candidates follow those of the frame before
+        cuts = [0, *np.searchsorted(prev_rows, bounds_a[:-1]).tolist()]
+
+        plans = [FramePlan(frames[q], frames[q - 1] if q else None, gates[q],
+                           tracked[bounds[q]:bounds[q + 1]], candidates[cuts[q]:cuts[q + 1]])
+                 for q in range(lead, len(frames))]
+        return plans, coords[bounds[lead]:], confidence[bounds[lead]:]
+
+    def _plan_of(self, frame: SkeletonFrame) -> FramePlan:
+        """The frame's plan; a frame not planned ahead is planned as a chunk
+        of one, against the frame matched last."""
+        plan = self._plans.pop(id(frame), None)
+        if plan is None:
+            (plan,), _, _ = self._plan_frames([frame])
+        return plan
+
+    def _missing_candidates(self, pids: list[int], frame: SkeletonFrame,
+                            gate: float) -> list[tuple[float, int, int]]:
+        """(distance, person id, skeleton index) within the gate for tracks
+        whose last skeleton is not in the plan's previous frame."""
+        refs = [self._rows[pid] for pid in pids]
+        dist = distance_matrix(np.stack([f.coords[s] for f, s in refs]),
+                               np.stack([f.confidence[s] for f, s in refs]),
+                               frame.coords, frame.confidence)
+        tracks, skeletons = np.nonzero(dist <= gate)
+        return [(d, pids[t], s) for d, t, s in zip(dist[tracks, skeletons].tolist(),
+                                                   tracks.tolist(), skeletons.tolist())]
 
     def match_frame(self, frame: SkeletonFrame) -> Assignment:
-        if self._last_frame_index is not None and frame.frame_index <= self._last_frame_index:
+        plan = self._plan_of(frame)
+        last = self._last_frame
+        if last is not None and frame.frame_index <= last.frame_index:
             raise SequencingError(
-                f"frame {frame.frame_index} not after frame {self._last_frame_index}"
+                f"frame {frame.frame_index} not after frame {last.frame_index}"
             )
-        self._last_frame_index = frame.frame_index
+        self._last_frame = frame
 
-        coords, confidence = frame.coords, frame.confidence
-        gate = self.max_match_distance
-        if gate is None:
-            gate = _frame_torso_gate(coords, confidence)
+        # the tracks seen in the frame before have their pairs in the plan
+        planned_from = last if plan.prev is last else None
+        last_ids = self._last_ids
+        candidates = ([(d, last_ids[p], s) for d, p, s in plan.candidates]
+                      if planned_from is not None else [])
+        if planned_from is None or len(self._rows) > len(last_ids):
+            missing = [pid for pid, (f, _) in self._rows.items() if f is not planned_from]
+            if missing:
+                candidates += self._missing_candidates(missing, frame, plan.gate)
+        candidates.sort()  # by distance, then person id, then skeleton index
 
-        assignment = Assignment(frame_index=frame.frame_index)
-        used_rows: set[int] = set()
-        used_skeletons: set[int] = set()
-        for row, sidx in self._candidates(coords, confidence, gate):
-            if row in used_rows or sidx in used_skeletons:
+        index = frame.frame_index
+        assignment = Assignment(frame_index=index)
+        ids = assignment.id_by_skeleton
+        used: set[int] = set()
+        for _, pid, sidx in candidates:
+            if pid in used or sidx in ids:
                 continue
-            used_rows.add(row)
-            used_skeletons.add(sidx)
-            pid = self._row_ids[row]
+            used.add(pid)
+            ids[sidx] = pid
             assignment.pairs.append((pid, sidx))
-            assignment.id_by_skeleton[sidx] = pid
             person = self.persons[pid]
-            person.last_seen_frame = frame.frame_index
+            person.last_seen_frame = index
             person.frames_missing = 0
-            self._coords[row] = coords[sidx]
-            self._confidence[row] = confidence[sidx]
+            self._rows[pid] = (frame, sidx)
 
-        fresh = []
-        for sidx in range(len(coords)):
+        for sidx, tracked in enumerate(plan.tracked):
             # a skeleton with no detected joint can never be matched again
-            if sidx in used_skeletons or not (confidence[sidx] > 0).any():
+            if sidx in ids or not tracked:
                 continue
             pid = self._next_id
             self._next_id += 1  # ids are never reused
-            self.persons[pid] = TrackedPerson(id=pid, last_seen_frame=frame.frame_index)
-            self._row_ids.append(pid)
-            fresh.append(sidx)
+            self.persons[pid] = TrackedPerson(id=pid, last_seen_frame=index)
+            self._rows[pid] = (frame, sidx)
             assignment.new_ids.append(sidx)
-            assignment.id_by_skeleton[sidx] = pid
-        if fresh:
-            self._coords = np.concatenate([self._coords, coords[fresh]])
-            self._confidence = np.concatenate([self._confidence, confidence[fresh]])
+            ids[sidx] = pid
 
-        retired_rows = []
-        for row, pid in enumerate(self._row_ids):
-            person = self.persons[pid]
-            if person.last_seen_frame != frame.frame_index:
-                person.frames_missing = frame.frame_index - person.last_seen_frame
-                if person.frames_missing > self.retention_window:
-                    assignment.retired.append(pid)
-                    retired_rows.append(row)
-                    del self.persons[pid]
-        if retired_rows:
-            self._row_ids = [pid for pid in self._row_ids if pid in self.persons]
-            self._coords = np.delete(self._coords, retired_rows, axis=0)
-            self._confidence = np.delete(self._confidence, retired_rows, axis=0)
+        if len(ids) < len(self.persons):  # someone was not seen
+            for pid, person in list(self.persons.items()):  # ascending id
+                if person.last_seen_frame != index:
+                    person.frames_missing = index - person.last_seen_frame
+                    if person.frames_missing > self.retention_window:
+                        assignment.retired.append(pid)
+                        del self.persons[pid]
+                        del self._rows[pid]
 
+        self._last_ids = dict(ids)
         assignment.pairs.sort()
         return assignment

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from repcount import pipeline
+from repcount import keypoints, pipeline
 from repcount.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATASET, EXIT_BAD_INPUT,
                           EXIT_BAD_MODEL, EXIT_OK, main)
 from repcount.keypoints import load_frames, serialize_frame, write_session_csv
@@ -491,6 +491,6 @@ def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_pat
     monkeypatch.setattr(pipeline.SessionEngine, "process_frame", wrapped)
     assert main([*argv, "--out-json", str(tmp_path / "wrapped.json")]) == EXIT_OK
     n_frames = len(session.read_text().splitlines())
-    assert n_frames > 2 * pipeline._LABEL_CHUNK_FRAMES
+    assert n_frames > 2 * keypoints.CHUNK_FRAMES
     assert seen == list(range(n_frames))
     assert (tmp_path / "wrapped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

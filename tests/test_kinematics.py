@@ -9,9 +9,10 @@ from hypothesis.extra.numpy import arrays
 from repcount import body25
 from repcount.body25 import NUM_JOINTS, mirror_triple
 from repcount.keypoints import RawSkeleton
-from repcount.kinematics import (DegenerateGeometryError, ExerciseProfile,
-                                 ProfileError, angle_for, builtin_profiles,
-                                 joint_angle, load_profiles)
+from repcount.kinematics import (LIMB_EPSILON, DegenerateGeometryError,
+                                 ExerciseProfile, ProfileError, angle_for,
+                                 angle_of_cosine, builtin_profiles, joint_angle,
+                                 load_profiles, profile_cosines)
 
 
 def reference_angle_for(profile, skel):
@@ -245,3 +246,87 @@ def test_angle_for_equals_numpy_scalar_reference(coords, conf, name):
     want = reference_angle_for(profile, skel)
     got = angle_for(profile, skel.coords, skel.confidence)
     assert got == want if want is not None else got is None
+
+
+ANGLE_CASES = ["as drawn", "limb at epsilon", "limb just above epsilon", "collinear",
+               "equal sides", "2-D", "missing side"]
+
+
+@st.composite
+def angle_rows(draw):
+    """(profile name, coords, confidences, case) of one row whose profile
+    triple may be degenerate, collinear, tied between sides, flat or
+    one-sided."""
+    name = draw(st.sampled_from(sorted(builtin_profiles())))
+    coords = draw(arrays(np.float64, (NUM_JOINTS, 3), elements=st.floats(-100, 100)))
+    conf = draw(arrays(np.float64, NUM_JOINTS, elements=CONFIDENCE_LEVELS))
+    case = draw(st.sampled_from(ANGLE_CASES))
+    primary = builtin_profiles()[name].joint_triple
+    side = draw(st.sampled_from([primary, mirror_triple(primary)]))
+    a, b, c = side
+    if case in ("limb at epsilon", "limb just above epsilon"):
+        length = LIMB_EPSILON if case == "limb at epsilon" else np.nextafter(LIMB_EPSILON, 1.0)
+        coords[b] = 0.0
+        coords[draw(st.sampled_from([a, c]))] = (length, 0.0, 0.0)
+    elif case == "collinear":
+        step = draw(arrays(np.float64, 3, elements=st.integers(-5, 5).map(float)))
+        coords[a] = coords[b] + draw(st.integers(1, 4)) * step
+        coords[c] = coords[b] + draw(st.integers(-4, 4)) * step
+    elif case == "equal sides":
+        level = draw(CONFIDENCE_LEVELS.filter(bool))
+        conf[list(primary) + list(mirror_triple(primary))] = level
+    elif case == "2-D":
+        coords[:, 2] = 0.0
+    elif case == "missing side":
+        conf[draw(st.sampled_from(side))] = 0.0
+    return name, coords, conf, case
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(angle_rows(), min_size=1, max_size=6))
+def test_chunk_angles_equal_scalar_angles(rows):
+    """profile_cosines over a chunk of rows gives, through angle_of_cosine,
+    the angles of joint_angle and of the side choice angle_for made with it
+    before, bit for bit; angle_for on one row agrees."""
+    profiles = builtin_profiles()
+    coords = np.stack([r[1] for r in rows])
+    conf = np.stack([r[2] for r in rows])
+    cosines = profile_cosines(profiles, coords, conf)
+    for i, (name, row_coords, row_conf, case) in enumerate(rows):
+        profile = profiles[name]
+        want = reference_angle_for(profile, RawSkeleton(row_coords, row_conf))
+        if case == "2-D" and want is not None:  # joint_angle's 2-D path: z read as 0
+            a, b, c = (row_coords[j][:2] for j in chosen_triple(profile, row_conf))
+            assert joint_angle(a, b, c) == want
+        for got in (angle_of_cosine(cosines[name][i]), angle_for(profile, row_coords, row_conf)):
+            assert got == want if want is not None else got is None
+
+
+def chosen_triple(profile, conf):
+    primary, mirrored = profile.joint_triple, mirror_triple(profile.joint_triple)
+    if not all(conf[j] > 0 for j in mirrored):
+        return primary
+    if not all(conf[j] > 0 for j in primary):
+        return mirrored
+    mean = [(conf[t[0]] + conf[t[1]] + conf[t[2]]) / 3.0 for t in (primary, mirrored)]
+    return primary if mean[0] >= mean[1] else mirrored
+
+
+def test_angle_cases_reach_their_edges():
+    """The cases above hit what they are named for: a limb of exactly
+    LIMB_EPSILON is a gap, one just above it is not, and a collinear
+    triple is clamped to 0 or 180 degrees."""
+    profile = builtin_profiles()["squat"]
+    a, b, c = profile.joint_triple
+    coords = np.zeros((NUM_JOINTS, 3))
+    conf = np.zeros(NUM_JOINTS)
+    conf[[a, b, c]] = 1.0
+    coords[c] = (0.0, 5.0, 0.0)
+    coords[a] = (LIMB_EPSILON, 0.0, 0.0)
+    assert angle_for(profile, coords, conf) is None
+    coords[a] = (np.nextafter(LIMB_EPSILON, 1.0), 0.0, 0.0)
+    assert angle_for(profile, coords, conf) == 90.0
+    coords[a], coords[c] = (1.0, 3.0, 2.0), (3.0, 9.0, 6.0)
+    assert angle_for(profile, coords, conf) == 0.0
+    coords[c] = (-3.0, -9.0, -6.0)
+    assert angle_for(profile, coords, conf) == 180.0

@@ -171,7 +171,7 @@ def streams(draw):
 def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, newline):
     want_frames, want_error = outcome(lambda: reference_iter_ndjson_frames(lines))
     data = "".join(line + newline for line in lines).encode("utf-8")
-    with mock.patch.object(keypoints, "_JSON_CHUNK_FRAMES", chunk_frames):
+    with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
         got = [outcome(lambda: iter_ndjson_frames(line + "\n" for line in lines)),
                outcome(lambda: read_ndjson(io.BytesIO(data)))]
     for got_frames, got_error in got:
@@ -207,7 +207,7 @@ def test_first_bad_document_wins(chunk_frames, first, second):
     lines = ['{"people": []}'] * 9
     for number, kind in (first, second):
         lines[number - 1] = BAD_DOCUMENTS[kind]
-    with mock.patch.object(keypoints, "_JSON_CHUNK_FRAMES", chunk_frames):
+    with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
         _, got = outcome(lambda: iter_ndjson_frames(lines))
     assert got == per_document_error(BAD_DOCUMENTS[first[1]], f"line {first[0]}")
 
@@ -218,7 +218,7 @@ def test_first_bad_file_wins(tmp_path, first, second):
         (tmp_path / f"{i:03d}.json").write_text('{"people": []}')
     for number, kind in (first, second):
         (tmp_path / f"{number - 1:03d}.json").write_text(BAD_DOCUMENTS[kind])
-    with mock.patch.object(keypoints, "_JSON_CHUNK_FRAMES", 5):
+    with mock.patch.object(keypoints, "CHUNK_FRAMES", 5):
         _, got = outcome(lambda: load_frames(tmp_path))
     path = tmp_path / f"{first[0] - 1:03d}.json"
     assert got == per_document_error(BAD_DOCUMENTS[first[1]], str(path))
@@ -243,7 +243,7 @@ def test_directory_frames_equal_stream_frames(tmp_path):
         lines.append(json.dumps({"people": [{"pose_keypoints_3d": p.ravel().tolist()}
                                             for p in flat]}))
         (tmp_path / f"{i:03d}.json").write_text(lines[-1])
-    with mock.patch.object(keypoints, "_JSON_CHUNK_FRAMES", 4):
+    with mock.patch.object(keypoints, "CHUNK_FRAMES", 4):
         got = load_frames(tmp_path)
     assert_same_frames(got, list(reference_iter_ndjson_frames(lines)))
 

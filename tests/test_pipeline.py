@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repcount import pipeline
+from repcount import keypoints, pipeline
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import (RawSkeleton, SkeletonFrame, normalize_frame,
                                 normalize_skeleton)
@@ -46,6 +46,23 @@ class TestEngineConfig:
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             EngineConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("gate", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+    def test_rejects_bad_max_match_distance(self, gate):
+        with pytest.raises(ValueError, match="max_match_distance must be None or a finite"):
+            EngineConfig(max_match_distance=gate)
+
+    @pytest.mark.parametrize("gate", [None, 0, 0.0, 1e9])
+    def test_accepts_max_match_distance(self, gate, trained_model):
+        """The accepted edges run: a still person is one person at any of them."""
+        model, thresholds, _ = trained_model
+        frames, _ = generate_session(SyntheticSessionSpec(
+            persons=(PersonMotion("squat", full_cycles=1),), seed=3))
+        still = [SkeletonFrame(f.frame_index, frames[0].coords, frames[0].confidence)
+                 for f in frames]
+        result = analyze_frames(still, model=model, thresholds=thresholds,
+                                config=EngineConfig(max_match_distance=gate))
+        assert len(result.summaries) == 1
 
 
 class TestEndToEnd:
@@ -211,6 +228,12 @@ class TestSkeletonWithoutJoints:
             tuple(truth[0]["expected_counts"])
 
 
+def chunk_labels(engine, frames):
+    """The engine's labels of frames planned as one chunk."""
+    return engine._chunk_labels(frames, np.concatenate([f.coords for f in frames]),
+                                np.concatenate([f.confidence for f in frames]))
+
+
 def test_batched_labels_equal_per_skeleton_labels(trained_model):
     model, thresholds, _ = trained_model
     spec = SyntheticSessionSpec(
@@ -227,9 +250,9 @@ def test_batched_labels_equal_per_skeleton_labels(trained_model):
             feature = normalize_skeleton(skel)
             labels.append(UNKNOWN if feature is None
                           else classify_with_reject(model, thresholds, feature))
-        assert engine._chunk_labels([f]) == [labels]
+        assert chunk_labels(engine, [f]) == [labels]
         want.append(labels)
-    assert engine._chunk_labels(frames) == want
+    assert chunk_labels(engine, frames) == want
     # the reject rule and every class are exercised
     assert {label for labels in want for label in labels} == {UNKNOWN, *model.class_names}
 
@@ -254,7 +277,7 @@ def frame_labels_reference(model, thresholds, coords, confidence):
 class PerFrameEngine(SessionEngine):
     """The engine with every frame labelled by the per-frame reference."""
 
-    def _chunk_labels(self, frames):
+    def _chunk_labels(self, frames, coords, confidence):
         return [frame_labels_reference(self.model, self.thresholds, f.coords, f.confidence)
                 for f in frames]
 
@@ -317,9 +340,9 @@ def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk):
         push(window, label)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_LABEL_CHUNK_FRAMES", chunk)
+        mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
         mp.setattr(LabelWindow, "push", recording_push)
-        assert SessionEngine(model=model, thresholds=thresholds)._chunk_labels(frames) == want
+        assert chunk_labels(SessionEngine(model=model, thresholds=thresholds), frames) == want
         chunked = analyze_frames(frames, model=model, thresholds=thresholds)
         chunked_pushed, pushed = pushed, []
         reference = PerFrameEngine(model=model, thresholds=thresholds)
@@ -333,7 +356,7 @@ def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, traine
     model, thresholds, _ = trained_model
     frames, _ = generate_session(SyntheticSessionSpec(
         persons=(PersonMotion("squat", full_cycles=3),), seed=20))
-    monkeypatch.setattr(pipeline, "_LABEL_CHUNK_FRAMES", 8)
+    monkeypatch.setattr(keypoints, "CHUNK_FRAMES", 8)
     engine = SessionEngine(model=model, thresholds=thresholds)
     engine.process_frames(frames[:12])
     assert not engine._pending
@@ -347,7 +370,7 @@ def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, traine
     monkeypatch.setattr(engine.tracker, "match_frame", failing_match)
     with pytest.raises(RuntimeError, match="tracker failed"):
         engine.process_frames(frames[12:])
-    assert not engine._pending
+    assert not engine._pending and not engine.tracker._plans
     engine.finalize()
     with pytest.raises(RuntimeError, match="finalized"):
         engine.process_frames(frames)

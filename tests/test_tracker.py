@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import statistics
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repcount import pipeline, recognizer, tracker
+from repcount import keypoints, pipeline, recognizer, tracker
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
-from repcount.pipeline import analyze_frames
+from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
+from repcount.reporting import render_json
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
 from repcount.tracker import (PoseTracker, SequencingError, distance_matrix,
@@ -71,6 +73,26 @@ class TestSkeletonDistance:
         conf[0] = 0.0
         b = RawSkeleton(coords=a.coords, confidence=conf)
         assert skeleton_distance(a2, b) == pytest.approx(0.0)
+
+
+class TestSettings:
+    @pytest.mark.parametrize("gate", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
+    def test_rejects_bad_max_match_distance(self, gate):
+        with pytest.raises(ValueError, match="max_match_distance must be None or a finite"):
+            PoseTracker(max_match_distance=gate)
+
+    @pytest.mark.parametrize("window", [-3, -1, 1.5, 30.0, True, "30", None])
+    def test_rejects_bad_retention_window(self, window):
+        with pytest.raises(ValueError, match="retention_window must be an int >= 0"):
+            PoseTracker(retention_window=window)
+
+    @pytest.mark.parametrize("gate", [None, 0, 0.0, 1e9])
+    @pytest.mark.parametrize("window", [0, 1, 30])
+    def test_accepts_edges(self, gate, window):
+        t = PoseTracker(max_match_distance=gate, retention_window=window)
+        s = skeleton_at((0, 0))
+        first = t.match_frame(frame(0, s)).id_by_skeleton
+        assert t.match_frame(frame(1, s)).id_by_skeleton == first == {0: 1}
 
 
 def brute_force_assignment(dist):
@@ -246,7 +268,7 @@ class TestDistanceMatrix:
                 if want is None:  # no shared joint is never a candidate
                     assert np.isnan(dist[p, s])
                 else:
-                    assert dist[p, s] == pytest.approx(want, rel=1e-12, abs=0.0)
+                    assert dist[p, s] == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1),
@@ -260,6 +282,81 @@ class TestDistanceMatrix:
         skeletons = random_skeletons(rng, n_skeletons)
         a = t.match_frame(frame(1, *skeletons))
         assert a.pairs == reference_match(persons, skeletons, gate)
+
+
+def partly_seen(rng, joints):
+    """A skeleton near the origin with only the given joints detected."""
+    coords = rng.normal(0.0, 40.0, size=(NUM_JOINTS, 3))
+    conf = np.zeros(NUM_JOINTS)
+    conf[list(joints)] = rng.uniform(0.05, 1.0, len(joints))
+    coords[conf == 0] = 0.0
+    return RawSkeleton(coords=coords, confidence=conf)
+
+
+def stacked(skeletons):
+    return (np.stack([s.coords for s in skeletons]).reshape(-1, NUM_JOINTS, 3),
+            np.stack([s.confidence for s in skeletons]).reshape(-1, NUM_JOINTS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, NUM_JOINTS - 1), min_size=3, max_size=3, unique=True))
+def test_one_distance_rule(n_old, n_new, seed, joints):
+    """skeleton_distance, distance_matrix, a frame's plan and the distances
+    of tracks missing from the frame before are one rule, bit for bit; the
+    last skeletons of each side share exactly one joint, or none."""
+    rng = np.random.default_rng(seed)
+    j, k, m = joints
+    old = random_skeletons(rng, n_old) + [partly_seen(rng, (j, k)), partly_seen(rng, (k,))]
+    new = random_skeletons(rng, n_new) + [partly_seen(rng, (j, m)), partly_seen(rng, (m,))]
+    want = np.array([[np.nan if (d := skeleton_distance(a, b)) is None else d for b in new]
+                     for a in old])
+    assert want[-2, -2] == skeleton_distance(old[-2], new[-2]) is not None  # joint j alone
+    assert skeleton_distance(old[-1], new[-1]) is None
+    assert np.array_equal(distance_matrix(*stacked(old), *stacked(new)), want, equal_nan=True)
+    rows, cols = np.nonzero(~np.isnan(want))
+    assert np.array_equal(tracker.pair_distances(*stacked([old[r] for r in rows]),
+                                                 *stacked([new[c] for c in cols])),
+                          want[rows, cols])
+
+    before, after = frame(0, *old), frame(2, *new)
+    (_, plan), _, _ = PoseTracker(1e9)._plan_frames([before, after])
+    assert plan.candidates == [(want[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())]
+
+    seen = []
+
+    def recording_matrix(*args):
+        seen.append(distance_matrix(*args))
+        return seen[-1]
+
+    t = PoseTracker(1e9)
+    ids = t.match_frame(before).id_by_skeleton
+    t.match_frame(frame(1))  # every track goes missing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracker, "distance_matrix", recording_matrix)
+        t.match_frame(after)
+    (measured,) = seen
+    tracked = [sidx for sidx in range(len(old)) if sidx in ids]
+    assert np.array_equal(measured, want[tracked], equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0, 40.0, 1e6]),
+       st.sampled_from([0.0, 1.0, 1e3, 1e9]))
+def test_box_gap_bounds_the_distance(seed, spread, offset):
+    """The gap between two skeletons' detected-joint boxes is at most their
+    distance, up to the slack the pruning allows for rounding."""
+    rng = np.random.default_rng(seed)
+    a, b = random_skeletons(rng, 2, spread)
+    b = RawSkeleton(b.coords + rng.uniform(-1, 1, 3) * offset, b.confidence)
+    d = skeleton_distance(a, b)
+    coords, confidence = stacked([a, b])
+    low, high = tracker.detected_boxes(coords, confidence > 0)
+    (gap,) = tracker.box_gaps(low, high, np.array([0]), np.array([1]))
+    if d is None:
+        assert gap >= 0.0
+    else:
+        assert gap <= d * (1 + tracker.BOX_GAP_SLACK)
 
 
 def crowd_session(n_persons=16, cycles=2, seed=4):
@@ -299,7 +396,7 @@ def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
     monkeypatch.setattr(tracker, "skeleton_distance", counting_distance)
     monkeypatch.setattr(pipeline, "normalize_frame", counting_normalize)
     monkeypatch.setattr(recognizer, "forward", counting_forward)
-    monkeypatch.setattr(pipeline, "_LABEL_CHUNK_FRAMES", chunk)
+    monkeypatch.setattr(keypoints, "CHUNK_FRAMES", chunk)
     result = analyze_frames(frames, model=model, thresholds=thresholds)
     normalizable = [sum(normalize_skeleton(s) is not None for s in f.skeletons)
                     for f in frames]
@@ -309,3 +406,221 @@ def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
     assert calls["forward"] == math.ceil(len(frames) / chunk)
     assert calls["rows"] == sum(normalizable)
     assert len(result.summaries) == 16
+
+
+# The tracker as it matched frame by frame before matching was planned per
+# chunk, kept as the reference the planned tracker must equal.
+def reference_row_distance(coords_a, confidence_a, coords_b, confidence_b):
+    shared = (confidence_a > 0) & (confidence_b > 0)
+    if not shared.any():
+        return None
+    diffs = coords_a[shared] - coords_b[shared]
+    norms = np.sqrt((diffs * diffs).sum(axis=1))
+    return float(norms.sum() / len(norms))
+
+
+def reference_torso_gate(coords, confidence):
+    seen = np.minimum(confidence[:, NECK], confidence[:, MID_HIP]).tolist()
+    deltas = (coords[:, NECK] - coords[:, MID_HIP]).tolist()
+    torsos = [math.sqrt(dx * dx + dy * dy + dz * dz)
+              for (dx, dy, dz), c in zip(deltas, seen) if c > 0]
+    if not torsos:
+        return float("inf")
+    return tracker.AUTO_GATE_TORSO_FRACTION * statistics.median(torsos)
+
+
+def reference_distance_matrix(track_coords, track_confidence, coords, confidence):
+    shared = (track_confidence > 0)[:, None, :] & (confidence > 0)[None, :, :]
+    n_tracks, n_skeletons = len(track_coords), len(coords)
+    diffs = track_coords.reshape(n_tracks, 1, -1) - coords.reshape(1, n_skeletons, -1)
+    sq = (diffs * diffs).reshape(n_tracks, n_skeletons, NUM_JOINTS, 3)
+    norms = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+    n_shared = shared.sum(axis=2)
+    with np.errstate(invalid="ignore"):
+        return np.where(shared, norms, 0.0).sum(axis=2) / n_shared
+
+
+class ReferenceTracker:
+    """PoseTracker.match_frame as it was, one frame at a time; it plans nothing."""
+
+    def __init__(self, max_match_distance=None, retention_window=30):
+        self.max_match_distance = max_match_distance
+        self.retention_window = retention_window
+        self.persons = {}
+        self._next_id = 1
+        self._last_frame_index = None
+        self._row_ids = []
+        self._coords = np.zeros((0, NUM_JOINTS, 3))
+        self._confidence = np.zeros((0, NUM_JOINTS))
+
+    def plan(self, frames):
+        return (np.concatenate([f.coords for f in frames]),
+                np.concatenate([f.confidence for f in frames]))
+
+    def clear_plans(self):
+        pass
+
+    def _candidates(self, coords, confidence, gate):
+        n_pairs = len(self._row_ids) * len(coords)
+        if n_pairs == 0:
+            return []
+        if n_pairs == 1:
+            d = reference_row_distance(self._coords[0], self._confidence[0],
+                                       coords[0], confidence[0])
+            return [(0, 0)] if d is not None and d <= gate else []
+        dist = reference_distance_matrix(self._coords, self._confidence, coords, confidence)
+        rows, cols = np.nonzero(dist <= gate)
+        order = np.argsort(dist[rows, cols], kind="stable")
+        return list(zip(rows[order].tolist(), cols[order].tolist()))
+
+    def match_frame(self, frame):
+        if self._last_frame_index is not None and frame.frame_index <= self._last_frame_index:
+            raise SequencingError(frame.frame_index)
+        self._last_frame_index = frame.frame_index
+        coords, confidence = frame.coords, frame.confidence
+        gate = self.max_match_distance
+        if gate is None:
+            gate = reference_torso_gate(coords, confidence)
+        assignment = tracker.Assignment(frame_index=frame.frame_index)
+        used_rows, used_skeletons = set(), set()
+        for row, sidx in self._candidates(coords, confidence, gate):
+            if row in used_rows or sidx in used_skeletons:
+                continue
+            used_rows.add(row)
+            used_skeletons.add(sidx)
+            pid = self._row_ids[row]
+            assignment.pairs.append((pid, sidx))
+            assignment.id_by_skeleton[sidx] = pid
+            person = self.persons[pid]
+            person.last_seen_frame = frame.frame_index
+            person.frames_missing = 0
+            self._coords[row] = coords[sidx]
+            self._confidence[row] = confidence[sidx]
+        fresh = []
+        for sidx in range(len(coords)):
+            if sidx in used_skeletons or not (confidence[sidx] > 0).any():
+                continue
+            pid = self._next_id
+            self._next_id += 1
+            self.persons[pid] = tracker.TrackedPerson(id=pid, last_seen_frame=frame.frame_index)
+            self._row_ids.append(pid)
+            fresh.append(sidx)
+            assignment.new_ids.append(sidx)
+            assignment.id_by_skeleton[sidx] = pid
+        if fresh:
+            self._coords = np.concatenate([self._coords, coords[fresh]])
+            self._confidence = np.concatenate([self._confidence, confidence[fresh]])
+        retired_rows = []
+        for row, pid in enumerate(self._row_ids):
+            person = self.persons[pid]
+            if person.last_seen_frame != frame.frame_index:
+                person.frames_missing = frame.frame_index - person.last_seen_frame
+                if person.frames_missing > self.retention_window:
+                    assignment.retired.append(pid)
+                    retired_rows.append(row)
+                    del self.persons[pid]
+        if retired_rows:
+            self._row_ids = [pid for pid in self._row_ids if pid in self.persons]
+            self._coords = np.delete(self._coords, retired_rows, axis=0)
+            self._confidence = np.delete(self._confidence, retired_rows, axis=0)
+        assignment.pairs.sort()
+        return assignment
+
+
+@functools.cache
+def close_persons_source():
+    """Four persons closer together than a body, so that gates and pairs
+    are often in doubt."""
+    spec = SyntheticSessionSpec(
+        persons=tuple(PersonMotion(ex, full_cycles=3, noise_sigma=5.0, gap_rate=0.05)
+                      for ex in ("squat", "push-up", "squat", "pull-up")),
+        spacing=40.0, shuffle_order=True, seed=31)
+    return generate_session(spec)[0]
+
+
+GRID_PATTERN = np.random.default_rng(5).integers(-20, 21, size=(NUM_JOINTS, 3)).astype(float)
+GRID_PATTERN[:, 2] = 0.0
+GRID_PATTERN[NECK] = (0.0, 10.0, 0.0)
+GRID_PATTERN[MID_HIP] = (0.0, 0.0, 0.0)
+
+
+def grid_skeleton(column, step):
+    """GRID_PATTERN moved `step` times by (3, 4, 0) within its column, so
+    that two copies in a column lie exactly 5 per step apart, and the
+    automatic gate (half the torso of 10) is 5: distances meet gates and
+    tie exactly."""
+    return GRID_PATTERN + np.array([200.0 * column + 3.0 * step, 4.0 * step, 0.0])
+
+
+@st.composite
+def tracked_sessions(draw):
+    """Frames of close persons or of exact grid copies. Frames may be empty,
+    skip frame indices, lose persons for a while, lose joints or keep only
+    a few, or hold a skeleton without any detected joint."""
+    grid = draw(st.booleans())
+    source = close_persons_source()
+    start = draw(st.integers(0, len(source) - 45))
+    away = draw(st.integers(0, 3))  # this person leaves for away_for frames
+    away_from = draw(st.integers(0, 30))
+    away_for = draw(st.integers(0, 35))
+    frames, index = [], 0
+    for k in range(draw(st.integers(1, 40))):
+        index += draw(st.sampled_from([1] * 8 + [2, 3, 31, 40]))
+        if grid:
+            spots = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(-2, 2)),
+                                  max_size=4, unique=True))
+            coords = np.array([grid_skeleton(c, s) for c, s in spots])
+            conf = np.ones((len(spots), NUM_JOINTS))
+        else:
+            f = source[start + k]
+            keep = [p for p in range(len(f.coords))
+                    if not (p == away and away_from <= k < away_from + away_for)]
+            keep = [p for p in keep if draw(st.integers(0, 9)) > 0]
+            order = draw(st.permutations(keep))
+            coords, conf = f.coords[order].copy(), f.confidence[order].copy()
+        coords = coords.reshape(-1, NUM_JOINTS, 3)
+        conf = conf.reshape(-1, NUM_JOINTS)
+        if draw(st.integers(0, 9)) == 0:
+            coords, conf = coords[:0], conf[:0]
+        for i in range(len(conf)):
+            lost = draw(st.lists(st.integers(0, NUM_JOINTS - 1), max_size=4))
+            conf[i, lost] = 0.0
+            if draw(st.integers(0, 3)) == 0:  # a small box: its gap nears the distance
+                kept = draw(st.lists(st.integers(0, NUM_JOINTS - 1), min_size=1, max_size=3))
+                conf[i, [j for j in range(NUM_JOINTS) if j not in kept]] = 0.0
+        if draw(st.integers(0, 5)) == 0:  # a skeleton without a detected joint
+            at = draw(st.integers(0, len(conf)))
+            coords = np.insert(coords, at, 0.0, axis=0)
+            conf = np.insert(conf, at, 0.0, axis=0)
+        coords[conf == 0] = 0.0
+        frames.append(SkeletonFrame(index, coords, conf))
+    return frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(tracked_sessions(), st.integers(1, 9), st.sampled_from([None, 0.0, 5.0, 20.0, 1e9]),
+       st.sampled_from([0, 1, 3, 30]))
+def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, gate, window):
+    """Matching from chunk plans, of any chunk size, gives the assignments
+    and the report of the per-frame tracker it replaced."""
+    model, thresholds, _ = trained_model
+
+    def run(make_tracker):
+        engine = SessionEngine(model=model, thresholds=thresholds,
+                               config=EngineConfig(max_match_distance=gate))
+        engine.tracker = make_tracker(gate, retention_window=window)
+        match, seen = engine.tracker.match_frame, []
+
+        def recording_match(frame):
+            seen.append(match(frame))
+            return seen[-1]
+
+        engine.tracker.match_frame = recording_match
+        engine.process_frames(frames)
+        return [(a.frame_index, a.pairs, a.new_ids, a.retired, a.id_by_skeleton)
+                for a in seen], render_json(engine.finalize())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
+        planned = run(PoseTracker)
+    assert planned == run(ReferenceTracker)
