@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .counting import DEFAULT_TOLERANCE_DEG
-from .keypoints import (ParseError, SchemaError, _raise_not_utf8, load_frames, normalize_frame,
-                        read_ndjson, serialize_frame, write_session_csv)
+from .keypoints import (ParseError, SchemaError, _raise_not_utf8, load_chunks, load_frames,
+                        normalize_frame, read_ndjson, serialize_frame, write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
-from .pipeline import EngineConfig, SessionEngine, analyze_frames
+from .pipeline import EngineConfig, SessionEngine
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
                          TrainingError, calibrate_reject, load_model, save_model,
                          train)
@@ -50,10 +50,21 @@ def _train_arg_error(args) -> str | None:
     return None
 
 
-def _read_frames(args):
-    if args.input == "-":
-        return read_ndjson(sys.stdin.buffer)
-    return load_frames(args.input)
+def _read_chunks(args):
+    """The input's chunks, or None once the reason it is unreadable is printed."""
+    try:
+        return read_ndjson(sys.stdin.buffer) if args.input == "-" else load_chunks(args.input)
+    except (OSError, ParseError, SchemaError) as exc:
+        print(f"error: unreadable input: {exc}", file=sys.stderr)
+        return None
+
+
+def _run_chunks(chunks, model, thresholds, profiles, config=EngineConfig()) -> SessionEngine:
+    """A fresh engine that has processed the chunks, in order."""
+    engine = SessionEngine(model=model, thresholds=thresholds, profiles=profiles, config=config)
+    for chunk in chunks:
+        engine.process_chunk(chunk)
+    return engine
 
 
 def cmd_analyze(args) -> int:
@@ -69,15 +80,10 @@ def cmd_analyze(args) -> int:
         print(f"error: invalid profile config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     model, thresholds = load_model(args.model) if args.model else (None, None)
-    try:
-        frames = _read_frames(args)
-    except (OSError, ParseError, SchemaError) as exc:
-        print(f"error: unreadable input: {exc}", file=sys.stderr)
+    if (chunks := _read_chunks(args)) is None:
         return EXIT_BAD_INPUT
 
-    engine = SessionEngine(model=model, thresholds=thresholds,
-                           profiles=profiles, config=config)
-    engine.process_frames(frames)
+    engine = _run_chunks(chunks, model, thresholds, profiles, config)
     result = engine.finalize()
 
     text = render_text(result)
@@ -228,22 +234,20 @@ def cmd_bench(args) -> int:
         print("error: --repetitions must be >= 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
     model, thresholds = load_model(args.model) if args.model else (None, None)
-    try:
-        frames = _read_frames(args)
-    except (OSError, ParseError, SchemaError) as exc:
-        print(f"error: unreadable input: {exc}", file=sys.stderr)
+    if (chunks := _read_chunks(args)) is None:
         return EXIT_BAD_INPUT
     profiles = builtin_profiles()
+    frames = sum(len(chunk.sizes) for chunk in chunks)
 
     # post-pose pipeline throughput: parsing excluded, everything else included
     rates = []
     for _ in range(args.repetitions):
         start = time.perf_counter()
-        analyze_frames(frames, model=model, thresholds=thresholds, profiles=profiles)
-        rates.append(len(frames) / (time.perf_counter() - start))
+        _run_chunks(chunks, model, thresholds, profiles).finalize()
+        rates.append(frames / (time.perf_counter() - start))
     median_fps = statistics.median(rates)
 
-    print(f"frames: {len(frames)}  runs: {args.repetitions}")
+    print(f"frames: {frames}  runs: {args.repetitions}")
     print(f"pipeline throughput: {median_fps:.0f} frames/s (median)")
     return EXIT_OK
 

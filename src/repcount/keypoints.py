@@ -14,6 +14,7 @@ import json
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional, Sequence
@@ -77,34 +78,49 @@ class SkeletonFrame:
         return cls(frame_index, np.stack([s.coords for s in skeletons], dtype=np.float64),
                    np.stack([s.confidence for s in skeletons], dtype=np.float64))
 
-    @classmethod
-    def split(cls, indices: Sequence[int], sizes: Sequence[int], coords: np.ndarray,
-              confidence: np.ndarray) -> list[SkeletonFrame]:
-        """Frames indices[k] holding the next sizes[k] rows of the (N, 25, 3)
-        coords and (N, 25) confidences, in order, as row slices.
-
-        The pair is checked once, by the rule each frame is held to, and made
-        read-only, so the slices are not checked again. It is rejected
-        exactly when one of its frames would be."""
-        if sum(sizes) != len(coords):
-            raise SchemaError(f"frame sizes add up to {sum(sizes)}, not to {len(coords)} rows")
-        _check_frame_arrays(min(indices, default=0), coords, confidence)
-        frames = []
-        start = 0
-        for index, end in zip(indices, accumulate(sizes)):
-            frame = object.__new__(cls)  # checked above: __init__ would check again
-            object.__setattr__(frame, "frame_index", index)
-            object.__setattr__(frame, "coords", coords[start:end])
-            object.__setattr__(frame, "confidence", confidence[start:end])
-            frames.append(frame)
-            start = end
-        return frames
-
     @property
     def skeletons(self) -> tuple[RawSkeleton, ...]:
         """Row views of the arrays, one per person; built on each access,
         so read it once per frame."""
         return tuple(map(RawSkeleton, self.coords, self.confidence))
+
+
+@dataclass(frozen=True, eq=False)
+class FrameChunk:
+    """Consecutive frames as one array pair: frame indices[k] holds the next
+    sizes[k] rows of the (N, 25, 3) coords and (N, 25) confidences.
+
+    The pair is checked once, by the rule each frame is held to, and made
+    read-only; it is rejected exactly when one of its frames would be."""
+
+    indices: Sequence[int]
+    sizes: Sequence[int]
+    coords: np.ndarray
+    confidence: np.ndarray
+
+    def __post_init__(self):
+        if len(self.indices) != len(self.sizes) or sum(self.sizes) != len(self.coords):
+            raise SchemaError("a chunk needs one size per frame, and the sizes add up to its rows")
+        _check_frame_arrays(min(self.indices, default=0), self.coords, self.confidence)
+
+    @classmethod
+    def of(cls, frames: Sequence[SkeletonFrame]) -> FrameChunk:
+        """One or more frames, in order, stacked into a chunk."""
+        return cls([f.frame_index for f in frames], [len(f.coords) for f in frames],
+                   np.concatenate([f.coords for f in frames]),
+                   np.concatenate([f.confidence for f in frames]))
+
+    @cached_property
+    def frames(self) -> list[SkeletonFrame]:
+        """The frames, as row views of the chunk's arrays."""
+        frames = []
+        for index, start, end in zip(self.indices, accumulate(self.sizes, initial=0),
+                                     accumulate(self.sizes)):
+            frame = object.__new__(SkeletonFrame)  # checked with the chunk: no __init__
+            frame.__dict__.update(frame_index=index, coords=self.coords[start:end],
+                                  confidence=self.confidence[start:end])
+            frames.append(frame)
+        return frames
 
 
 def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.ndarray) -> None:
@@ -127,9 +143,9 @@ def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.nda
 # packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
 # as doubles
 _KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
-# frames handled together: format-A documents decoded at once, and frames the
-# engine plans at once (SessionEngine.process_frames); enough to amortize the
-# NumPy calls per chunk over its frames, few enough that a chunk stays small
+# the most frames of a FrameChunk a loader makes, and so the frames the engine
+# plans at once; enough to amortize the NumPy calls per chunk over its frames,
+# few enough that a chunk stays small
 CHUNK_FRAMES = 64
 
 
@@ -174,10 +190,10 @@ def _utf8(data: bytes) -> str:
         raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start) from exc
 
 
-def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> list[SkeletonFrame]:
-    """Frames first_index, first_index + 1, ... from format-A documents, as
-    row slices of one array pair. Raises the error of the first document to
-    fail a structural check, or else one of the pair's value checks."""
+def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
+    """The chunk of frames first_index, first_index + 1, ... of format-A
+    documents. Raises the error of the first document to fail a structural
+    check, or else one of the chunk's value checks."""
     packed: dict[int, list[bytes]] = {3: [], 4: []}  # per stride, in row order
     rows: dict[int, list[int]] = {3: [], 4: []}  # per stride, the rows packed
     sizes: list[int] = []
@@ -218,13 +234,12 @@ def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> list[Skeleto
     undetected = confidence == 0
     coords[undetected] = 0.0
     confidence[undetected] = 0.0  # -0.0 becomes 0.0
-    return SkeletonFrame.split(range(first_index, first_index + len(docs)), sizes,
-                               coords, confidence)
+    return FrameChunk(range(first_index, first_index + len(docs)), sizes, coords, confidence)
 
 
 def parse_frame(data: bytes | str, frame_index: int) -> SkeletonFrame:
     """Parse one keypoint frame document (input format A); bytes must be UTF-8."""
-    return _decode_chunk([data], frame_index)[0]
+    return _decode_chunk([data], frame_index).frames[0]
 
 
 def serialize_frame(frame: SkeletonFrame) -> bytes:
@@ -241,15 +256,14 @@ def _located(exc: ParseError | SchemaError, where: str) -> ParseError | SchemaEr
     return SchemaError(f"{where}: {exc}")
 
 
-def _decode_located(docs: list[str | bytes], places: list[str],
-                    first_index: int) -> list[SkeletonFrame]:
-    """_decode_chunk(docs, ...); when it fails, the documents are decoded
-    again one by one, and the error of the first bad one is raised, prefixed
-    by its place."""
+def _decode_located(docs: list[tuple[str, str | bytes]], first_index: int) -> FrameChunk:
+    """_decode_chunk of (place, document) pairs; when it fails, the documents
+    are decoded again one by one, and the error of the first bad one is
+    raised, prefixed by its place."""
     try:
-        return _decode_chunk(docs, first_index)
+        return _decode_chunk([doc for _, doc in docs], first_index)
     except (ParseError, SchemaError):
-        for k, (doc, place) in enumerate(zip(docs, places)):
+        for k, (place, doc) in enumerate(docs):
             try:
                 _decode_chunk([doc], first_index + k)
             except (ParseError, SchemaError) as exc:
@@ -257,71 +271,65 @@ def _decode_located(docs: list[str | bytes], places: list[str],
         raise  # unreachable: a chunk fails only where one of its documents does
 
 
-def _stripped(line: str | bytes) -> str | bytes:
-    """line without surrounding whitespace, decoded when it is UTF-8 bytes;
-    other bytes are left for _decode_chunk to reject in line order."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            pass
-    return line.strip()
+def _stripped(line: bytes) -> str | bytes:
+    """line without surrounding whitespace, decoded when it is UTF-8; other
+    bytes are left for _decode_chunk to reject in line order."""
+    try:
+        return line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return line.strip()
 
 
-def iter_ndjson_frames(lines: Iterable[str | bytes]) -> Iterator[SkeletonFrame]:
-    """Yield frames from a newline-delimited stream of format-A documents,
-    decoded in chunks of CHUNK_FRAMES; a bytes line must be UTF-8.
-    A bad document's error names its line (1-based, blank lines counted)."""
+def _decoded_chunks(docs: Iterable[tuple[str, str | bytes]]) -> Iterator[FrameChunk]:
+    """Yield the chunks, of CHUNK_FRAMES frames but the last, of format-A
+    documents given as (place, document) pairs. A bad document's error names
+    its place; an OSError of reading a document comes after the error of a
+    bad one before it."""
+    batch: list[tuple[str, str | bytes]] = []
     index = 0
-    docs: list[str | bytes] = []
-    places: list[str] = []
-    for number, line in enumerate(lines, 1):
-        line = _stripped(line)
-        if not line:
-            continue
-        docs.append(line)
-        places.append(f"line {number}")
-        if len(docs) == CHUNK_FRAMES:
-            yield from _decode_located(docs, places, index)
-            index += len(docs)
-            docs, places = [], []
-    if docs:
-        yield from _decode_located(docs, places, index)
+    try:
+        for doc in docs:
+            batch.append(doc)
+            if len(batch) == CHUNK_FRAMES:
+                yield _decode_located(batch, index)
+                index += len(batch)
+                batch = []
+    except OSError:
+        _decode_located(batch, index)
+        raise
+    if batch:
+        yield _decode_located(batch, index)
 
 
-def read_ndjson(fh: BinaryIO) -> list[SkeletonFrame]:
-    """The frames of a binary stream of format-A documents, one a line.
+def read_ndjson(fh: BinaryIO) -> list[FrameChunk]:
+    """The chunks of a binary stream of format-A documents, one a line.
 
     Lines end at LF, CR or CRLF, as in text mode; each is decoded from
-    UTF-8 on its own, so a bad byte's error names its line."""
+    UTF-8 on its own, so a bad byte's error names its line (1-based, blank
+    lines counted)."""
     lines = (part for line in fh
              for part in (line.splitlines() if b"\r" in line else (line,)))
-    return list(iter_ndjson_frames(lines))
+    return list(_decoded_chunks((f"line {number}", line)
+                                for number, line in enumerate(map(_stripped, lines), 1) if line))
 
 
-def load_frames(path: str | Path) -> list[SkeletonFrame]:
-    """Load a session from a directory of per-frame JSON files (lexicographic
-    order), a newline-delimited JSON file, or a format-B CSV file."""
+def load_chunks(path: str | Path) -> list[FrameChunk]:
+    """Load a session, in chunks of at most CHUNK_FRAMES frames, from a
+    directory of per-frame JSON files (lexicographic order), a
+    newline-delimited JSON file, or a format-B CSV file."""
     path = Path(path)
     if path.is_dir():
-        children = sorted(path.glob("*.json"))
-        frames = []
-        for start in range(0, len(children), CHUNK_FRAMES):
-            chunk = children[start:start + CHUNK_FRAMES]
-            places = list(map(str, chunk))
-            docs = []
-            for child in chunk:
-                try:
-                    docs.append(child.read_bytes())
-                except OSError:  # a bad file before this one is named first
-                    _decode_located(docs, places, start)
-                    raise
-            frames += _decode_located(docs, places, start)
-        return frames
+        return list(_decoded_chunks((str(child), child.read_bytes())
+                                    for child in sorted(path.glob("*.json"))))
     if path.suffix.lower() == ".csv":
         return load_session_csv(path)
     with open(path, "rb") as fh:
         return read_ndjson(fh)
+
+
+def load_frames(path: str | Path) -> list[SkeletonFrame]:
+    """The frames of load_chunks(path), in order."""
+    return [frame for chunk in load_chunks(path) for frame in chunk.frames]
 
 
 # the format-B columns, in the order of the fields of _CSV_ROW
@@ -333,14 +341,15 @@ _CSV_ROW = np.dtype([("frame", np.int64), ("person", np.int64), ("joint", np.int
 _CSV_CHUNK_ROWS = 8192
 
 
-def load_session_csv(path: str | Path) -> list[SkeletonFrame]:
+def load_session_csv(path: str | Path) -> list[FrameChunk]:
     """Load a session CSV (format B): the columns frame, person, joint, x, y,
     z and confidence, found by name in the header, in any order and among
     any others.
 
     Rows may come in any order; blank lines are skipped, and of repeated
     (frame, person, joint) rows the last one counts. Frames come out sorted
-    by frame number, their persons by id. Rows are read in chunks by
+    by frame number, their persons by id, in chunks of at most CHUNK_FRAMES
+    frames that are row views of one array pair. Rows are read in chunks by
     np.loadtxt; when one is rejected, the first bad row of the file is
     reported with its line number. A file that is not UTF-8 raises a
     ParseError naming the line and byte of its first bad byte.
@@ -359,8 +368,12 @@ def load_session_csv(path: str | Path) -> list[SkeletonFrame]:
     coords = coords[order]
     confidence = confidence[order]
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
-    return SkeletonFrame.split(frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist(),
-                               coords, confidence)
+    indices, sizes = frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist()
+    cuts = [*starts[::CHUNK_FRAMES].tolist(), len(frame)]  # the chunks' first rows, and the end
+    coords.flags.writeable = confidence.flags.writeable = False  # as each chunk's view
+    return [FrameChunk(indices[k:k + CHUNK_FRAMES], sizes[k:k + CHUNK_FRAMES],
+                       coords[a:b], confidence[a:b])
+            for k, a, b in zip(range(0, len(indices), CHUNK_FRAMES), cuts, cuts[1:])]
 
 
 def _read_csv_rows(fh, usecols: list[int],

@@ -1,13 +1,13 @@
 """The end-to-end session engine: parse -> track -> recognize -> angle ->
 condition -> count -> report.
 
-One SessionEngine processes one frame stream sequentially. What depends
-only on a frame, or on it and the frame before it, is planned for a chunk
-of frames at once from one stack of their rows: the tracker's gates and
+One SessionEngine processes one frame stream sequentially, a FrameChunk at
+a time. What depends only on a frame, or on it and the frame before it, is
+planned for the whole chunk on its own arrays: the tracker's gates and
 candidate distances, the labels, and the angle cosines of every profile.
 Matching, the label vote, angles, conditioning and counting then run frame
-by frame on the plan. Each tracked person carries a label window and a
-stack of exercise sets; when the windowed label switches to a different
+by frame (process_frame), each frame handed its plan. Each tracked person
+carries a label window and a stack of exercise sets; when the windowed label switches to a different
 known exercise the current set's counter is finalized and a new one
 starts. Unknown and warmup labels pause counting without closing the set.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, islice
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import keypoints
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
-from .keypoints import SkeletonFrame, normalize_frame
+from .keypoints import FrameChunk, SkeletonFrame, normalize_frame
 # angle_for stays bound here for tools that trace the engine's angle step by
 # this name; the engine measures angles through profile_cosines
 from .kinematics import (ExerciseProfile, angle_for, angle_of_cosine,  # noqa: F401
@@ -31,7 +31,7 @@ from .kinematics import (ExerciseProfile, angle_for, angle_of_cosine,  # noqa: F
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
 from .reporting import PersonSummary, SessionResult
-from .tracker import PoseTracker, check_match_settings
+from .tracker import FramePlan, PoseTracker, check_match_settings
 
 
 @dataclass
@@ -72,9 +72,10 @@ class _PersonState:
 class _Planned(NamedTuple):
     """A frame's part of its chunk's plan."""
 
-    labels: list[str]  # per skeleton
+    labels: list[str]  # the chunk's, per row
     cosines: dict[str, list[float]]  # the chunk's profile_cosines
-    row: int  # the frame's first row in the chunk's cosine lists
+    row: int  # the frame's first row in the chunk
+    match: FramePlan  # the tracker's plan of the frame
 
 
 class SessionEngine:
@@ -90,33 +91,36 @@ class SessionEngine:
         self.persons: dict[int, _PersonState] = {}
         self.frame_count = 0
         self._finalized = False
-        # plans of the frames of the chunk in hand, by id() of the frame
-        self._pending: dict[int, _Planned] = {}
+        # the next frame process_chunk hands to process_frame, and its plan
+        self._next: tuple[Optional[SkeletonFrame], Optional[_Planned]] = (None, None)
 
     def process_frames(self, frames: Iterable[SkeletonFrame]) -> None:
-        """Process frames in order, planning each chunk of
-        keypoints.CHUNK_FRAMES frames together before processing its frames
-        one by one; nothing planned ahead outlives the call."""
-        if self._finalized:
-            raise RuntimeError("session already finalized")
+        """Process frames in order, stacked in chunks of keypoints.CHUNK_FRAMES."""
         frames = iter(frames)
         while chunk := list(islice(frames, keypoints.CHUNK_FRAMES)):
-            try:
-                self._pending.update(zip(map(id, chunk), self._plan_chunk(chunk)))
-                for frame in chunk:
-                    self.process_frame(frame)
-            finally:  # the chunk holds its frames, so their ids stay theirs
-                self._pending.clear()
-                self.tracker.clear_plans()
+            self.process_chunk(FrameChunk.of(chunk))
+
+    def process_chunk(self, chunk: FrameChunk) -> None:
+        """Plan the chunk's frames together, then process them one by one;
+        no plan outlives the call."""
+        if self._finalized:
+            raise RuntimeError("session already finalized")
+        try:
+            for frame, planned in zip(chunk.frames, self._plan_chunk(chunk)):
+                self._next = (frame, planned)
+                self.process_frame(frame)
+        finally:
+            self._next = (None, None)
 
     def process_frame(self, frame: SkeletonFrame) -> None:
         if self._finalized:
             raise RuntimeError("session already finalized")
-        self.frame_count += 1
-        planned = self._pending.pop(id(frame), None)
-        if planned is None:  # a direct caller: the frame is a chunk of one
-            (planned,) = self._plan_chunk([frame])
-        assignment = self.tracker.match_frame(frame)
+        next_frame, planned = self._next
+        self._next = (None, None)
+        if next_frame is not frame:  # a direct caller: the frame is a chunk of one
+            (planned,) = self._plan_chunk(FrameChunk.of([frame]))
+        assignment = self.tracker.match_frame(frame, planned.match)
+        self.frame_count += 1  # once matched: a frame out of order is not counted
         # a skeleton without an id (no detected joint) is skipped
         for sidx in sorted(assignment.id_by_skeleton):
             pid = assignment.id_by_skeleton[sidx]
@@ -124,38 +128,35 @@ class SessionEngine:
             if state is None:
                 state = self.persons[pid] = _PersonState(person_id=pid)
             state.frames_seen.append(frame.frame_index)
-            state.window.push(planned.labels[sidx])
+            state.window.push(planned.labels[planned.row + sidx])
             windowed = state.window.current()
             state.last_window_label = windowed
             if windowed in self.profiles:
                 cosine = planned.cosines[windowed][planned.row + sidx]
                 self._step_exercise(state, windowed, cosine, frame.frame_index)
 
-    def _plan_chunk(self, frames: list[SkeletonFrame]) -> list[_Planned]:
-        """Plan frames: the tracker plans each against the frame before it
-        and hands back the frames' rows, stacked once, from which the labels
-        and angle cosines of every row are computed."""
-        coords, confidence = self.tracker.plan(frames)
-        labels = self._chunk_labels(frames, coords, confidence)
-        cosines = profile_cosines(self.profiles, coords, confidence)
-        rows = accumulate((len(f.coords) for f in frames), initial=0)
-        return [_Planned(frame_labels, cosines, row) for frame_labels, row in zip(labels, rows)]
+    def _plan_chunk(self, chunk: FrameChunk) -> list[_Planned]:
+        """Plan a chunk's frames on its own arrays: the tracker plans each
+        against the frame before it, and the labels and angle cosines of
+        every row are computed at once."""
+        labels = self._chunk_labels(chunk)
+        cosines = profile_cosines(self.profiles, chunk.coords, chunk.confidence)
+        rows = accumulate(chunk.sizes, initial=0)
+        return [_Planned(labels, cosines, row, match)
+                for row, match in zip(rows, self.tracker.plan(chunk))]
 
-    def _chunk_labels(self, frames: list[SkeletonFrame], coords: np.ndarray,
-                      confidence: np.ndarray) -> list[list[str]]:
-        """The labels of the skeleton rows of each frame, given the frames'
-        stacked rows: every row is normalized in one call, and the
-        normalizable ones are classified in one forward pass."""
-        sizes = [len(frame.coords) for frame in frames]
-        labels = [UNKNOWN] * len(coords)
+    def _chunk_labels(self, chunk: FrameChunk) -> list[str]:
+        """The labels of the chunk's rows: every row is normalized in one
+        call, and the normalizable ones are classified in one forward pass."""
+        labels = [UNKNOWN] * len(chunk.coords)
         if self.model is not None and labels:
-            features, ok = normalize_frame(coords, confidence)
+            features, ok = normalize_frame(chunk.coords, chunk.confidence)
             rows = np.flatnonzero(ok)
             if len(rows):
                 batch = classify_with_reject(self.model, self.thresholds, features[rows])
                 for i, label in zip(rows.tolist(), batch):
                     labels[i] = label
-        return [labels[a:b] for a, b in pairwise(accumulate(sizes, initial=0))]
+        return labels
 
     def _step_exercise(self, state: _PersonState, exercise: str, cosine: float,
                        frame_index: int) -> None:

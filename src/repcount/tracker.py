@@ -7,11 +7,12 @@ unseen for longer than the retention window are retired.
 Distances use raw coordinates, since spatial position is the identity cue.
 
 What depends only on a frame and the frame before it is planned ahead for
-a whole chunk of frames (PoseTracker.plan): each frame's gate, and the
+a whole FrameChunk (PoseTracker.plan): each frame's gate, and the
 distances of the pairs of its skeletons with those of the frame before
-whose detected-joint bounding boxes lie within the gate. match_frame reads
-the pairs of the tracks seen in the frame before from its frame's plan;
-only tracks missing from that frame are measured when the frame comes.
+whose detected-joint bounding boxes lie within the gate. The caller passes
+each frame's plan to match_frame, which reads the pairs of the tracks seen
+in the frame before from it; only tracks missing from that frame are
+measured when the frame comes. The tracker keeps no plan.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .body25 import MID_HIP, NECK
-from .keypoints import RawSkeleton, SkeletonFrame
+from .keypoints import FrameChunk, RawSkeleton, SkeletonFrame
 
 DEFAULT_RETENTION_WINDOW = 30  # frames (~1 s at 30 fps)
 # gate = this fraction of the median torso length observed in the frame
@@ -142,7 +143,6 @@ class Assignment:
 class FramePlan(NamedTuple):
     """What match_frame needs of a frame, computed ahead of it."""
 
-    frame: SkeletonFrame
     prev: Optional[SkeletonFrame]  # the frame the candidates were measured against
     gate: float
     tracked: list[bool]  # per skeleton: has a detected joint
@@ -181,27 +181,15 @@ class PoseTracker:
         self._last_frame: Optional[SkeletonFrame] = None
         self._last_ids: dict[int, int] = {}  # skeleton of the last frame -> person id
         self._rows: dict[int, tuple[SkeletonFrame, int]] = {}  # person id -> last skeleton
-        self._plans: dict[int, FramePlan] = {}  # by id() of a frame not yet matched
 
-    def plan(self, frames: list[SkeletonFrame]) -> tuple[np.ndarray, np.ndarray]:
-        """Plan the matching of frames ahead of match_frame, each against the
-        frame before it, the first against the frame matched last. Returns
-        the frames' rows, stacked once: (N, 25, 3) coords and (N, 25)
-        confidences, for the other passes over the chunk."""
-        plans, coords, confidence = self._plan_frames(frames)
-        self._plans.update((id(plan.frame), plan) for plan in plans)
-        return coords, confidence
-
-    def clear_plans(self) -> None:
-        """Forget the plans of frames that have not been matched."""
-        self._plans.clear()
-
-    def _plan_frames(self, frames: list[SkeletonFrame]
-                     ) -> tuple[list[FramePlan], np.ndarray, np.ndarray]:
-        lead = 0 if self._last_frame is None else 1
-        frames = [self._last_frame, *frames] if lead else frames
-        coords = np.concatenate([f.coords for f in frames])
-        confidence = np.concatenate([f.confidence for f in frames])
+    def plan(self, chunk: FrameChunk) -> list[FramePlan]:
+        """The plans of the chunk's frames, for match_frame: each frame is
+        planned against the frame before it, the first against the frame
+        matched last, whose rows are stacked in front of the chunk's."""
+        lead = [] if self._last_frame is None else [self._last_frame]
+        frames = [*lead, *chunk.frames]
+        coords = np.concatenate([*(f.coords for f in lead), chunk.coords])
+        confidence = np.concatenate([*(f.confidence for f in lead), chunk.confidence])
         sizes = [len(f.coords) for f in frames]
         bounds = list(accumulate(sizes, initial=0))
         detected = confidence > 0
@@ -235,18 +223,9 @@ class PoseTracker:
         # prev_rows ascend, so a frame's candidates follow those of the frame before
         cuts = [0, *np.searchsorted(prev_rows, bounds_a[:-1]).tolist()]
 
-        plans = [FramePlan(frames[q], frames[q - 1] if q else None, gates[q],
-                           tracked[bounds[q]:bounds[q + 1]], candidates[cuts[q]:cuts[q + 1]])
-                 for q in range(lead, len(frames))]
-        return plans, coords[bounds[lead]:], confidence[bounds[lead]:]
-
-    def _plan_of(self, frame: SkeletonFrame) -> FramePlan:
-        """The frame's plan; a frame not planned ahead is planned as a chunk
-        of one, against the frame matched last."""
-        plan = self._plans.pop(id(frame), None)
-        if plan is None:
-            (plan,), _, _ = self._plan_frames([frame])
-        return plan
+        return [FramePlan(frames[q - 1] if q else None, gates[q],
+                          tracked[bounds[q]:bounds[q + 1]], candidates[cuts[q]:cuts[q + 1]])
+                for q in range(len(lead), len(frames))]
 
     def _missing_candidates(self, pids: list[int], frame: SkeletonFrame,
                             gate: float) -> list[tuple[float, int, int]]:
@@ -260,8 +239,11 @@ class PoseTracker:
         return [(d, pids[t], s) for d, t, s in zip(dist[tracks, skeletons].tolist(),
                                                    tracks.tolist(), skeletons.tolist())]
 
-    def match_frame(self, frame: SkeletonFrame) -> Assignment:
-        plan = self._plan_of(frame)
+    def match_frame(self, frame: SkeletonFrame, plan: Optional[FramePlan] = None) -> Assignment:
+        """Match a frame's skeletons to the known persons, by its plan; a
+        frame without one is planned as a chunk of one."""
+        if plan is None:
+            (plan,) = self.plan(FrameChunk.of([frame]))
         last = self._last_frame
         if last is not None and frame.frame_index <= last.frame_index:
             raise SequencingError(

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from repcount import keypoints, pipeline
+from repcount import cli, keypoints, pipeline
 from repcount.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATASET, EXIT_BAD_INPUT,
                           EXIT_BAD_MODEL, EXIT_OK, main)
 from repcount.keypoints import load_frames, serialize_frame, write_session_csv
@@ -473,14 +473,22 @@ def test_bench_smoke(tmp_path, model_path, capsys):
     assert "frames/s" in out
 
 
+@pytest.mark.parametrize("mode", ["ndjson", "csv", "stdin"])
 def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_path,
-                                                             monkeypatch):
+                                                             monkeypatch, mode):
     """A wrapper of SessionEngine.process_frame with the signature (self,
-    frame) sees every frame once, in order, and the report is unchanged."""
-    session = simulate(tmp_path, exercise="squat", full_cycles=6, noise=4.0, gap_rate=0.05)
-    argv = ["analyze", str(session), "--model", model_path,
-            "--out-text", str(tmp_path / "t.txt")]
-    assert main([*argv, "--out-json", str(tmp_path / "plain.json")]) == EXIT_OK
+    frame) sees every frame once, in order, and the report is unchanged,
+    whichever chunk loader reads the input."""
+    session = simulate(tmp_path, name="session.csv" if mode == "csv" else "session.ndjson",
+                       exercise="squat", full_cycles=6, noise=4.0, gap_rate=0.05)
+
+    def analyze(out_json):
+        if mode == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(session.read_bytes())))
+        return main(["analyze", "-" if mode == "stdin" else str(session), "--model", model_path,
+                     "--out-text", str(tmp_path / "t.txt"), "--out-json", str(out_json)])
+
+    assert analyze(tmp_path / "plain.json") == EXIT_OK
     process_frame = pipeline.SessionEngine.process_frame
     seen = []
 
@@ -489,8 +497,49 @@ def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_pat
         return process_frame(self, frame)
 
     monkeypatch.setattr(pipeline.SessionEngine, "process_frame", wrapped)
-    assert main([*argv, "--out-json", str(tmp_path / "wrapped.json")]) == EXIT_OK
-    n_frames = len(session.read_text().splitlines())
+    assert analyze(tmp_path / "wrapped.json") == EXIT_OK
+    n_frames = len(load_frames(session))
     assert n_frames > 2 * keypoints.CHUNK_FRAMES
     assert seen == list(range(n_frames))
     assert (tmp_path / "wrapped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["ndjson", "directory", "csv"])
+def test_analyze_makes_no_copy_of_the_loaded_arrays(tmp_path, model_path, monkeypatch, mode):
+    """The labels and angles of each loaded chunk are computed on its own
+    arrays."""
+    session = simulate(tmp_path, name="session.csv" if mode == "csv" else "session.ndjson",
+                       exercise="squat", persons=2, full_cycles=6, gap_rate=0.05)
+    if mode == "directory":
+        lines = session.read_text().splitlines()
+        session = tmp_path / "frames"
+        session.mkdir()
+        for i, line in enumerate(lines):
+            (session / f"{i:04d}.json").write_text(line)
+    loaded, labelled, angled = [], [], []
+    load_chunks, normalize_frame = cli.load_chunks, pipeline.normalize_frame
+    profile_cosines = pipeline.profile_cosines
+
+    def recording_load(path):
+        loaded.extend(load_chunks(path))
+        return loaded
+
+    def recording_normalize(coords, confidence):
+        labelled.append((coords, confidence))
+        return normalize_frame(coords, confidence)
+
+    def recording_cosines(profiles, coords, confidence):
+        angled.append((coords, confidence))
+        return profile_cosines(profiles, coords, confidence)
+
+    monkeypatch.setattr(cli, "load_chunks", recording_load)
+    monkeypatch.setattr(pipeline, "normalize_frame", recording_normalize)
+    monkeypatch.setattr(pipeline, "profile_cosines", recording_cosines)
+    assert main(["analyze", str(session), "--model", model_path,
+                 "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+    assert len(loaded) > 2
+    assert len(labelled) == len(angled) == len(loaded)
+    for chunk, *received in zip(loaded, labelled, angled):
+        for coords, confidence in received:
+            assert np.shares_memory(coords, chunk.coords)
+            assert np.shares_memory(confidence, chunk.confidence)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import (TORSO_EPSILON, ParseError, RawSkeleton, SchemaError,
-                                SkeletonFrame, iter_ndjson_frames, load_frames,
+                                SkeletonFrame, load_frames, read_ndjson,
                                 load_session_csv, normalize_frame, normalize_skeleton,
                                 parse_frame, serialize_frame, write_session_csv)
 
@@ -263,7 +264,7 @@ def test_session_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "session.csv"
     write_session_csv(path, frames)
-    loaded = load_session_csv(path)
+    loaded = load_frames(path)
     assert len(loaded) == 3
     for orig, back in zip(frames, loaded):
         assert np.allclose(orig.skeletons[0].coords, back.skeletons[0].coords)
@@ -341,7 +342,7 @@ def test_valid_frame_round_trips_bit_exactly(tmp_path_factory, keypoints):
     frame = SkeletonFrame(3, *keypoints)
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     write_session_csv(path, [frame])
-    for back in (parse_frame(serialize_frame(frame), 3), *load_session_csv(path)):
+    for back in (parse_frame(serialize_frame(frame), 3), *load_frames(path)):
         assert back.frame_index == 3
         assert back.coords.tobytes() == frame.coords.tobytes()
         assert back.confidence.tobytes() == frame.confidence.tobytes()
@@ -371,7 +372,7 @@ def test_skeletons_are_read_only_row_views(keypoints):
 def test_ndjson_error_names_its_line(bad, error, message):
     lines = ['{"people": []}', "", "   ", '{"people": []}', bad, '{"people": []}']
     with pytest.raises(error) as exc:
-        list(iter_ndjson_frames(line + "\n" for line in lines))
+        read_ndjson(io.BytesIO("".join(line + "\n" for line in lines).encode()))
     assert type(exc.value) is error
     assert str(exc.value).startswith(f"line 5: {message}")
     if error is ParseError:

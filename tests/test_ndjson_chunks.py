@@ -1,8 +1,11 @@
 """The chunked format-A decoder against the per-document decoder it replaced,
-and the one frame rule that SkeletonFrame.split applies to a whole chunk."""
+the one frame rule that a FrameChunk applies to all its frames, and the
+chunks every loader makes."""
 import io
 import json
 import struct
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +16,9 @@ from hypothesis.extra.numpy import arrays
 
 from repcount import keypoints
 from repcount.body25 import NUM_JOINTS
-from repcount.keypoints import (ParseError, SchemaError, SkeletonFrame, iter_ndjson_frames,
-                                load_frames, parse_frame, read_ndjson)
+from repcount.keypoints import (FrameChunk, ParseError, SchemaError, SkeletonFrame,
+                                load_chunks, load_frames, parse_frame,
+                                read_ndjson, serialize_frame, write_session_csv)
 
 _PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
 
@@ -77,8 +81,8 @@ def reference_parse_frame(data, frame_index):
 
 
 def reference_iter_ndjson_frames(lines):
-    """iter_ndjson_frames as it was before chunked decoding: one document at
-    a time, through reference_parse_frame."""
+    """The frames of an NDJSON stream as they were read before chunked
+    decoding: one document at a time, through reference_parse_frame."""
     index = 0
     for number, line in enumerate(lines, 1):
         line = line.strip()
@@ -92,6 +96,10 @@ def reference_iter_ndjson_frames(lines):
             raise SchemaError(f"line {number}: {exc}") from exc
         yield frame
         index += 1
+
+
+def frames_of(chunks):
+    return [frame for chunk in chunks for frame in chunk.frames]
 
 
 def outcome(load):
@@ -172,12 +180,10 @@ def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, newlin
     want_frames, want_error = outcome(lambda: reference_iter_ndjson_frames(lines))
     data = "".join(line + newline for line in lines).encode("utf-8")
     with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
-        got = [outcome(lambda: iter_ndjson_frames(line + "\n" for line in lines)),
-               outcome(lambda: read_ndjson(io.BytesIO(data)))]
-    for got_frames, got_error in got:
-        assert got_error == want_error
-        if want_error is None:
-            assert_same_frames(got_frames, want_frames)
+        got_frames, got_error = outcome(lambda: frames_of(read_ndjson(io.BytesIO(data))))
+    assert got_error == want_error
+    if want_error is None:
+        assert_same_frames(got_frames, want_frames)
     if want_error is None:  # parse_frame is the same decoder, one document at a time
         docs = [line for line in lines if line.strip()]
         assert_same_frames([parse_frame(doc, i) for i, doc in enumerate(docs)], want_frames)
@@ -208,7 +214,7 @@ def test_first_bad_document_wins(chunk_frames, first, second):
     for number, kind in (first, second):
         lines[number - 1] = BAD_DOCUMENTS[kind]
     with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
-        _, got = outcome(lambda: iter_ndjson_frames(lines))
+        _, got = outcome(lambda: read_ndjson(io.BytesIO("\n".join(lines).encode())))
     assert got == per_document_error(BAD_DOCUMENTS[first[1]], f"line {first[0]}")
 
 
@@ -299,8 +305,8 @@ BAD_VALUES = [float("nan"), float("inf"), -0.5, 1.5]
 
 @st.composite
 def split_cases(draw):
-    """Frame indices, sizes and an array pair for SkeletonFrame.split, with
-    a negative index or bad values in some rows."""
+    """Frame indices, sizes and an array pair for a FrameChunk, with a
+    negative index or bad values in some rows."""
     sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
     n = sum(sizes)
     coords = draw(arrays(np.float64, (n, NUM_JOINTS, 3), elements=st.floats(-1e3, 1e3)))
@@ -329,17 +335,65 @@ def test_split_rejects_exactly_when_a_frame_would(case):
         except SchemaError as exc:
             errors.append(str(exc))
     try:
-        got = SkeletonFrame.split(indices, sizes, coords, conf)
+        chunk = FrameChunk(indices, sizes, coords, conf)
     except SchemaError as exc:
         assert str(exc) in errors
         assert coords.flags.writeable and conf.flags.writeable  # left as they were
         return
     assert not errors
-    assert_same_frames(got, want)
-    for frame in got:
+    assert_same_frames(chunk.frames, want)
+    assert chunk.frames is chunk.frames  # built once
+    for frame in chunk.frames:
         assert frame.coords.base is coords and frame.confidence.base is conf
 
 
 def test_split_sizes_must_cover_the_rows():
-    with pytest.raises(SchemaError, match="frame sizes add up to 1, not to 2 rows"):
-        SkeletonFrame.split([0], [1], np.zeros((2, NUM_JOINTS, 3)), np.zeros((2, NUM_JOINTS)))
+    # rows left over, rows missing, a frame without a size, a size without a frame
+    for indices, sizes in ([0], [1]), ([0, 1], [2, 1]), ([0, 1], [2]), ([0], [1, 1]):
+        with pytest.raises(SchemaError, match="one size per frame, and the sizes add up to its rows"):
+            FrameChunk(indices, sizes, np.zeros((2, NUM_JOINTS, 3)), np.zeros((2, NUM_JOINTS)))
+
+
+@st.composite
+def sessions(draw):
+    """Frames of 0-3 persons, at increasing frame indices with gaps; some
+    joints and some whole skeletons undetected."""
+    frames, index = [], -1
+    for _ in range(draw(st.integers(0, 30))):
+        index += draw(st.sampled_from([1, 1, 1, 2, 7]))
+        n = draw(st.integers(0, 3))
+        coords = draw(arrays(np.float64, (n, NUM_JOINTS, 3), elements=COORDINATES))
+        conf = draw(arrays(np.float64, (n, NUM_JOINTS), elements=st.sampled_from([0.0, 0.5, 1.0])))
+        coords[conf == 0] = 0.0
+        frames.append(SkeletonFrame(index, coords, conf))
+    return frames
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions(), st.integers(1, 9))
+def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames):
+    """NDJSON, directory and CSV input load as chunks of at most
+    CHUNK_FRAMES frames at strictly increasing indices, whose frames are
+    load_frames' and, for format A, the per-document decoder's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        # serialize_frame fails on a frame without a person
+        docs = [serialize_frame(frame).decode() if len(frame.coords) else '{"people": []}'
+                for frame in frames]
+        (tmp / "session.ndjson").write_text("".join(doc + "\n" for doc in docs))
+        (tmp / "frames").mkdir()
+        for i, doc in enumerate(docs):
+            (tmp / "frames" / f"{i:03d}.json").write_text(doc)
+        write_session_csv(tmp / "session.csv", frames)
+        with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
+            for name in ("session.ndjson", "frames", "session.csv"):
+                chunks = load_chunks(tmp / name)
+                indices = [i for chunk in chunks for i in chunk.indices]
+                assert all(0 < len(chunk.indices) <= chunk_frames for chunk in chunks)
+                assert all(a < b for a, b in zip(indices, indices[1:]))
+                got = frames_of(chunks)
+                assert_same_frames(got, load_frames(tmp / name))
+                if name != "session.csv":
+                    assert_same_frames(got, list(reference_iter_ndjson_frames(docs)))
+                else:  # a frame without a detected joint has no row
+                    assert indices == [f.frame_index for f in frames if f.confidence.any()]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repcount import keypoints, pipeline
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
-from repcount.keypoints import (RawSkeleton, SkeletonFrame, normalize_frame,
+from repcount.keypoints import (FrameChunk, RawSkeleton, SkeletonFrame, normalize_frame,
                                 normalize_skeleton)
 from repcount.kinematics import angle_for
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
@@ -15,6 +15,7 @@ from repcount.recognizer import UNKNOWN, LabelWindow, classify_with_reject
 from repcount.reporting import render_json
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
+from repcount.tracker import SequencingError
 
 
 def run_session(spec, trained_model, **config_kw):
@@ -229,9 +230,10 @@ class TestSkeletonWithoutJoints:
 
 
 def chunk_labels(engine, frames):
-    """The engine's labels of frames planned as one chunk."""
-    return engine._chunk_labels(frames, np.concatenate([f.coords for f in frames]),
-                                np.concatenate([f.confidence for f in frames]))
+    """The engine's labels of frames planned as one chunk, per frame."""
+    labels = engine._chunk_labels(FrameChunk.of(frames))
+    bounds = np.cumsum([0] + [len(f.coords) for f in frames]).tolist()
+    return [labels[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def test_batched_labels_equal_per_skeleton_labels(trained_model):
@@ -277,9 +279,10 @@ def frame_labels_reference(model, thresholds, coords, confidence):
 class PerFrameEngine(SessionEngine):
     """The engine with every frame labelled by the per-frame reference."""
 
-    def _chunk_labels(self, frames, coords, confidence):
-        return [frame_labels_reference(self.model, self.thresholds, f.coords, f.confidence)
-                for f in frames]
+    def _chunk_labels(self, chunk):
+        return [label for f in chunk.frames
+                for label in frame_labels_reference(self.model, self.thresholds,
+                                                    f.coords, f.confidence)]
 
 
 @functools.cache
@@ -359,18 +362,18 @@ def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, traine
     monkeypatch.setattr(keypoints, "CHUNK_FRAMES", 8)
     engine = SessionEngine(model=model, thresholds=thresholds)
     engine.process_frames(frames[:12])
-    assert not engine._pending
+    assert engine._next == (None, None)
     match_frame = engine.tracker.match_frame
 
-    def failing_match(frame):
+    def failing_match(frame, plan=None):
         if frame.frame_index == 20:
             raise RuntimeError("tracker failed")
-        return match_frame(frame)
+        return match_frame(frame, plan)
 
     monkeypatch.setattr(engine.tracker, "match_frame", failing_match)
     with pytest.raises(RuntimeError, match="tracker failed"):
         engine.process_frames(frames[12:])
-    assert not engine._pending and not engine.tracker._plans
+    assert engine._next == (None, None)
     engine.finalize()
     with pytest.raises(RuntimeError, match="finalized"):
         engine.process_frames(frames)
@@ -398,3 +401,15 @@ def test_labels_computed_ahead_belong_to_their_frame(monkeypatch, trained_model)
 
     monkeypatch.setattr(SessionEngine, "process_frame", every_other_frame)
     assert render_json(analyze_frames(frames, model=model, thresholds=thresholds)) == want
+
+
+def test_frame_the_tracker_rejects_is_not_counted():
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", full_cycles=1),), seed=23))
+    engine = SessionEngine()
+    engine.process_frame(frames[5])
+    with pytest.raises(SequencingError):
+        engine.process_frame(frames[3])
+    result = engine.finalize()
+    assert result.frame_count == 1
+    assert result.id_history == {1: [5]}

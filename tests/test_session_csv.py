@@ -47,6 +47,11 @@ def reference_load_session_csv(path):
     return frames
 
 
+def load_csv_frames(path):
+    """The frames of load_session_csv's chunks."""
+    return [frame for chunk in load_session_csv(path) for frame in chunk.frames]
+
+
 def outcome(load, path):
     """(frames, None) or (None, (error type, message))."""
     try:
@@ -137,7 +142,7 @@ def test_chunked_loader_equals_row_loader(tmp_path_factory, session, chunk_rows)
     path.write_text(text, newline="")
     want_frames, want_error = outcome(reference_load_session_csv, path)
     with mock.patch.object(keypoints, "_CSV_CHUNK_ROWS", chunk_rows):
-        got_frames, got_error = outcome(load_session_csv, path)
+        got_frames, got_error = outcome(load_csv_frames, path)
     if want_error is None:
         assert got_error is None
         assert_same_frames(got_frames, want_frames)
@@ -192,7 +197,7 @@ def test_padded_non_ascii_whitespace_still_parses(tmp_path):
     path = tmp_path / "session.csv"
     path.write_text(",".join(COLUMNS) + "\n\u00a00\u00a0,0,4,1.0,\u20032.5,0.0,0.9\n",
                     encoding="utf-8")
-    assert_same_frames(load_session_csv(path), reference_load_session_csv(path))
+    assert_same_frames(load_csv_frames(path), reference_load_session_csv(path))
 
 
 def test_peak_memory_is_at_most_the_row_loader(tmp_path):
@@ -205,7 +210,7 @@ def test_peak_memory_is_at_most_the_row_loader(tmp_path):
     path = tmp_path / "session.csv"
     write_session_csv(path, frames)
     peaks = {}
-    for load in (reference_load_session_csv, load_session_csv):
+    for load in (reference_load_session_csv, load_csv_frames):
         tracemalloc.start()
         try:
             loaded = load(path)
@@ -214,4 +219,4 @@ def test_peak_memory_is_at_most_the_row_loader(tmp_path):
             tracemalloc.stop()
         assert len(loaded) == 500
         del loaded
-    assert peaks[load_session_csv] <= peaks[reference_load_session_csv]
+    assert peaks[load_csv_frames] <= peaks[reference_load_session_csv]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repcount import keypoints, pipeline, recognizer, tracker
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
-from repcount.keypoints import RawSkeleton, SkeletonFrame, normalize_skeleton
+from repcount.keypoints import FrameChunk, RawSkeleton, SkeletonFrame, normalize_skeleton
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
 from repcount.reporting import render_json
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
@@ -320,7 +320,7 @@ def test_one_distance_rule(n_old, n_new, seed, joints):
                           want[rows, cols])
 
     before, after = frame(0, *old), frame(2, *new)
-    (_, plan), _, _ = PoseTracker(1e9)._plan_frames([before, after])
+    (_, plan) = PoseTracker(1e9).plan(FrameChunk.of([before, after]))
     assert plan.candidates == [(want[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
     seen = []
@@ -453,12 +453,8 @@ class ReferenceTracker:
         self._coords = np.zeros((0, NUM_JOINTS, 3))
         self._confidence = np.zeros((0, NUM_JOINTS))
 
-    def plan(self, frames):
-        return (np.concatenate([f.coords for f in frames]),
-                np.concatenate([f.confidence for f in frames]))
-
-    def clear_plans(self):
-        pass
+    def plan(self, chunk):
+        return [None] * len(chunk.frames)
 
     def _candidates(self, coords, confidence, gate):
         n_pairs = len(self._row_ids) * len(coords)
@@ -473,7 +469,7 @@ class ReferenceTracker:
         order = np.argsort(dist[rows, cols], kind="stable")
         return list(zip(rows[order].tolist(), cols[order].tolist()))
 
-    def match_frame(self, frame):
+    def match_frame(self, frame, plan=None):
         if self._last_frame_index is not None and frame.frame_index <= self._last_frame_index:
             raise SequencingError(frame.frame_index)
         self._last_frame_index = frame.frame_index
@@ -611,8 +607,8 @@ def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, 
         engine.tracker = make_tracker(gate, retention_window=window)
         match, seen = engine.tracker.match_frame, []
 
-        def recording_match(frame):
-            seen.append(match(frame))
+        def recording_match(frame, plan=None):
+            seen.append(match(frame, plan))
             return seen[-1]
 
         engine.tracker.match_frame = recording_match
