@@ -22,6 +22,7 @@ from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional, Sequence
 import numpy as np
 
 from .body25 import MID_HIP, NECK, NUM_JOINTS
+from .jsoninput import decode_json
 
 # below this neck-to-mid-hip distance (input units) a skeleton is degenerate
 TORSO_EPSILON = 1e-6
@@ -201,7 +202,7 @@ def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
     for doc in docs:
         text = _utf8(doc) if isinstance(doc, bytes) else doc
         try:
-            data = json.loads(text)
+            data = decode_json(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed frame document at offset {exc.pos}: {exc.msg}",
                              offset=exc.pos) from exc
@@ -245,7 +246,8 @@ def parse_frame(data: bytes | str, frame_index: int) -> SkeletonFrame:
 def serialize_frame(frame: SkeletonFrame) -> bytes:
     """Serialize a frame back to the format-A JSON document (3D layout)."""
     flat = np.concatenate([frame.coords, frame.confidence[..., None]], axis=2)
-    people = [{"pose_keypoints_3d": row} for row in flat.reshape(len(flat), -1).tolist()]
+    people = [{"pose_keypoints_3d": row}
+              for row in flat.reshape(len(flat), 4 * NUM_JOINTS).tolist()]
     return json.dumps({"people": people}, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 

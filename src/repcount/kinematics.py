@@ -6,7 +6,6 @@ determines which mid-line crossing direction completes a repetition.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import body25
 from .body25 import NUM_JOINTS, mirror_triple
+from .jsoninput import decode_json
 
 LIMB_EPSILON = 1e-9  # input units; below this a limb vector is degenerate
 
@@ -165,7 +165,7 @@ def load_profiles(path: str | Path) -> dict[str, ExerciseProfile]:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = decode_json(fh.read())
     except UnicodeDecodeError as exc:
         raise ProfileError(f"profile config is not UTF-8: {exc}") from exc
     if not isinstance(raw, list) or not raw:

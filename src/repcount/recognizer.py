@@ -15,6 +15,8 @@ from typing import Optional
 
 import numpy as np
 
+from .jsoninput import decode_json
+
 
 UNKNOWN = "unknown"
 WARMUP = "warmup"
@@ -291,7 +293,7 @@ def save_model(path: str | Path, model: MlpModel,
 def load_model(path: str | Path):
     """Read a model container; returns (model, thresholds-or-None)."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = decode_json(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ModelFormatError(f"unreadable model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
