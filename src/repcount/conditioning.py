@@ -95,49 +95,43 @@ class StreamingConditioner:
         self._leading_gaps: list[int] = []
         self._started = False
 
-    def _fill(self, raw: Optional[float]) -> Optional[float]:
-        if raw is not None:
-            return raw
-        if len(self._filled_hist) < 2:
-            # leading gap: back-fill with the first valid value on arrival
-            return None
-        return _clamp(2.0 * self._filled_hist[-1] - self._filled_hist[-2])
-
     def feed(self, frame: int, raw: Optional[float]) -> list[tuple[int, float, float]]:
         """Feed one sample; return the (frame, filled, conditioned) samples
         finalized by this arrival (possibly empty)."""
-        filled = self._fill(raw)
-        if filled is None:
-            if not self._started:
-                self._leading_gaps.append(frame)
-                return []
-            # single valid sample so far: repeat it
-            filled = self._filled_hist[-1]
-        emitted: list[tuple[int, float, float]] = []
-        if not self._started:
-            self._started = True
-            for gap_frame in self._leading_gaps:
-                emitted.extend(self._push(gap_frame, filled))
-            self._leading_gaps.clear()
-        emitted.extend(self._push(frame, filled))
+        if self._started:
+            if raw is None:
+                hist = self._filled_hist
+                # a single valid sample so far is repeated
+                raw = hist[-1] if len(hist) < 2 else _clamp(2.0 * hist[-1] - hist[-2])
+            return self._push(frame, raw)
+        if raw is None:
+            # leading gap: back-filled with the first valid value on arrival
+            self._leading_gaps.append(frame)
+            return []
+        self._started = True
+        emitted = [sample for gap_frame in self._leading_gaps
+                   for sample in self._push(gap_frame, raw)]
+        self._leading_gaps.clear()
+        emitted += self._push(frame, raw)
         return emitted
 
     def _push(self, frame: int, filled: float) -> list[tuple[int, float, float]]:
-        self._filled_hist.append(filled)
-        if len(self._filled_hist) > 2:
-            del self._filled_hist[0]
-        out: list[tuple[int, float, float]] = []
-        if self._pending is not None:
-            pframe, pfilled = self._pending
-            pval = pfilled
-            if self._last_emitted is not None:
-                # left neighbor already conditioned, right neighbor only
-                # gap-filled: exactly one in-place left-to-right sweep
-                pval = _outlier_adjust(self._last_emitted, pval, filled, self.mid)
-            out.append((pframe, pfilled, pval))
-            self._last_emitted = pval
+        hist = self._filled_hist
+        hist.append(filled)
+        if len(hist) > 2:
+            del hist[0]
+        pending = self._pending
         self._pending = (frame, filled)
-        return out
+        if pending is None:
+            return []
+        pframe, pfilled = pending
+        pval = pfilled
+        if self._last_emitted is not None:
+            # left neighbor already conditioned, right neighbor only
+            # gap-filled: exactly one in-place left-to-right sweep
+            pval = _outlier_adjust(self._last_emitted, pval, filled, self.mid)
+        self._last_emitted = pval
+        return [(pframe, pfilled, pval)]
 
     def flush(self) -> list[tuple[int, float, float]]:
         """End of stream: release the trailing sample (endpoint, unmodified)."""

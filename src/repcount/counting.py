@@ -58,37 +58,41 @@ class RepCounter:
         if self._finalized:
             raise RuntimeError("counter already finalized")
 
-        if self.cycle_min is None or angle < self.cycle_min:
-            self.cycle_min = angle
-        if self.cycle_max is None or angle > self.cycle_max:
-            self.cycle_max = angle
+        cycle_min, cycle_max = self.cycle_min, self.cycle_max
+        if cycle_min is None or angle < cycle_min:
+            self.cycle_min = cycle_min = angle
+        if cycle_max is None or angle > cycle_max:
+            self.cycle_max = cycle_max = angle
 
-        if angle >= self.mid + self.debounce:
+        mid, debounce = self.mid, self.debounce
+        if angle >= mid + debounce:
             new_phase = "above"
-        elif angle <= self.mid - self.debounce:
+        elif angle <= mid - debounce:
             new_phase = "below"
         else:
-            new_phase = self.phase
-
-        event = None
-        if new_phase != self.phase and self.phase != "unstarted":
-            completing = (new_phase == "above") if self.completing_up else (new_phase == "below")
-            if completing:
-                reached_low = self.cycle_min <= self.low + self.tolerance
-                reached_high = self.cycle_max >= self.high - self.tolerance
-                verdict = "correct" if (reached_low and reached_high) else "incorrect"
-                event = RepEvent(person_id=self.person_id, frame=frame,
-                                 time_s=time_s, verdict=verdict)
-                self.events.append(event)
-                self.total += 1
-                if verdict == "correct":
-                    self.correct += 1
-                else:
-                    self.incorrect += 1
-                # extremes start over from the crossing sample
-                self.cycle_min = angle
-                self.cycle_max = angle
+            return None  # inside the debounce band: the phase holds
+        phase = self.phase
+        if new_phase == phase:
+            return None
         self.phase = new_phase
+        if phase == "unstarted":
+            return None
+        if (new_phase == "above") != self.completing_up:
+            return None  # the crossing that starts a rep
+        reached_low = cycle_min <= self.low + self.tolerance
+        reached_high = cycle_max >= self.high - self.tolerance
+        verdict = "correct" if (reached_low and reached_high) else "incorrect"
+        event = RepEvent(person_id=self.person_id, frame=frame,
+                         time_s=time_s, verdict=verdict)
+        self.events.append(event)
+        self.total += 1
+        if verdict == "correct":
+            self.correct += 1
+        else:
+            self.incorrect += 1
+        # extremes start over from the crossing sample
+        self.cycle_min = angle
+        self.cycle_max = angle
         return event
 
     def counts(self) -> tuple[int, int, int]:

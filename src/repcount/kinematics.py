@@ -125,8 +125,9 @@ def profile_cosines(profiles: Mapping[str, ExerciseProfile], coords: np.ndarray,
 
 
 def angle_of_cosine(cosine: float) -> Optional[float]:
-    """Degrees of a profile_cosines value; None for a NaN (a gap)."""
-    return None if math.isnan(cosine) else math.degrees(math.acos(cosine))
+    """Degrees of a profile_cosines value; None for a NaN (a gap), the one
+    value unequal to itself."""
+    return None if cosine != cosine else math.degrees(math.acos(cosine))
 
 
 def angle_for(profile: ExerciseProfile, coords, confidence) -> Optional[float]:
@@ -182,5 +183,7 @@ def load_profiles(path: str | Path) -> dict[str, ExerciseProfile]:
             )
         except (KeyError, TypeError, OverflowError) as exc:
             raise ProfileError(f"bad profile entry {entry!r}: {exc}") from exc
+        if profile.name in profiles:
+            raise ProfileError(f"profile {profile.name!r} is named twice")
         profiles[profile.name] = profile
     return profiles

@@ -119,21 +119,24 @@ class SessionEngine:
         self._next = (None, None)
         if next_frame is not frame:  # a direct caller: the frame is a chunk of one
             (planned,) = self._plan_chunk(FrameChunk.of([frame]))
-        assignment = self.tracker.match_frame(frame, planned.match)
+        labels, cosines, row, match = planned
+        assignment = self.tracker.match_frame(frame, match)
         self.frame_count += 1  # once matched: a frame out of order is not counted
+        index = frame.frame_index
+        persons, profiles = self.persons, self.profiles
+        ids = assignment.id_by_skeleton
         # a skeleton without an id (no detected joint) is skipped
-        for sidx in sorted(assignment.id_by_skeleton):
-            pid = assignment.id_by_skeleton[sidx]
-            state = self.persons.get(pid)
+        for sidx in sorted(ids):
+            pid = ids[sidx]
+            state = persons.get(pid)
             if state is None:
-                state = self.persons[pid] = _PersonState(person_id=pid)
-            state.frames_seen.append(frame.frame_index)
-            state.window.push(planned.labels[planned.row + sidx])
-            windowed = state.window.current()
-            state.last_window_label = windowed
-            if windowed in self.profiles:
-                cosine = planned.cosines[windowed][planned.row + sidx]
-                self._step_exercise(state, windowed, cosine, frame.frame_index)
+                state = persons[pid] = _PersonState(person_id=pid)
+            state.frames_seen.append(index)
+            window = state.window
+            window.push(labels[row + sidx])
+            state.last_window_label = windowed = window.current()
+            if windowed in profiles:
+                self._step_exercise(state, windowed, cosines[windowed][row + sidx], index)
 
     def _plan_chunk(self, chunk: FrameChunk) -> list[_Planned]:
         """Plan a chunk's frames on its own arrays: the tracker plans each
@@ -162,11 +165,13 @@ class SessionEngine:
                        frame_index: int) -> None:
         """Feed one frame's angle, given as its profile_cosines value, to the
         person's set of the exercise, opening the set if needed."""
-        if state.active is not None and state.active.exercise != exercise:
+        active = state.active
+        if active is not None and active.exercise != exercise:
             self._close_set(state)
-        if state.active is None:
+            active = None
+        if active is None:
             profile = self.profiles[exercise]
-            state.active = _ExerciseSet(
+            active = state.active = _ExerciseSet(
                 exercise=exercise,
                 conditioner=StreamingConditioner(profile.rom_mid),
                 counter=RepCounter(profile, person_id=state.person_id,
@@ -174,17 +179,20 @@ class SessionEngine:
             )
         raw = angle_of_cosine(cosine)
         # a sample with an angle is always emitted later, and pops it then
-        if self.config.keep_traces and raw is not None:
+        if raw is not None and self.config.keep_traces:
             state.raw_angles[frame_index] = raw
-        state.active.frames += 1
-        self._emit(state, state.active.conditioner.feed(frame_index, raw))
+        active.frames += 1
+        samples = active.conditioner.feed(frame_index, raw)
+        if samples:
+            self._emit(state, samples)
 
     def _emit(self, state: _PersonState, samples) -> None:
         """Count the conditioned samples of the active set, tracing them when asked."""
         current = state.active
+        step, fps, keep_traces = current.counter.step, self.config.fps, self.config.keep_traces
         for f, filled, conditioned in samples:
-            current.counter.step(f, f / self.config.fps, conditioned)
-            if self.config.keep_traces:
+            step(f, f / fps, conditioned)
+            if keep_traces:
                 current.trace.append((f, state.raw_angles.pop(f, None), filled, conditioned))
 
     def _close_set(self, state: _PersonState) -> None:

@@ -242,29 +242,49 @@ def classify_with_reject(model: MlpModel, thresholds: Optional[RejectThresholds]
 
 
 class LabelWindow:
-    """Ring buffer of the last 10 per-frame labels with majority voting."""
+    """Ring buffer of the last 10 per-frame labels with majority voting.
+
+    The vote is kept, not recomputed per frame: the window is rescanned
+    only when it first fills and when a push evicts the current label.
+    Otherwise only the pushed label can overtake the current one, and it
+    does once its count reaches the current label's, since ties go to the
+    most recent label.
+    """
 
     def __init__(self, size: int = LABEL_WINDOW_SIZE):
         self.size = size
         self._labels: deque[str] = deque(maxlen=size)
         self._counts: dict[str, int] = {}  # label -> occurrences in the window
+        self._current = WARMUP
 
     def push(self, label: str) -> None:
-        counts = self._counts
-        if len(self._labels) == self.size:
-            evicted = self._labels[0]
-            if counts[evicted] == 1:
-                del counts[evicted]
-            else:
-                counts[evicted] -= 1
-        self._labels.append(label)
-        counts[label] = counts.get(label, 0) + 1
+        labels, counts = self._labels, self._counts
+        if len(labels) < self.size:
+            labels.append(label)
+            counts[label] = counts.get(label, 0) + 1
+            if len(labels) == self.size:
+                self._current = self._vote()
+            return
+        evicted = labels[0]
+        labels.append(label)  # evicts labels[0]
+        n = counts[evicted]
+        if n == 1:
+            del counts[evicted]
+        else:
+            counts[evicted] = n - 1
+        n = counts[label] = counts.get(label, 0) + 1
+        current = self._current
+        if evicted == current and label != current:
+            self._current = self._vote()
+        elif n >= counts[current]:
+            self._current = label
 
     def current(self) -> str:
         """Most frequent label in the window; WARMUP until the window is
         full; ties break toward the most recent label among the tied."""
-        if len(self._labels) < self.size:
-            return WARMUP
+        return self._current
+
+    def _vote(self) -> str:
         counts = self._counts
         best = max(counts.values())
         for label in reversed(self._labels):
@@ -305,7 +325,7 @@ def load_model(path: str | Path):
             biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
             class_names=list(doc["class_names"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
     raw = doc.get("reject_thresholds")
     try:

@@ -263,40 +263,44 @@ class PoseTracker:
         candidates.sort()  # by distance, then person id, then skeleton index
 
         index = frame.frame_index
-        assignment = Assignment(frame_index=index)
-        ids = assignment.id_by_skeleton
+        persons, rows = self.persons, self._rows
+        ids: dict[int, int] = {}  # skeleton index -> person id
+        pairs: list[tuple[int, int]] = []
         used: set[int] = set()
         for _, pid, sidx in candidates:
             if pid in used or sidx in ids:
                 continue
             used.add(pid)
             ids[sidx] = pid
-            assignment.pairs.append((pid, sidx))
-            person = self.persons[pid]
+            pairs.append((pid, sidx))
+            person = persons[pid]
             person.last_seen_frame = index
             person.frames_missing = 0
-            self._rows[pid] = (frame, sidx)
+            rows[pid] = (frame, sidx)
 
-        for sidx, tracked in enumerate(plan.tracked):
-            # a skeleton with no detected joint can never be matched again
-            if sidx in ids or not tracked:
-                continue
-            pid = self._next_id
-            self._next_id += 1  # ids are never reused
-            self.persons[pid] = TrackedPerson(id=pid, last_seen_frame=index)
-            self._rows[pid] = (frame, sidx)
-            assignment.new_ids.append(sidx)
-            ids[sidx] = pid
+        new_ids: list[int] = []
+        if len(ids) < len(plan.tracked):  # some skeleton is unmatched
+            for sidx, tracked in enumerate(plan.tracked):
+                # a skeleton with no detected joint can never be matched again
+                if sidx in ids or not tracked:
+                    continue
+                pid = self._next_id
+                self._next_id += 1  # ids are never reused
+                persons[pid] = TrackedPerson(id=pid, last_seen_frame=index)
+                rows[pid] = (frame, sidx)
+                new_ids.append(sidx)
+                ids[sidx] = pid
 
-        if len(ids) < len(self.persons):  # someone was not seen
-            for pid, person in list(self.persons.items()):  # ascending id
+        retired: list[int] = []
+        if len(ids) < len(persons):  # someone was not seen
+            for pid, person in list(persons.items()):  # ascending id
                 if person.last_seen_frame != index:
                     person.frames_missing = index - person.last_seen_frame
                     if person.frames_missing > self.retention_window:
-                        assignment.retired.append(pid)
-                        del self.persons[pid]
-                        del self._rows[pid]
+                        retired.append(pid)
+                        del persons[pid]
+                        del rows[pid]
 
         self._last_ids = dict(ids)
-        assignment.pairs.sort()
-        return assignment
+        pairs.sort()
+        return Assignment(index, pairs, new_ids, retired, ids)

@@ -1,16 +1,19 @@
 import io
 import json
 import sys
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
-from repcount import cli, keypoints, pipeline
+from repcount import cli, keypoints, pipeline, tracker
 from repcount.cli import (EXIT_BAD_CONFIG, EXIT_BAD_DATASET, EXIT_BAD_INPUT,
                           EXIT_BAD_MODEL, EXIT_OK, main)
+from repcount.conditioning import StreamingConditioner
+from repcount.counting import RepCounter
 from repcount.keypoints import load_frames, serialize_frame, write_session_csv
 from repcount.pipeline import EngineConfig, analyze_frames
-from repcount.recognizer import load_model, save_model
+from repcount.recognizer import LabelWindow, load_model, save_model
 from repcount.reporting import render_json
 from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
 
@@ -246,6 +249,26 @@ class TestExitCodes:
         assert main(["analyze", str(tmp_path / "nope.ndjson"), "--model", str(bad)]) \
             == EXIT_BAD_MODEL
         assert "reject_thresholds" in capsys.readouterr().err
+
+    def test_model_number_beyond_a_double(self, tmp_path, capsys, model_path):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["weights"][0][0][0] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", str(tmp_path / "nope.ndjson"), "--model", str(bad)]) \
+            == EXIT_BAD_MODEL
+        assert "corrupt model file" in capsys.readouterr().err
+
+    def test_profile_named_twice(self, tmp_path, capsys):
+        entry = {"joint_triple": [9, 10, 11], "rom_low": 80, "rom_high": 170,
+                 "motion_type": "push"}
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([{"name": "squat", **entry},
+                                        {**entry, "name": "squat", "joint_triple": [2, 3, 4],
+                                         "rom_low": 10, "rom_high": 20}]))
+        assert main(["analyze", str(tmp_path / "nope.ndjson"),
+                     "--profiles", str(profiles)]) == EXIT_BAD_CONFIG
+        assert "'squat' is named twice" in capsys.readouterr().err
 
     def test_bench_bad_repetitions(self, tmp_path):
         session = simulate(tmp_path, full_cycles=1)
@@ -502,6 +525,89 @@ def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_pat
     assert n_frames > 2 * keypoints.CHUNK_FRAMES
     assert seen == list(range(n_frames))
     assert (tmp_path / "wrapped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_per_frame_work_runs_inside_its_process_frame(tmp_path, model_path, monkeypatch):
+    """In a multi-person analyze, every label vote, conditioner feed and
+    counter step runs inside the process_frame call of its frame: one vote
+    per tracked skeleton of the frame, the feed of frame f in the call of
+    frame f, and each step in the call whose feed or set close released its
+    sample. The frame percentiles of the benchmark time process_frame, so
+    work moved out of it would leave them timing less."""
+    motions = tuple(PersonMotion(ex, full_cycles=6, partial_cycles=1, noise_sigma=5.0,
+                                 gap_rate=0.05)
+                    for ex in ("squat", "push-up", "pull-up", "sit-up"))
+    frames, _ = generate_session(SyntheticSessionSpec(persons=motions, seed=3))
+    session = tmp_path / "session.ndjson"
+    with open(session, "wb") as fh:
+        for frame in frames:
+            fh.write(serialize_frame(frame) + b"\n")
+
+    def analyze(out_json):
+        return main(["analyze", str(session), "--model", model_path,
+                     "--out-text", str(tmp_path / "t.txt"), "--out-json", str(out_json)])
+
+    assert analyze(tmp_path / "plain.json") == EXIT_OK
+    engine_cls = pipeline.SessionEngine
+    process_frame, finalize = engine_cls.process_frame, engine_cls.finalize
+    match_frame = tracker.PoseTracker.match_frame
+    push, feed, flush = LabelWindow.push, StreamingConditioner.feed, StreamingConditioner.flush
+    step = RepCounter.step
+    inside = [None]  # the frame index of the running process_frame call, or "finalize"
+    tracked, votes, misfed = {}, Counter(), []
+    released, stepped = defaultdict(list), defaultdict(list)
+
+    def in_call(where, method):
+        def wrapped(self, *args):
+            inside[0] = where(args)
+            try:
+                return method(self, *args)
+            finally:
+                inside[0] = None
+        return wrapped
+
+    def recording_match(self, frame, plan=None):
+        assignment = match_frame(self, frame, plan)
+        tracked[inside[0]] = len(assignment.id_by_skeleton)
+        return assignment
+
+    def recording_push(self, label):
+        votes[inside[0]] += 1
+        return push(self, label)
+
+    def recording_feed(self, frame, raw):
+        if inside[0] != frame:
+            misfed.append((inside[0], frame))
+        samples = feed(self, frame, raw)
+        released[inside[0]] += [f for f, _, _ in samples]
+        return samples
+
+    def recording_flush(self):
+        samples = flush(self)
+        released[inside[0]] += [f for f, _, _ in samples]
+        return samples
+
+    def recording_step(self, frame, time_s, angle):
+        stepped[inside[0]].append(frame)
+        return step(self, frame, time_s, angle)
+
+    monkeypatch.setattr(engine_cls, "process_frame",
+                        in_call(lambda args: args[0].frame_index, process_frame))
+    monkeypatch.setattr(engine_cls, "finalize", in_call(lambda args: "finalize", finalize))
+    monkeypatch.setattr(tracker.PoseTracker, "match_frame", recording_match)
+    monkeypatch.setattr(LabelWindow, "push", recording_push)
+    monkeypatch.setattr(StreamingConditioner, "feed", recording_feed)
+    monkeypatch.setattr(StreamingConditioner, "flush", recording_flush)
+    monkeypatch.setattr(RepCounter, "step", recording_step)
+    assert analyze(tmp_path / "wrapped.json") == EXIT_OK
+    assert (tmp_path / "wrapped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    assert sorted(tracked) == list(range(len(frames)))
+    assert votes == Counter({index: n for index, n in tracked.items() if n})
+    assert misfed == []
+    assert stepped == {where: f for where, f in released.items() if f}
+    assert None not in released
+    assert sum(len(f) for where, f in stepped.items() if where != "finalize") > 2 * len(frames)
 
 
 @pytest.mark.parametrize("mode", ["ndjson", "directory", "csv"])

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repcount.counting import RepCounter
+from repcount.counting import RepCounter, RepEvent
 from repcount.kinematics import ExerciseProfile, builtin_profiles
 
 
@@ -113,3 +115,84 @@ class TestRepCounter:
         prof = ExerciseProfile("deep-squat", (9, 10, 11), 60.0, 170.0, "push")
         c = RepCounter(prof)
         assert run(c, sinusoid(prof.rom_mid, 55.0 + 2.0, 24, 6)) == (6, 6, 0)
+
+
+class ReferenceCounter(RepCounter):
+    """RepCounter.step as it was before it returned early inside the
+    debounce band."""
+
+    def step(self, frame, time_s, angle):
+        if angle is None:
+            raise ValueError("counter fed a gap sample; condition the trace first")
+        if self._finalized:
+            raise RuntimeError("counter already finalized")
+
+        if self.cycle_min is None or angle < self.cycle_min:
+            self.cycle_min = angle
+        if self.cycle_max is None or angle > self.cycle_max:
+            self.cycle_max = angle
+
+        if angle >= self.mid + self.debounce:
+            new_phase = "above"
+        elif angle <= self.mid - self.debounce:
+            new_phase = "below"
+        else:
+            new_phase = self.phase
+
+        event = None
+        if new_phase != self.phase and self.phase != "unstarted":
+            completing = (new_phase == "above") if self.completing_up else (new_phase == "below")
+            if completing:
+                reached_low = self.cycle_min <= self.low + self.tolerance
+                reached_high = self.cycle_max >= self.high - self.tolerance
+                verdict = "correct" if (reached_low and reached_high) else "incorrect"
+                event = RepEvent(person_id=self.person_id, frame=frame,
+                                 time_s=time_s, verdict=verdict)
+                self.events.append(event)
+                self.total += 1
+                if verdict == "correct":
+                    self.correct += 1
+                else:
+                    self.incorrect += 1
+                # extremes start over from the crossing sample
+                self.cycle_min = angle
+                self.cycle_max = angle
+        self.phase = new_phase
+        return event
+
+
+def edge_angles(counter):
+    """The values where step's comparisons flip, and their neighbors."""
+    edges = [counter.mid + counter.debounce, counter.mid - counter.debounce,
+             counter.low + counter.tolerance, counter.high - counter.tolerance,
+             counter.mid, counter.low, counter.high]
+    return [v for e in edges for v in (math.nextafter(e, -math.inf), e,
+                                       math.nextafter(e, math.inf))]
+
+
+PROFILES = [*builtin_profiles().values(),
+            ExerciseProfile("narrow", (9, 10, 11), 100.0, 104.0, "pull")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(PROFILES), st.sampled_from([0.0, 2.5, 5.0, 30.0]),
+       st.sampled_from([0.0, 0.5, 2.0, 5.0]), st.data())
+def test_step_equals_reference(profile, tolerance, debounce, data):
+    """Events, counts, phase and cycle extremes equal the reference after
+    every step, also on the exact edges of the band and of both bounds."""
+    counter = RepCounter(profile, person_id=4, tolerance=tolerance, debounce=debounce)
+    reference = ReferenceCounter(profile, person_id=4, tolerance=tolerance, debounce=debounce)
+    # a few edge values, so that a cycle's extreme is often exactly one of them
+    palette = st.sampled_from(data.draw(st.lists(st.sampled_from(edge_angles(counter)),
+                                                 min_size=1, max_size=5)))
+    values = palette | st.floats(-10.0, 190.0) if data.draw(st.booleans()) else palette
+    angles = data.draw(st.lists(values, max_size=80))
+    for frame, angle in enumerate(angles):
+        assert counter.step(frame, frame / 30.0, angle) == reference.step(frame, frame / 30.0,
+                                                                          angle)
+        assert counter.events == reference.events
+        assert counter.counts() == reference.counts()
+        assert counter.phase == reference.phase
+        assert (counter.cycle_min, counter.cycle_max) == (reference.cycle_min,
+                                                          reference.cycle_max)
+    assert counter.finalize() == reference.finalize()

@@ -211,6 +211,20 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             load_profiles(path)
 
+    def test_load_profiles_name_given_twice(self, tmp_path):
+        """A second entry of a name would silently replace the first."""
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([
+            {"name": "squat", "joint_triple": [9, 10, 11],
+             "rom_low": 80, "rom_high": 170, "motion_type": "push"},
+            {"name": "deadlift", "joint_triple": [9, 10, 11],
+             "rom_low": 90, "rom_high": 175, "motion_type": "push"},
+            {"name": "squat", "joint_triple": [2, 3, 4],
+             "rom_low": 10, "rom_high": 20, "motion_type": "push"},
+        ]))
+        with pytest.raises(ProfileError, match="'squat' is named twice"):
+            load_profiles(path)
+
     def test_load_profiles_empty_list(self, tmp_path):
         path = tmp_path / "profiles.json"
         path.write_text("[]")

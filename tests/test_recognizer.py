@@ -291,6 +291,18 @@ def test_label_window_equals_counter_vote(size, labels):
         assert window.current() == reference.current()
 
 
+def test_label_window_rescans_when_the_current_label_is_evicted():
+    """Evicting the current label can hand the vote to a label other than
+    the pushed one: here to unknown, not to squat."""
+    window = LabelWindow(10)
+    for label in ["push-up", UNKNOWN, "pull-up", UNKNOWN, "push-up",
+                  "pull-up", "pull-up", UNKNOWN, "push-up", "squat"]:
+        window.push(label)
+    assert window.current() == "push-up"  # 3 each of push-up, pull-up, unknown
+    window.push("squat")  # evicts a push-up: unknown and pull-up lead with 3
+    assert window.current() == UNKNOWN
+
+
 class TestModelIO:
     def test_round_trip_exact(self, tmp_path):
         model = init_model(4, ["a", "b"], TrainConfig(hidden_dims=(5,), seed=2))
@@ -321,6 +333,17 @@ class TestModelIO:
         path = tmp_path / "model.json"
         path.write_bytes(b'{"format_version": 1, "class_names": ["\xff"]}')
         with pytest.raises(ModelFormatError, match="unreadable model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_number_beyond_a_double_rejected(self, tmp_path, field):
+        path = tmp_path / "model.json"
+        save_model(path, init_model(4, ["a", "b"], TrainConfig(hidden_dims=(5,), seed=2)))
+        doc = json.loads(path.read_text())
+        row = doc[field][0]
+        (row[0] if field == "weights" else row)[0] = 10 ** 400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="corrupt model file"):
             load_model(path)
 
     def test_wrong_version_rejected(self, tmp_path):
