@@ -191,6 +191,8 @@ def cmd_calibrate(args) -> int:
         if args.synthetic_frames:
             x, _ = make_labeled_dataset(model.class_names, args.synthetic_frames // 3,
                                         seed=args.seed)
+        elif not args.data:
+            raise CalibrationError("need --data (or --synthetic-frames)")
         else:
             rows = [_normalized_rows(f) for f in load_frames(args.data)]
             if not any(len(r) for r in rows):

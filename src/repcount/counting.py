@@ -14,7 +14,7 @@ from typing import Optional
 from .kinematics import ExerciseProfile
 
 DEFAULT_TOLERANCE_DEG = 5.0  # slack on both ROM bounds for the correctness test
-DEFAULT_DEBOUNCE_DEG = 2.0  # movement past the mid-line needed to commit a crossing
+DEBOUNCE_DEG = 2.0  # movement past the mid-line needed to commit a crossing
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,9 @@ class RepCounter:
     """Counts repetitions for one (person, exercise set)."""
 
     def __init__(self, profile: ExerciseProfile, person_id: int = 0,
-                 tolerance: float = DEFAULT_TOLERANCE_DEG,
-                 debounce: float = DEFAULT_DEBOUNCE_DEG):
-        self.profile = profile
+                 tolerance: float = DEFAULT_TOLERANCE_DEG):
         self.person_id = person_id
         self.tolerance = tolerance
-        self.debounce = debounce
         self.low = profile.rom_low
         self.high = profile.rom_high
         self.mid = profile.rom_mid
@@ -64,10 +61,10 @@ class RepCounter:
         if cycle_max is None or angle > cycle_max:
             self.cycle_max = cycle_max = angle
 
-        mid, debounce = self.mid, self.debounce
-        if angle >= mid + debounce:
+        mid = self.mid
+        if angle >= mid + DEBOUNCE_DEG:
             new_phase = "above"
-        elif angle <= mid - debounce:
+        elif angle <= mid - DEBOUNCE_DEG:
             new_phase = "below"
         else:
             return None  # inside the debounce band: the phase holds

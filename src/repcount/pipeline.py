@@ -24,20 +24,16 @@ from . import keypoints
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
 from .keypoints import FrameChunk, SkeletonFrame, normalize_frame
-# angle_for stays bound here for tools that trace the engine's angle step by
-# this name; the engine measures angles through profile_cosines
-from .kinematics import (ExerciseProfile, angle_for, angle_of_cosine,  # noqa: F401
-                         builtin_profiles, profile_cosines)
+from .kinematics import ExerciseProfile, angle_of_cosine, builtin_profiles, profile_cosines
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
 from .reporting import PersonSummary, SessionResult
-from .tracker import FramePlan, PoseTracker, check_match_settings
+from .tracker import FramePlan, PoseTracker
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
-    max_match_distance: Optional[float] = None
     keep_traces: bool = False  # retain per-set angle traces for CSV export
     fps: float = 30.0  # frame rate of the session: a rep at frame f is at f / fps seconds
 
@@ -46,7 +42,6 @@ class EngineConfig:
             raise ValueError(f"fps must be a finite number > 0, got {self.fps!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
-        check_match_settings(self.max_match_distance)
 
 
 @dataclass
@@ -65,7 +60,6 @@ class _PersonState:
     active: Optional[_ExerciseSet] = None
     closed_sets: list[_ExerciseSet] = field(default_factory=list)
     frames_seen: list[int] = field(default_factory=list)
-    last_window_label: str = UNKNOWN
     raw_angles: dict[int, Optional[float]] = field(default_factory=dict)
 
 
@@ -87,7 +81,7 @@ class SessionEngine:
         self.thresholds = thresholds
         self.profiles = profiles if profiles is not None else builtin_profiles()
         self.config = config
-        self.tracker = PoseTracker(max_match_distance=config.max_match_distance)
+        self.tracker = PoseTracker()
         self.persons: dict[int, _PersonState] = {}
         self.frame_count = 0
         self._finalized = False
@@ -134,7 +128,7 @@ class SessionEngine:
             state.frames_seen.append(index)
             window = state.window
             window.push(labels[row + sidx])
-            state.last_window_label = windowed = window.current()
+            windowed = window.current()
             if windowed in profiles:
                 self._step_exercise(state, windowed, cosines[windowed][row + sidx], index)
 
@@ -224,9 +218,9 @@ class SessionEngine:
                 incorrect += i
                 if dominant is None or ex_set.frames > dominant.frames:
                     dominant = ex_set
-            predicted = dominant.exercise if dominant is not None else state.last_window_label
-            if predicted not in self.profiles:
-                predicted = UNKNOWN
+            # a set opens whenever the voted label is a profile, so a person
+            # without one never had a profile label
+            predicted = dominant.exercise if dominant is not None else UNKNOWN
             summaries.append(PersonSummary(
                 person_id=pid, predicted_exercise=predicted,
                 total=total, correct=correct, incorrect=incorrect, events=events,

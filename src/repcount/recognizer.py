@@ -96,7 +96,7 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return softmax(h)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     hidden_dims: tuple[int, ...] = (64, 64)
     learning_rate: float = 0.01
@@ -242,7 +242,8 @@ def classify_with_reject(model: MlpModel, thresholds: Optional[RejectThresholds]
 
 
 class LabelWindow:
-    """Ring buffer of the last 10 per-frame labels with majority voting.
+    """Ring buffer of the last LABEL_WINDOW_SIZE per-frame labels with
+    majority voting.
 
     The vote is kept, not recomputed per frame: the window is rescanned
     only when it first fills and when a push evicts the current label.
@@ -251,18 +252,17 @@ class LabelWindow:
     most recent label.
     """
 
-    def __init__(self, size: int = LABEL_WINDOW_SIZE):
-        self.size = size
-        self._labels: deque[str] = deque(maxlen=size)
+    def __init__(self):
+        self._labels: deque[str] = deque(maxlen=LABEL_WINDOW_SIZE)
         self._counts: dict[str, int] = {}  # label -> occurrences in the window
         self._current = WARMUP
 
     def push(self, label: str) -> None:
         labels, counts = self._labels, self._counts
-        if len(labels) < self.size:
+        if len(labels) < LABEL_WINDOW_SIZE:
             labels.append(label)
             counts[label] = counts.get(label, 0) + 1
-            if len(labels) == self.size:
+            if len(labels) == LABEL_WINDOW_SIZE:
                 self._current = self._vote()
             return
         evicted = labels[0]

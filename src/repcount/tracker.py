@@ -27,7 +27,7 @@ import numpy as np
 from .body25 import MID_HIP, NECK
 from .keypoints import FrameChunk, RawSkeleton, SkeletonFrame
 
-DEFAULT_RETENTION_WINDOW = 30  # frames (~1 s at 30 fps)
+RETENTION_WINDOW = 30  # frames a track outlives its last sighting (~1 s at 30 fps)
 # gate = this fraction of the median torso length observed in the frame
 AUTO_GATE_TORSO_FRACTION = 0.5
 # relative slack of the box-gap bound, against rounding in the gap and in
@@ -37,19 +37,6 @@ BOX_GAP_SLACK = 1e-9
 
 class SequencingError(RuntimeError):
     """Frame fed to the tracker out of order."""
-
-
-def check_match_settings(max_match_distance: Optional[float],
-                         retention_window: int = DEFAULT_RETENTION_WINDOW) -> None:
-    """Raise ValueError unless the gate is None (automatic) or a finite
-    number >= 0, and the retention window an int >= 0."""
-    if max_match_distance is not None and not (math.isfinite(max_match_distance)
-                                               and max_match_distance >= 0):
-        raise ValueError("max_match_distance must be None or a finite number >= 0, "
-                         f"got {max_match_distance!r}")
-    if isinstance(retention_window, bool) or not (isinstance(retention_window, int)
-                                                  and retention_window >= 0):
-        raise ValueError(f"retention_window must be an int >= 0, got {retention_window!r}")
 
 
 def pair_distances(coords_a: np.ndarray, confidence_a: np.ndarray,
@@ -124,13 +111,6 @@ def box_gaps(low: np.ndarray, high: np.ndarray, rows_a: np.ndarray,
 
 
 @dataclass
-class TrackedPerson:
-    id: int
-    last_seen_frame: int
-    frames_missing: int = 0
-
-
-@dataclass
 class Assignment:
     frame_index: int
     pairs: list[tuple[int, int]] = field(default_factory=list)  # (person id, skeleton index)
@@ -167,20 +147,21 @@ def _frame_gates(bounds: list[int], coords: np.ndarray, confidence: np.ndarray) 
 class PoseTracker:
     """Single-writer sequential tracker for one session stream.
 
-    A track's last skeleton is a reference (frame, skeleton index) to the
-    arrays of the frame it was last seen in.
+    persons maps each live track's id to its last skeleton, a reference
+    (frame, skeleton index) to the arrays of the frame it was last seen in.
+    The gate is automatic (None) or a fixed distance.
     """
 
-    def __init__(self, max_match_distance: Optional[float] = None,
-                 retention_window: int = DEFAULT_RETENTION_WINDOW):
-        check_match_settings(max_match_distance, retention_window)
+    def __init__(self, max_match_distance: Optional[float] = None):
+        if max_match_distance is not None and not (math.isfinite(max_match_distance)
+                                                   and max_match_distance >= 0):
+            raise ValueError("max_match_distance must be None or a finite number >= 0, "
+                             f"got {max_match_distance!r}")
         self.max_match_distance = max_match_distance
-        self.retention_window = retention_window
-        self.persons: dict[int, TrackedPerson] = {}
+        self.persons: dict[int, tuple[SkeletonFrame, int]] = {}
         self._next_id = 1
         self._last_frame: Optional[SkeletonFrame] = None
         self._last_ids: dict[int, int] = {}  # skeleton of the last frame -> person id
-        self._rows: dict[int, tuple[SkeletonFrame, int]] = {}  # person id -> last skeleton
 
     def plan(self, chunk: FrameChunk) -> list[FramePlan]:
         """The plans of the chunk's frames, for match_frame: each frame is
@@ -231,7 +212,7 @@ class PoseTracker:
                             gate: float) -> list[tuple[float, int, int]]:
         """(distance, person id, skeleton index) within the gate for tracks
         whose last skeleton is not in the plan's previous frame."""
-        refs = [self._rows[pid] for pid in pids]
+        refs = [self.persons[pid] for pid in pids]
         dist = distance_matrix(np.stack([f.coords[s] for f, s in refs]),
                                np.stack([f.confidence[s] for f, s in refs]),
                                frame.coords, frame.confidence)
@@ -253,17 +234,16 @@ class PoseTracker:
 
         # the tracks seen in the frame before have their pairs in the plan
         planned_from = last if plan.prev is last else None
-        last_ids = self._last_ids
+        persons, last_ids = self.persons, self._last_ids
         candidates = ([(d, last_ids[p], s) for d, p, s in plan.candidates]
                       if planned_from is not None else [])
-        if planned_from is None or len(self._rows) > len(last_ids):
-            missing = [pid for pid, (f, _) in self._rows.items() if f is not planned_from]
+        if planned_from is None or len(persons) > len(last_ids):
+            missing = [pid for pid, (f, _) in persons.items() if f is not planned_from]
             if missing:
                 candidates += self._missing_candidates(missing, frame, plan.gate)
         candidates.sort()  # by distance, then person id, then skeleton index
 
         index = frame.frame_index
-        persons, rows = self.persons, self._rows
         ids: dict[int, int] = {}  # skeleton index -> person id
         pairs: list[tuple[int, int]] = []
         used: set[int] = set()
@@ -273,10 +253,7 @@ class PoseTracker:
             used.add(pid)
             ids[sidx] = pid
             pairs.append((pid, sidx))
-            person = persons[pid]
-            person.last_seen_frame = index
-            person.frames_missing = 0
-            rows[pid] = (frame, sidx)
+            persons[pid] = (frame, sidx)
 
         new_ids: list[int] = []
         if len(ids) < len(plan.tracked):  # some skeleton is unmatched
@@ -286,20 +263,16 @@ class PoseTracker:
                     continue
                 pid = self._next_id
                 self._next_id += 1  # ids are never reused
-                persons[pid] = TrackedPerson(id=pid, last_seen_frame=index)
-                rows[pid] = (frame, sidx)
+                persons[pid] = (frame, sidx)
                 new_ids.append(sidx)
                 ids[sidx] = pid
 
         retired: list[int] = []
         if len(ids) < len(persons):  # someone was not seen
-            for pid, person in list(persons.items()):  # ascending id
-                if person.last_seen_frame != index:
-                    person.frames_missing = index - person.last_seen_frame
-                    if person.frames_missing > self.retention_window:
-                        retired.append(pid)
-                        del persons[pid]
-                        del rows[pid]
+            for pid, (seen, _) in list(persons.items()):  # ascending id
+                if index - seen.frame_index > RETENTION_WINDOW:
+                    retired.append(pid)
+                    del persons[pid]
 
         self._last_ids = dict(ids)
         pairs.sort()

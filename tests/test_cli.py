@@ -227,6 +227,12 @@ class TestExitCodes:
     def test_train_without_data(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.json")]) == EXIT_BAD_DATASET
 
+    def test_calibrate_without_data(self, model_path, capsys):
+        before = open(model_path, "rb").read()
+        assert main(["calibrate", "--model", model_path]) == EXIT_BAD_DATASET
+        assert "need --data (or --synthetic-frames)" in capsys.readouterr().err
+        assert open(model_path, "rb").read() == before
+
     def test_empty_profile_list(self, tmp_path, capsys):
         session = simulate(tmp_path, exercise="push-up", full_cycles=2)
         profiles = tmp_path / "profiles.json"

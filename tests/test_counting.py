@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repcount import counting
 from repcount.counting import RepCounter, RepEvent
 from repcount.kinematics import ExerciseProfile, builtin_profiles
 
@@ -63,7 +65,8 @@ class TestRepCounter:
         assert (total, correct) == (3, 3)
 
     def test_debounce_suppresses_midline_chatter(self):
-        c = RepCounter(PUSH, debounce=2.0)
+        assert counting.DEBOUNCE_DEG == 2.0
+        c = RepCounter(PUSH)
         mid = PUSH.rom_mid
         angles = [PUSH.rom_low, mid + 5.0]
         angles += [mid + 1.5, mid - 1.5] * 20  # oscillation inside the band
@@ -132,9 +135,9 @@ class ReferenceCounter(RepCounter):
         if self.cycle_max is None or angle > self.cycle_max:
             self.cycle_max = angle
 
-        if angle >= self.mid + self.debounce:
+        if angle >= self.mid + counting.DEBOUNCE_DEG:
             new_phase = "above"
-        elif angle <= self.mid - self.debounce:
+        elif angle <= self.mid - counting.DEBOUNCE_DEG:
             new_phase = "below"
         else:
             new_phase = self.phase
@@ -161,9 +164,9 @@ class ReferenceCounter(RepCounter):
         return event
 
 
-def edge_angles(counter):
+def edge_angles(counter, debounce):
     """The values where step's comparisons flip, and their neighbors."""
-    edges = [counter.mid + counter.debounce, counter.mid - counter.debounce,
+    edges = [counter.mid + debounce, counter.mid - debounce,
              counter.low + counter.tolerance, counter.high - counter.tolerance,
              counter.mid, counter.low, counter.high]
     return [v for e in edges for v in (math.nextafter(e, -math.inf), e,
@@ -180,19 +183,20 @@ PROFILES = [*builtin_profiles().values(),
 def test_step_equals_reference(profile, tolerance, debounce, data):
     """Events, counts, phase and cycle extremes equal the reference after
     every step, also on the exact edges of the band and of both bounds."""
-    counter = RepCounter(profile, person_id=4, tolerance=tolerance, debounce=debounce)
-    reference = ReferenceCounter(profile, person_id=4, tolerance=tolerance, debounce=debounce)
+    counter = RepCounter(profile, person_id=4, tolerance=tolerance)
+    reference = ReferenceCounter(profile, person_id=4, tolerance=tolerance)
     # a few edge values, so that a cycle's extreme is often exactly one of them
-    palette = st.sampled_from(data.draw(st.lists(st.sampled_from(edge_angles(counter)),
+    palette = st.sampled_from(data.draw(st.lists(st.sampled_from(edge_angles(counter, debounce)),
                                                  min_size=1, max_size=5)))
     values = palette | st.floats(-10.0, 190.0) if data.draw(st.booleans()) else palette
     angles = data.draw(st.lists(values, max_size=80))
-    for frame, angle in enumerate(angles):
-        assert counter.step(frame, frame / 30.0, angle) == reference.step(frame, frame / 30.0,
-                                                                          angle)
-        assert counter.events == reference.events
-        assert counter.counts() == reference.counts()
-        assert counter.phase == reference.phase
-        assert (counter.cycle_min, counter.cycle_max) == (reference.cycle_min,
-                                                          reference.cycle_max)
-    assert counter.finalize() == reference.finalize()
+    with mock.patch.object(counting, "DEBOUNCE_DEG", debounce):
+        for frame, angle in enumerate(angles):
+            assert counter.step(frame, frame / 30.0, angle) == reference.step(
+                frame, frame / 30.0, angle)
+            assert counter.events == reference.events
+            assert counter.counts() == reference.counts()
+            assert counter.phase == reference.phase
+            assert (counter.cycle_min, counter.cycle_max) == (reference.cycle_min,
+                                                              reference.cycle_max)
+        assert counter.finalize() == reference.finalize()

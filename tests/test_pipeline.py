@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -15,7 +16,7 @@ from repcount.recognizer import UNKNOWN, LabelWindow, classify_with_reject
 from repcount.reporting import render_json
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
-from repcount.tracker import SequencingError
+from repcount.tracker import PoseTracker, SequencingError
 
 
 def run_session(spec, trained_model, **config_kw):
@@ -24,6 +25,14 @@ def run_session(spec, trained_model, **config_kw):
     result = analyze_frames(frames, model=model, thresholds=thresholds,
                             config=EngineConfig(**config_kw))
     return result, truth
+
+
+def wide_gate_engine(model, thresholds, **config_kw):
+    """An engine whose tracker matches at any distance, so that a change of
+    posture never spawns a second person."""
+    engine = SessionEngine(model=model, thresholds=thresholds, config=EngineConfig(**config_kw))
+    engine.tracker = PoseTracker(max_match_distance=1e9)
+    return engine
 
 
 class TestEngineConfig:
@@ -48,10 +57,12 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             EngineConfig(tolerance=tolerance)
 
-    @pytest.mark.parametrize("gate", [float("nan"), float("inf"), float("-inf"), -1.0, -1e-300])
-    def test_rejects_bad_max_match_distance(self, gate):
-        with pytest.raises(ValueError, match="max_match_distance must be None or a finite"):
-            EngineConfig(max_match_distance=gate)
+    def test_is_frozen(self):
+        """The default config an engine shares with every other engine
+        cannot be changed through one of them."""
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SessionEngine().config.fps = 0.0
+        assert SessionEngine().config.fps == 30.0
 
     @pytest.mark.parametrize("gate", [None, 0, 0.0, 1e9])
     def test_accepts_max_match_distance(self, gate, trained_model):
@@ -61,9 +72,10 @@ class TestEngineConfig:
             persons=(PersonMotion("squat", full_cycles=1),), seed=3))
         still = [SkeletonFrame(f.frame_index, frames[0].coords, frames[0].confidence)
                  for f in frames]
-        result = analyze_frames(still, model=model, thresholds=thresholds,
-                                config=EngineConfig(max_match_distance=gate))
-        assert len(result.summaries) == 1
+        engine = SessionEngine(model=model, thresholds=thresholds)
+        engine.tracker = PoseTracker(max_match_distance=gate)
+        engine.process_frames(still)
+        assert len(engine.finalize().summaries) == 1
 
 
 class TestEndToEnd:
@@ -127,10 +139,9 @@ class TestEndToEnd:
         offset = len(frames)
         for f in frames_b:
             frames.append(SkeletonFrame.of(f.frame_index + offset, f.skeletons))
-        # huge gate so the posture change does not spawn a second person
-        result = analyze_frames(frames, model=model, thresholds=thresholds,
-                                config=EngineConfig(max_match_distance=1e9))
-        (summary,) = result.summaries
+        engine = wide_gate_engine(model, thresholds)
+        engine.process_frames(frames)
+        (summary,) = engine.finalize().summaries
         assert summary.total == 7
         assert summary.predicted_exercise in ("squat", "push-up")
 
@@ -160,8 +171,7 @@ class TestEndToEnd:
                                       gap_rate=0.2),), seed=19)
             frames += [SkeletonFrame.of(f.frame_index + len(frames), f.skeletons)
                        for f in generate_session(spec)[0]]
-        engine = SessionEngine(model=model, thresholds=thresholds,
-                               config=EngineConfig(max_match_distance=1e9, keep_traces=True))
+        engine = wide_gate_engine(model, thresholds, keep_traces=True)
         for f in frames:
             engine.process_frame(f)
             # only the sample awaiting its successor holds a raw angle
@@ -413,3 +423,29 @@ def test_frame_the_tracker_rejects_is_not_counted():
     result = engine.finalize()
     assert result.frame_count == 1
     assert result.id_history == {1: [5]}
+
+
+@functools.cache
+def mixed_session():
+    """Four noisy persons with gaps, one of them doing sit-ups, which no
+    profile counts."""
+    spec = SyntheticSessionSpec(
+        persons=tuple(PersonMotion(ex, full_cycles=3, noise_sigma=5.0, gap_rate=0.05)
+                      for ex in ("squat", "sit-up", "push-up", "pull-up")),
+        shuffle_order=True, seed=24)
+    return generate_session(spec)[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(-8, 8))
+def test_scaling_by_a_power_of_two_leaves_the_report_unchanged(trained_model, k):
+    """Gates, the box slack, the features and the angles are all relative:
+    scaling every coordinate by 2**k, which is exact, changes no byte of
+    the report."""
+    model, thresholds, _ = trained_model
+    frames = mixed_session()
+    scaled = [SkeletonFrame(f.frame_index, f.coords * 2.0**k, f.confidence) for f in frames]
+    want = analyze_frames(frames, model=model, thresholds=thresholds)
+    assert sum(s.total for s in want.summaries) > 0
+    assert render_json(analyze_frames(scaled, model=model, thresholds=thresholds)) == \
+        render_json(want)

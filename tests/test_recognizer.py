@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import math
 from collections import Counter, deque
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repcount import recognizer
 from repcount.recognizer import (UNKNOWN, WARMUP, CalibrationError, LabelWindow,
                                  MlpModel, ModelFormatError, RejectThresholds,
                                  TrainConfig, TrainingError, calibrate_reject,
@@ -112,6 +115,11 @@ class TestTrain:
         x = np.concatenate([c + rng.normal(scale=0.5, size=(n, 2)) for c in centers])
         y = np.repeat(np.arange(3), n)
         return x, y
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().epochs = 1
+        assert TrainConfig().epochs == 50
 
     def test_separable_blobs_learned(self):
         x, y = self.blobs()
@@ -284,17 +292,19 @@ class CounterLabelWindow:
 @given(st.integers(1, 12), st.lists(st.sampled_from(["a", "b", "c", UNKNOWN]), max_size=60))
 def test_label_window_equals_counter_vote(size, labels):
     """Kept counts give the Counter vote through warm-up, ties and eviction."""
-    window, reference = LabelWindow(size), CounterLabelWindow(size)
-    for label in labels:
-        window.push(label)
-        reference.push(label)
-        assert window.current() == reference.current()
+    with mock.patch.object(recognizer, "LABEL_WINDOW_SIZE", size):
+        window, reference = LabelWindow(), CounterLabelWindow(size)
+        for label in labels:
+            window.push(label)
+            reference.push(label)
+            assert window.current() == reference.current()
 
 
 def test_label_window_rescans_when_the_current_label_is_evicted():
     """Evicting the current label can hand the vote to a label other than
     the pushed one: here to unknown, not to squat."""
-    window = LabelWindow(10)
+    assert recognizer.LABEL_WINDOW_SIZE == 10
+    window = LabelWindow()
     for label in ["push-up", UNKNOWN, "pull-up", UNKNOWN, "push-up",
                   "pull-up", "pull-up", UNKNOWN, "push-up", "squat"]:
         window.push(label)

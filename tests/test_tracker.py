@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import statistics
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from repcount import keypoints, pipeline, recognizer, tracker
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import FrameChunk, RawSkeleton, SkeletonFrame, normalize_skeleton
-from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
+from repcount.pipeline import SessionEngine, analyze_frames
 from repcount.reporting import render_json
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
@@ -81,18 +83,14 @@ class TestSettings:
         with pytest.raises(ValueError, match="max_match_distance must be None or a finite"):
             PoseTracker(max_match_distance=gate)
 
-    @pytest.mark.parametrize("window", [-3, -1, 1.5, 30.0, True, "30", None])
-    def test_rejects_bad_retention_window(self, window):
-        with pytest.raises(ValueError, match="retention_window must be an int >= 0"):
-            PoseTracker(retention_window=window)
-
     @pytest.mark.parametrize("gate", [None, 0, 0.0, 1e9])
     @pytest.mark.parametrize("window", [0, 1, 30])
     def test_accepts_edges(self, gate, window):
-        t = PoseTracker(max_match_distance=gate, retention_window=window)
+        t = PoseTracker(max_match_distance=gate)
         s = skeleton_at((0, 0))
-        first = t.match_frame(frame(0, s)).id_by_skeleton
-        assert t.match_frame(frame(1, s)).id_by_skeleton == first == {0: 1}
+        with mock.patch.object(tracker, "RETENTION_WINDOW", window):
+            first = t.match_frame(frame(0, s)).id_by_skeleton
+            assert t.match_frame(frame(1, s)).id_by_skeleton == first == {0: 1}
 
 
 def brute_force_assignment(dist):
@@ -161,12 +159,13 @@ class TestMatchFrame:
             assert t.match_frame(frame(i, s)).id_by_skeleton[0] == first
 
     def test_retirement_and_no_id_reuse(self):
-        t = PoseTracker(retention_window=5)
+        t = PoseTracker()
         s = skeleton_at((0, 0))
         first = t.match_frame(frame(0, s)).id_by_skeleton[0]
         retired = []
-        for i in range(1, 10):
-            retired += t.match_frame(frame(i)).retired
+        with mock.patch.object(tracker, "RETENTION_WINDOW", 5):
+            for i in range(1, 10):
+                retired += t.match_frame(frame(i)).retired
         assert retired == [first]
         # the person reappears: a fresh id, never the retired one
         again = t.match_frame(frame(10, s)).id_by_skeleton[0]
@@ -193,7 +192,8 @@ class TestMatchFrame:
         pid = t.match_frame(frame(0, s)).id_by_skeleton[0]
         t.match_frame(frame(1))
         t.match_frame(frame(2))
-        assert t.persons[pid].frames_missing == 2
+        last_seen, sidx = t.persons[pid]
+        assert (last_seen.frame_index, sidx) == (0, 0)
 
     def test_skeleton_without_detected_joint_never_tracked(self):
         t = PoseTracker()
@@ -440,6 +440,13 @@ def reference_distance_matrix(track_coords, track_confidence, coords, confidence
         return np.where(shared, norms, 0.0).sum(axis=2) / n_shared
 
 
+@dataclass
+class TrackedPerson:
+    id: int
+    last_seen_frame: int
+    frames_missing: int = 0
+
+
 class ReferenceTracker:
     """PoseTracker.match_frame as it was, one frame at a time; it plans nothing."""
 
@@ -498,7 +505,7 @@ class ReferenceTracker:
                 continue
             pid = self._next_id
             self._next_id += 1
-            self.persons[pid] = tracker.TrackedPerson(id=pid, last_seen_frame=frame.frame_index)
+            self.persons[pid] = TrackedPerson(id=pid, last_seen_frame=frame.frame_index)
             self._row_ids.append(pid)
             fresh.append(sidx)
             assignment.new_ids.append(sidx)
@@ -601,10 +608,9 @@ def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, 
     and the report of the per-frame tracker it replaced."""
     model, thresholds, _ = trained_model
 
-    def run(make_tracker):
-        engine = SessionEngine(model=model, thresholds=thresholds,
-                               config=EngineConfig(max_match_distance=gate))
-        engine.tracker = make_tracker(gate, retention_window=window)
+    def run(pose_tracker):
+        engine = SessionEngine(model=model, thresholds=thresholds)
+        engine.tracker = pose_tracker
         match, seen = engine.tracker.match_frame, []
 
         def recording_match(frame, plan=None):
@@ -618,5 +624,6 @@ def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
-        planned = run(PoseTracker)
-    assert planned == run(ReferenceTracker)
+        mp.setattr(tracker, "RETENTION_WINDOW", window)
+        planned = run(PoseTracker(gate))
+    assert planned == run(ReferenceTracker(gate, retention_window=window))
