@@ -15,7 +15,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -144,10 +144,21 @@ def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.nda
 # packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
 # as doubles
 _KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
-# the most frames of a FrameChunk a loader makes, and so the frames the engine
-# plans at once; enough to amortize the NumPy calls per chunk over its frames,
-# few enough that a chunk stays small
-CHUNK_FRAMES = 64
+# the most frames and skeleton rows of a FrameChunk a loader makes, and so
+# what the engine plans at once. The NumPy calls of a chunk are amortized over
+# its rows: a chunk closes before it would pass CHUNK_ROWS rows, enough rows
+# to amortize them, few enough that a wide chunk stays in cache; CHUNK_FRAMES
+# bounds the chunks of few persons, which have more frames per row.
+CHUNK_ROWS = 1024
+CHUNK_FRAMES = 256
+
+
+def chunk_is_full(frames: int, rows: int, size: int) -> bool:
+    """Whether a chunk of `frames` frames and `rows` rows closes before a
+    frame of `size` rows would join it: at CHUNK_FRAMES frames, or when the
+    frame would take it past CHUNK_ROWS rows. A frame is never split, so one
+    wider than CHUNK_ROWS is a chunk of its own."""
+    return frames > 0 and (frames >= CHUNK_FRAMES or rows + size > CHUNK_ROWS)
 
 
 def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, bytes]:
@@ -191,42 +202,44 @@ def _utf8(data: bytes) -> str:
         raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start) from exc
 
 
-def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
-    """The chunk of frames first_index, first_index + 1, ... of format-A
-    documents. Raises the error of the first document to fail a structural
-    check, or else one of the chunk's value checks."""
-    packed: dict[int, list[bytes]] = {3: [], 4: []}  # per stride, in row order
-    rows: dict[int, list[int]] = {3: [], 4: []}  # per stride, the rows packed
-    sizes: list[int] = []
-    n = 0  # rows so far
-    for doc in docs:
-        text = _utf8(doc) if isinstance(doc, bytes) else doc
-        try:
-            data = decode_json(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed frame document at offset {exc.pos}: {exc.msg}",
-                             offset=exc.pos) from exc
-        if not isinstance(data, dict) or "people" not in data:
-            raise SchemaError('frame document must be an object with a "people" array')
-        people = data["people"]
-        if not isinstance(people, list):
-            raise SchemaError('"people" must be an array')
-        # JSON booleans would convert to numbers; a document that spells one is
-        # searched for them (a one-letter test is a memchr, a word search is slow)
-        spells_boolean = ("u" in text and "true" in text) or ("a" in text and "false" in text)
-        for i, person in enumerate(people):
-            stride, values = _packed_keypoints(person, i, spells_boolean)
-            packed[stride].append(values)
-            rows[stride].append(n + i)
-        sizes.append(len(people))
-        n += len(people)
+def _decoded_document(doc: str | bytes) -> list[tuple[int, bytes]]:
+    """The packed keypoints of each person of a format-A document, as
+    _packed_keypoints gives them. Raises the error of the first structural
+    check it fails; the value checks are the chunk's."""
+    text = _utf8(doc) if isinstance(doc, bytes) else doc
+    try:
+        data = decode_json(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed frame document at offset {exc.pos}: {exc.msg}",
+                         offset=exc.pos) from exc
+    if not isinstance(data, dict) or "people" not in data:
+        raise SchemaError('frame document must be an object with a "people" array')
+    people = data["people"]
+    if not isinstance(people, list):
+        raise SchemaError('"people" must be an array')
+    # JSON booleans would convert to numbers; a document that spells one is
+    # searched for them (a one-letter test is a memchr, a word search is slow)
+    spells_boolean = ("u" in text and "true" in text) or ("a" in text and "false" in text)
+    return list(map(_packed_keypoints, people, count(), repeat(spells_boolean)))
+
+
+def _assembled(frames: Sequence[list[tuple[int, bytes]]], first_index: int) -> FrameChunk:
+    """The chunk of frames first_index, first_index + 1, ... of decoded
+    format-A documents; raises the error of one of its value checks."""
+    persons = [person for persons in frames for person in persons]  # in row order
+    n = len(persons)
     coords = np.zeros((n, NUM_JOINTS, 3))
     confidence = np.empty((n, NUM_JOINTS))
-    for stride, values in packed.items():
-        if values:
-            keypoints = np.frombuffer(b"".join(values)).reshape(-1, NUM_JOINTS, stride)
-            coords[rows[stride], :, : stride - 1] = keypoints[..., :-1]
-            confidence[rows[stride]] = keypoints[..., -1]
+    strides, packed = zip(*persons) if persons else ((), ())
+    for stride in set(strides):
+        if strides.count(stride) == n:  # one layout, the usual case: every row
+            rows, values = slice(None), packed
+        else:
+            rows = [k for k, s in enumerate(strides) if s == stride]
+            values = [packed[k] for k in rows]
+        keypoints = np.frombuffer(b"".join(values)).reshape(-1, NUM_JOINTS, stride)
+        coords[rows, :, : stride - 1] = keypoints[..., :-1]
+        confidence[rows] = keypoints[..., -1]
     # undetected joints carry no positional meaning and are zeroed, so a
     # non-finite one is rejected first, as format B does; a negative
     # confidence is left for the frame check to reject
@@ -235,7 +248,15 @@ def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
     undetected = confidence == 0
     coords[undetected] = 0.0
     confidence[undetected] = 0.0  # -0.0 becomes 0.0
-    return FrameChunk(range(first_index, first_index + len(docs)), sizes, coords, confidence)
+    return FrameChunk(range(first_index, first_index + len(frames)),
+                      [len(persons) for persons in frames], coords, confidence)
+
+
+def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
+    """The chunk of frames first_index, first_index + 1, ... of format-A
+    documents. Raises the error of the first document to fail a structural
+    check, or else one of the chunk's value checks."""
+    return _assembled([_decoded_document(doc) for doc in docs], first_index)
 
 
 def parse_frame(data: bytes | str, frame_index: int) -> SkeletonFrame:
@@ -258,24 +279,25 @@ def _located(exc: ParseError | SchemaError, where: str) -> ParseError | SchemaEr
     return SchemaError(f"{where}: {exc}")
 
 
-def _decode_located(docs: list[tuple[str, str | bytes]], first_index: int) -> FrameChunk:
-    """_decode_chunk of (place, document) pairs; when it fails, the documents
-    are decoded again one by one, and the error of the first bad one is
+def _located_chunk(frames: list[list[tuple[int, bytes]]], places: list[str],
+                   first_index: int) -> FrameChunk:
+    """_assembled(frames, first_index); when it fails, the frames are
+    assembled again one by one, and the error of the first bad one is
     raised, prefixed by its place."""
     try:
-        return _decode_chunk([doc for _, doc in docs], first_index)
-    except (ParseError, SchemaError):
-        for k, (place, doc) in enumerate(docs):
+        return _assembled(frames, first_index)
+    except SchemaError:
+        for k, persons in enumerate(frames):
             try:
-                _decode_chunk([doc], first_index + k)
-            except (ParseError, SchemaError) as exc:
-                raise _located(exc, place) from exc
-        raise  # unreachable: a chunk fails only where one of its documents does
+                _assembled([persons], first_index + k)
+            except SchemaError as exc:
+                raise _located(exc, places[k]) from exc
+        raise  # unreachable: a chunk fails only where one of its frames does
 
 
 def _stripped(line: bytes) -> str | bytes:
     """line without surrounding whitespace, decoded when it is UTF-8; other
-    bytes are left for _decode_chunk to reject in line order."""
+    bytes are left for _decoded_document to reject in line order."""
     try:
         return line.decode("utf-8").strip()
     except UnicodeDecodeError:
@@ -283,24 +305,35 @@ def _stripped(line: bytes) -> str | bytes:
 
 
 def _decoded_chunks(docs: Iterable[tuple[str, str | bytes]]) -> Iterator[FrameChunk]:
-    """Yield the chunks, of CHUNK_FRAMES frames but the last, of format-A
-    documents given as (place, document) pairs. A bad document's error names
-    its place; an OSError of reading a document comes after the error of a
-    bad one before it."""
-    batch: list[tuple[str, str | bytes]] = []
-    index = 0
+    """Yield the chunks of format-A documents given as (place, document)
+    pairs, each closed where chunk_is_full says. A document is decoded
+    before it joins the pending chunk, as its rows are known only then. A
+    bad document's error names its place; an OSError of reading a document
+    comes after the error of a bad one before it."""
+    frames: list[list[tuple[int, bytes]]] = []  # the pending chunk's decoded documents
+    places: list[str] = []
+    rows = index = 0
     try:
-        for doc in docs:
-            batch.append(doc)
-            if len(batch) == CHUNK_FRAMES:
-                yield _decode_located(batch, index)
-                index += len(batch)
-                batch = []
+        for place, doc in docs:
+            try:
+                persons = _decoded_document(doc)
+            except (ParseError, SchemaError) as exc:
+                _located_chunk(frames, places, index)  # a bad document before it wins
+                raise _located(exc, place) from exc
+            # chunk_is_full(len(frames), rows, len(persons)), inlined: a call
+            # per document is a visible part of decoding one
+            if frames and (len(frames) >= CHUNK_FRAMES or rows + len(persons) > CHUNK_ROWS):
+                yield _located_chunk(frames, places, index)
+                index += len(frames)
+                frames, places, rows = [], [], 0
+            frames.append(persons)
+            places.append(place)
+            rows += len(persons)
     except OSError:
-        _decode_located(batch, index)
+        _located_chunk(frames, places, index)
         raise
-    if batch:
-        yield _decode_located(batch, index)
+    if frames:
+        yield _located_chunk(frames, places, index)
 
 
 def read_ndjson(fh: BinaryIO) -> list[FrameChunk]:
@@ -316,7 +349,7 @@ def read_ndjson(fh: BinaryIO) -> list[FrameChunk]:
 
 
 def load_chunks(path: str | Path) -> list[FrameChunk]:
-    """Load a session, in chunks of at most CHUNK_FRAMES frames, from a
+    """Load a session, in chunks closed where chunk_is_full says, from a
     directory of per-frame JSON files (lexicographic order), a
     newline-delimited JSON file, or a format-B CSV file."""
     path = Path(path)
@@ -350,10 +383,10 @@ def load_session_csv(path: str | Path) -> list[FrameChunk]:
 
     Rows may come in any order; blank lines are skipped, and of repeated
     (frame, person, joint) rows the last one counts. Frames come out sorted
-    by frame number, their persons by id, in chunks of at most CHUNK_FRAMES
-    frames that are row views of one array pair. Rows are read in chunks by
-    np.loadtxt; when one is rejected, the first bad row of the file is
-    reported with its line number. A file that is not UTF-8 raises a
+    by frame number, their persons by id, in chunks closed where
+    chunk_is_full says, which are row views of one array pair. Rows are read
+    in chunks by np.loadtxt; when one is rejected, the first bad row of the
+    file is reported with its line number. A file that is not UTF-8 raises a
     ParseError naming the line and byte of its first bad byte.
     """
     try:
@@ -371,11 +404,18 @@ def load_session_csv(path: str | Path) -> list[FrameChunk]:
     confidence = confidence[order]
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
     indices, sizes = frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist()
-    cuts = [*starts[::CHUNK_FRAMES].tolist(), len(frame)]  # the chunks' first rows, and the end
+    firsts = [0]  # the chunks' first frames
+    n_frames = n_rows = 0  # of the last chunk so far
+    for k, size in enumerate(sizes):
+        if chunk_is_full(n_frames, n_rows, size):
+            firsts.append(k)
+            n_frames = n_rows = 0
+        n_frames += 1
+        n_rows += size
+    cuts = [*starts[firsts].tolist(), len(frame)]  # the chunks' first rows, and the end
     coords.flags.writeable = confidence.flags.writeable = False  # as each chunk's view
-    return [FrameChunk(indices[k:k + CHUNK_FRAMES], sizes[k:k + CHUNK_FRAMES],
-                       coords[a:b], confidence[a:b])
-            for k, a, b in zip(range(0, len(indices), CHUNK_FRAMES), cuts, cuts[1:])]
+    return [FrameChunk(indices[k:m], sizes[k:m], coords[a:b], confidence[a:b])
+            for k, m, a, b in zip(firsts, [*firsts[1:], len(sizes)], cuts, cuts[1:])]
 
 
 def _read_csv_rows(fh, usecols: list[int],

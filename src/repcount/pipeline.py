@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from . import keypoints
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
-from .keypoints import FrameChunk, SkeletonFrame, normalize_frame
+from .keypoints import FrameChunk, SkeletonFrame, chunk_is_full, normalize_frame
 from .kinematics import ExerciseProfile, angle_of_cosine, builtin_profiles, profile_cosines
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
@@ -89,9 +88,18 @@ class SessionEngine:
         self._next: tuple[Optional[SkeletonFrame], Optional[_Planned]] = (None, None)
 
     def process_frames(self, frames: Iterable[SkeletonFrame]) -> None:
-        """Process frames in order, stacked in chunks of keypoints.CHUNK_FRAMES."""
-        frames = iter(frames)
-        while chunk := list(islice(frames, keypoints.CHUNK_FRAMES)):
+        """Process frames in order, stacked in chunks closed where
+        keypoints.chunk_is_full says, as the loaders close theirs."""
+        chunk: list[SkeletonFrame] = []
+        rows = 0
+        for frame in frames:
+            size = len(frame.coords)
+            if chunk_is_full(len(chunk), rows, size):
+                self.process_chunk(FrameChunk.of(chunk))
+                chunk, rows = [], 0
+            chunk.append(frame)
+            rows += size
+        if chunk:
             self.process_chunk(FrameChunk.of(chunk))
 
     def process_chunk(self, chunk: FrameChunk) -> None:

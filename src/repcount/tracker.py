@@ -17,7 +17,6 @@ measured when the frame comes. The tracker keeps no plan.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -133,15 +132,25 @@ class FramePlan(NamedTuple):
 def _frame_gates(bounds: list[int], coords: np.ndarray, confidence: np.ndarray) -> list[float]:
     """Each frame's automatic gate: the fraction of the median torso length of
     its skeletons whose neck and mid-hip are detected; inf without one.
-    bounds[k]:bounds[k + 1] are frame k's rows of the stacked arrays."""
+    bounds[k]:bounds[k + 1] are frame k's rows of the stacked arrays.
+
+    The medians of all frames are taken at once, with the operations of
+    statistics.median on each frame's sorted torsos: the middle one of an
+    odd count, the halved sum of the middle two of an even one."""
     # confidences are >= 0, so the smaller one is > 0 iff both joints are seen
     seen = np.minimum(confidence[:, NECK], confidence[:, MID_HIP]) > 0
     d = coords[:, NECK] - coords[:, MID_HIP]
-    torsos = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])[seen].tolist()
-    ends = np.concatenate(([0], np.cumsum(seen)))[bounds].tolist()
-    # statistics.median beats np.median on a frame's few rows
-    return [AUTO_GATE_TORSO_FRACTION * statistics.median(torsos[a:b]) if b > a else math.inf
-            for a, b in zip(ends, ends[1:])]
+    torsos = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])[seen]
+    n_frames = len(bounds) - 1
+    frame_of = np.repeat(np.arange(n_frames), np.diff(bounds))[seen]
+    # each frame's torsos in ascending order, then an inf that frames without
+    # one index into harmlessly
+    ordered = np.append(torsos[np.lexsort((torsos, frame_of))], np.inf)
+    counts = np.bincount(frame_of, minlength=n_frames)
+    firsts = np.cumsum(counts) - counts
+    low, high = ordered[firsts + (counts - 1) // 2], ordered[firsts + counts // 2]
+    medians = np.where(counts % 2 == 1, high, (low + high) / 2)
+    return np.where(counts > 0, AUTO_GATE_TORSO_FRACTION * medians, np.inf).tolist()
 
 
 class PoseTracker:

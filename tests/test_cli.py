@@ -509,7 +509,7 @@ def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_pat
     frame) sees every frame once, in order, and the report is unchanged,
     whichever chunk loader reads the input."""
     session = simulate(tmp_path, name="session.csv" if mode == "csv" else "session.ndjson",
-                       exercise="squat", full_cycles=6, noise=4.0, gap_rate=0.05)
+                       exercise="squat", full_cycles=30, noise=4.0, gap_rate=0.05)
 
     def analyze(out_json):
         if mode == "stdin":
@@ -621,7 +621,7 @@ def test_analyze_makes_no_copy_of_the_loaded_arrays(tmp_path, model_path, monkey
     """The labels and angles of each loaded chunk are computed on its own
     arrays."""
     session = simulate(tmp_path, name="session.csv" if mode == "csv" else "session.ndjson",
-                       exercise="squat", persons=2, full_cycles=6, gap_rate=0.05)
+                       exercise="squat", persons=2, full_cycles=30, gap_rate=0.05)
     if mode == "directory":
         lines = session.read_text().splitlines()
         session = tmp_path / "frames"

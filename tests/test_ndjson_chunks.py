@@ -19,6 +19,7 @@ from repcount.body25 import NUM_JOINTS
 from repcount.keypoints import (FrameChunk, ParseError, SchemaError, SkeletonFrame,
                                 load_chunks, load_frames, parse_frame,
                                 read_ndjson, serialize_frame, write_session_csv)
+from repcount.pipeline import SessionEngine
 
 _PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
 
@@ -174,16 +175,44 @@ def streams(draw):
     return lines
 
 
+def chunk_budget(chunk_frames, chunk_rows):
+    """A patch of both chunk bounds, for a with block."""
+    return mock.patch.multiple(keypoints, CHUNK_FRAMES=chunk_frames, CHUNK_ROWS=chunk_rows)
+
+
+def greedy_chunk_sizes(sizes, chunk_frames, chunk_rows):
+    """The frames per chunk of frames of the given row counts: a chunk takes
+    the next frame unless it holds chunk_frames frames already, or the
+    frame would take it past chunk_rows rows; an empty chunk takes any."""
+    chunks = []
+    rows = 0
+    for size in sizes:
+        if not chunks or chunks[-1] == chunk_frames or rows + size > chunk_rows:
+            chunks.append(0)
+            rows = 0
+        chunks[-1] += 1
+        rows += size
+    return chunks
+
+
+# CHUNK_ROWS values: none (each frame a chunk of its own), a few frames' rows
+# or fewer than one frame's, and the default
+CHUNK_ROWS_DRAWN = st.sampled_from([0, 1, 2, 3, 5, 8, 1024])
+
+
 @settings(max_examples=200, deadline=None)
-@given(streams(), st.integers(1, 9), st.sampled_from(["\n", "\r\n", "\r"]))
-def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, newline):
+@given(streams(), st.integers(1, 9), CHUNK_ROWS_DRAWN, st.sampled_from(["\n", "\r\n", "\r"]))
+def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, chunk_rows, newline):
     want_frames, want_error = outcome(lambda: reference_iter_ndjson_frames(lines))
     data = "".join(line + newline for line in lines).encode("utf-8")
-    with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
-        got_frames, got_error = outcome(lambda: frames_of(read_ndjson(io.BytesIO(data))))
+    with chunk_budget(chunk_frames, chunk_rows):
+        got_chunks, got_error = outcome(lambda: read_ndjson(io.BytesIO(data)))
+    got_frames = None if got_chunks is None else frames_of(got_chunks)
     assert got_error == want_error
     if want_error is None:
         assert_same_frames(got_frames, want_frames)
+        assert [len(chunk.sizes) for chunk in got_chunks] == greedy_chunk_sizes(
+            [len(frame.coords) for frame in want_frames], chunk_frames, chunk_rows)
     if want_error is None:  # parse_frame is the same decoder, one document at a time
         docs = [line for line in lines if line.strip()]
         assert_same_frames([parse_frame(doc, i) for i, doc in enumerate(docs)], want_frames)
@@ -206,14 +235,23 @@ FIRST_BAD = [  # (line, kind) of two bad documents; the first one wins
 ]
 
 
-@pytest.mark.parametrize("chunk_frames", [64, 5, 1],
-                         ids=["one-chunk", "across-a-boundary", "chunks-of-one"])
+# a good document of two persons, so that the row budget cuts chunks too
+TWO_PERSONS = json.dumps({"people": [{"pose_keypoints_2d": [1.0] * 75}] * 2})
+
+
+@pytest.mark.parametrize("chunk_frames,chunk_rows", [
+    pytest.param(64, 1024, id="one-chunk"),
+    pytest.param(5, 1024, id="across-a-boundary"),
+    pytest.param(1, 1024, id="chunks-of-one"),
+    pytest.param(64, 5, id="rows-across-a-boundary"),
+    pytest.param(64, 1, id="rows-below-a-frame"),
+])
 @pytest.mark.parametrize("first,second", FIRST_BAD)
-def test_first_bad_document_wins(chunk_frames, first, second):
-    lines = ['{"people": []}'] * 9
+def test_first_bad_document_wins(chunk_frames, chunk_rows, first, second):
+    lines = [TWO_PERSONS] * 9
     for number, kind in (first, second):
         lines[number - 1] = BAD_DOCUMENTS[kind]
-    with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
+    with chunk_budget(chunk_frames, chunk_rows):
         _, got = outcome(lambda: read_ndjson(io.BytesIO("\n".join(lines).encode())))
     assert got == per_document_error(BAD_DOCUMENTS[first[1]], f"line {first[0]}")
 
@@ -370,11 +408,13 @@ def sessions(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sessions(), st.integers(1, 9))
-def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames):
-    """NDJSON, directory and CSV input load as chunks of at most
-    CHUNK_FRAMES frames at strictly increasing indices, whose frames are
-    load_frames' and, for format A, the per-document decoder's."""
+@given(sessions(), st.integers(1, 9), CHUNK_ROWS_DRAWN)
+def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames, chunk_rows):
+    """NDJSON, directory and CSV input load as chunks at strictly
+    increasing indices, cut by the greedy rule of CHUNK_FRAMES frames and
+    CHUNK_ROWS rows, whose frames are load_frames' and, for format A, the
+    per-document decoder's; SessionEngine.process_frames cuts the frames
+    of format A where its loaders do."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # serialize_frame fails on a frame without a person
@@ -385,15 +425,78 @@ def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames):
         for i, doc in enumerate(docs):
             (tmp / "frames" / f"{i:03d}.json").write_text(doc)
         write_session_csv(tmp / "session.csv", frames)
-        with mock.patch.object(keypoints, "CHUNK_FRAMES", chunk_frames):
+        with chunk_budget(chunk_frames, chunk_rows):
             for name in ("session.ndjson", "frames", "session.csv"):
                 chunks = load_chunks(tmp / name)
                 indices = [i for chunk in chunks for i in chunk.indices]
-                assert all(0 < len(chunk.indices) <= chunk_frames for chunk in chunks)
                 assert all(a < b for a, b in zip(indices, indices[1:]))
                 got = frames_of(chunks)
+                assert [len(chunk.sizes) for chunk in chunks] == greedy_chunk_sizes(
+                    [len(frame.coords) for frame in got], chunk_frames, chunk_rows)
                 assert_same_frames(got, load_frames(tmp / name))
                 if name != "session.csv":
                     assert_same_frames(got, list(reference_iter_ndjson_frames(docs)))
+                    assert cuts_of_process_frames(got) == indices_of(chunks)
                 else:  # a frame without a detected joint has no row
                     assert indices == [f.frame_index for f in frames if f.confidence.any()]
+
+
+def indices_of(chunks):
+    return [list(chunk.indices) for chunk in chunks]
+
+
+def cuts_of_process_frames(frames):
+    """The frame indices of each chunk SessionEngine.process_frames makes."""
+    engine, cuts = SessionEngine(), []
+    process_chunk = engine.process_chunk
+
+    def recording(chunk):
+        cuts.append(list(chunk.indices))
+        process_chunk(chunk)
+
+    engine.process_chunk = recording
+    engine.process_frames(frames)
+    return cuts
+
+
+def frames_of_sizes(sizes):
+    """Frames 0, 1, ... of sizes[k] fully detected persons each."""
+    rng = np.random.default_rng(len(sizes))
+    return [SkeletonFrame(i, rng.uniform(0, 100, (n, NUM_JOINTS, 3)), np.ones((n, NUM_JOINTS)))
+            for i, n in enumerate(sizes)]
+
+
+def write_ndjson(path, frames):
+    path.write_bytes(b"".join(serialize_frame(frame) + b"\n" for frame in frames))
+    return path
+
+
+def test_solo_stream_loads_in_chunks_of_chunk_frames(tmp_path):
+    frames = frames_of_sizes([1] * 601)
+    write_session_csv(tmp_path / "solo.csv", frames)
+    for path in (write_ndjson(tmp_path / "solo.ndjson", frames), tmp_path / "solo.csv"):
+        chunks = load_chunks(path)
+        assert [len(chunk.sizes) for chunk in chunks] == [256, 256, 89]
+        assert_same_frames(frames_of(chunks), frames)
+        assert cuts_of_process_frames(frames) == indices_of(chunks)
+
+
+def test_crowd_stream_loads_in_chunks_of_at_most_chunk_rows(tmp_path):
+    frames = frames_of_sizes([16] * 150)
+    path = write_ndjson(tmp_path / "crowd.ndjson", frames)
+    chunks = load_chunks(path)
+    assert [len(chunk.coords) for chunk in chunks] == [1024, 1024, 352]
+    assert [len(chunk.sizes) for chunk in chunks] == [64, 64, 22]
+    assert cuts_of_process_frames(frames) == indices_of(chunks)
+
+
+def test_frame_wider_than_the_row_budget_is_a_chunk_of_its_own(tmp_path):
+    frames = frames_of_sizes([2, 7, 1, 1, 6, 6, 3])
+    ndjson = write_ndjson(tmp_path / "session.ndjson", frames)
+    write_session_csv(tmp_path / "session.csv", frames)
+    with chunk_budget(256, 5):
+        for path in (ndjson, tmp_path / "session.csv"):
+            chunks = load_chunks(path)
+            assert [list(chunk.sizes) for chunk in chunks] == [[2], [7], [1, 1], [6], [6], [3]]
+            assert_same_frames(frames_of(chunks), frames)
+            assert cuts_of_process_frames(frames) == indices_of(chunks)

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -338,10 +339,10 @@ def label_sessions(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(label_sessions(), st.integers(1, 9))
-def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk):
-    """Frames labelled in chunks of any size get the labels of the
-    per-frame path, and the report is the one a hand loop of
+@given(label_sessions(), st.integers(1, 9), st.sampled_from([0, 1, 4, 7, 1024]))
+def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk, chunk_rows):
+    """Frames labelled in chunks of any frame and row bound get the labels
+    of the per-frame path, and the report is the one a hand loop of
     process_frame gives with per-frame labels."""
     model, thresholds, _ = trained_model
     want = [frame_labels_reference(model, thresholds, f.coords, f.confidence) for f in frames]
@@ -354,6 +355,7 @@ def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
+        mp.setattr(keypoints, "CHUNK_ROWS", chunk_rows)
         mp.setattr(LabelWindow, "push", recording_push)
         assert chunk_labels(SessionEngine(model=model, thresholds=thresholds), frames) == want
         chunked = analyze_frames(frames, model=model, thresholds=thresholds)
@@ -449,3 +451,56 @@ def test_scaling_by_a_power_of_two_leaves_the_report_unchanged(trained_model, k)
     assert sum(s.total for s in want.summaries) > 0
     assert render_json(analyze_frames(scaled, model=model, thresholds=thresholds)) == \
         render_json(want)
+
+
+@st.composite
+def damaged_sessions(draw):
+    """A synthetic session of 1-4 persons of any motion, cadence, noise and
+    gap rate, then damaged by a drawn seed: frames dropped, persons lost for
+    a frame, necks and mid-hips unseen, and every coordinate scaled by a
+    power of ten."""
+    motions = tuple(
+        PersonMotion(draw(st.sampled_from(["squat", "push-up", "pull-up", "sit-up"])),
+                     full_cycles=draw(st.integers(1, 4)), partial_cycles=draw(st.integers(0, 2)),
+                     period=draw(st.integers(8, 30)),
+                     noise_sigma=draw(st.sampled_from([0.0, 5.0, 30.0])),
+                     gap_rate=draw(st.sampled_from([0.0, 0.05, 0.4])))
+        for _ in range(draw(st.integers(1, 4))))
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=motions, seed=draw(st.integers(0, 2**32 - 1)), shuffle_order=draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    drop, lose, unseen = (draw(st.sampled_from([0.0, 0.0, 0.1, 0.5])) for _ in range(3))
+    scale = 10.0 ** draw(st.one_of(st.just(0), st.integers(-300, 300)))
+    damaged = []
+    for f in frames:
+        if rng.random() < drop:
+            continue
+        keep = rng.random(len(f.coords)) >= lose
+        coords, conf = f.coords[keep] * scale, f.confidence[keep].copy()
+        conf[rng.random(conf.shape[:1]) < unseen, NECK] = 0.0
+        conf[rng.random(conf.shape[:1]) < unseen, MID_HIP] = 0.0
+        coords[conf == 0] = 0.0
+        damaged.append(SkeletonFrame(f.frame_index, coords, conf))
+    return damaged
+
+
+@settings(max_examples=40, deadline=None)
+@given(damaged_sessions())
+def test_counters_see_finite_values_and_verdicts_add_up(trained_model, frames):
+    """Whatever the input, every value a RepCounter steps on is finite, and
+    each person's total is their correct plus their incorrect reps."""
+    model, thresholds, _ = trained_model
+    stepped = []
+    step = pipeline.RepCounter.step
+
+    def recording_step(counter, frame, time_s, angle):
+        stepped.append((frame, time_s, angle))
+        return step(counter, frame, time_s, angle)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(pipeline.RepCounter, "step", recording_step)
+        result = analyze_frames(frames, model=model, thresholds=thresholds)
+    assert all(math.isfinite(v) for values in stepped for v in values)
+    for summary in result.summaries:
+        assert summary.total == summary.correct + summary.incorrect
+        assert summary.total == len(summary.events)

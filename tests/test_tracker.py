@@ -429,6 +429,42 @@ def reference_torso_gate(coords, confidence):
     return tracker.AUTO_GATE_TORSO_FRACTION * statistics.median(torsos)
 
 
+# a torso end's coordinates: few values, so torsos tie, and some that
+# overflow a torso to inf
+TORSO_ENDS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, 3.0, 4.0, -1e200, 1e200]))
+
+
+@st.composite
+def gate_frames(draw):
+    """The stacked arrays of frames of 0-6 skeletons each, and the frames'
+    row bounds. A skeleton's neck and mid-hip are seen or not, so a frame
+    has 0, 1, 2, an odd or an even number of torsos, in any order."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=8))
+    n = sum(sizes)
+    coords = np.zeros((n, NUM_JOINTS, 3))
+    confidence = np.ones((n, NUM_JOINTS))
+    for row in range(n):
+        for joint in (NECK, MID_HIP):
+            coords[row, joint] = [draw(TORSO_ENDS) for _ in range(3)]
+        unseen = draw(st.sampled_from([[], [], [NECK], [MID_HIP], [NECK, MID_HIP]]))
+        confidence[row, unseen] = 0.0
+    return list(itertools.accumulate(sizes, initial=0)), coords, confidence
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_frames())
+def test_frame_gates_equal_the_median_rule(case):
+    """The gates of all frames of a chunk, taken at once, are bit for bit
+    those of statistics.median over each frame's torsos."""
+    bounds, coords, confidence = case
+    with np.errstate(over="ignore"):
+        got = tracker._frame_gates(bounds, coords, confidence)
+    want = [reference_torso_gate(coords[a:b], confidence[a:b])
+            for a, b in zip(bounds, bounds[1:])]
+    assert all(type(gate) is float for gate in got)
+    assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
 def reference_distance_matrix(track_coords, track_confidence, coords, confidence):
     shared = (track_confidence > 0)[:, None, :] & (confidence > 0)[None, :, :]
     n_tracks, n_skeletons = len(track_coords), len(coords)
@@ -601,11 +637,12 @@ def tracked_sessions(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tracked_sessions(), st.integers(1, 9), st.sampled_from([None, 0.0, 5.0, 20.0, 1e9]),
-       st.sampled_from([0, 1, 3, 30]))
-def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, gate, window):
-    """Matching from chunk plans, of any chunk size, gives the assignments
-    and the report of the per-frame tracker it replaced."""
+@given(tracked_sessions(), st.integers(1, 9), st.sampled_from([0, 1, 3, 6, 1024]),
+       st.sampled_from([None, 0.0, 5.0, 20.0, 1e9]), st.sampled_from([0, 1, 3, 30]))
+def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, chunk_rows,
+                                                  gate, window):
+    """Matching from chunk plans, of any frame and row bound, gives the
+    assignments and the report of the per-frame tracker it replaced."""
     model, thresholds, _ = trained_model
 
     def run(pose_tracker):
@@ -624,6 +661,7 @@ def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
+        mp.setattr(keypoints, "CHUNK_ROWS", chunk_rows)
         mp.setattr(tracker, "RETENTION_WINDOW", window)
         planned = run(PoseTracker(gate))
     assert planned == run(ReferenceTracker(gate, retention_window=window))
