@@ -84,31 +84,32 @@ class StreamingConditioner:
 
     Gap filling is causal and immediate; the outlier rule needs the next
     sample, so each sample is emitted once its successor arrives. flush()
-    releases the final sample unmodified (it is an endpoint).
+    ends the stream: it releases the final sample unmodified (it is an
+    endpoint), and nothing is fed after it.
     """
 
     def __init__(self, mid: float):
         self.mid = mid
-        self._filled_hist: list[float] = []  # last two gap-filled values
-        self._pending: Optional[tuple[int, float]] = None  # awaiting right neighbor
-        self._last_emitted: Optional[float] = None
+        # the sample awaiting its right neighbor, as (frame, filled)
+        self._pending: Optional[tuple[int, float]] = None
+        # the last emitted sample, as (filled, conditioned)
+        self._last: Optional[tuple[float, float]] = None
         self._leading_gaps: list[int] = []
-        self._started = False
 
     def feed(self, frame: int, raw: Optional[float]) -> list[tuple[int, float, float]]:
         """Feed one sample; return the (frame, filled, conditioned) samples
         finalized by this arrival (possibly empty)."""
-        if self._started:
+        pending = self._pending
+        if pending is not None:
             if raw is None:
-                hist = self._filled_hist
+                last = self._last
                 # a single valid sample so far is repeated
-                raw = hist[-1] if len(hist) < 2 else _clamp(2.0 * hist[-1] - hist[-2])
+                raw = pending[1] if last is None else _clamp(2.0 * pending[1] - last[0])
             return self._push(frame, raw)
         if raw is None:
             # leading gap: back-filled with the first valid value on arrival
             self._leading_gaps.append(frame)
             return []
-        self._started = True
         emitted = [sample for gap_frame in self._leading_gaps
                    for sample in self._push(gap_frame, raw)]
         self._leading_gaps.clear()
@@ -116,21 +117,16 @@ class StreamingConditioner:
         return emitted
 
     def _push(self, frame: int, filled: float) -> list[tuple[int, float, float]]:
-        hist = self._filled_hist
-        hist.append(filled)
-        if len(hist) > 2:
-            del hist[0]
         pending = self._pending
         self._pending = (frame, filled)
         if pending is None:
             return []
         pframe, pfilled = pending
-        pval = pfilled
-        if self._last_emitted is not None:
-            # left neighbor already conditioned, right neighbor only
-            # gap-filled: exactly one in-place left-to-right sweep
-            pval = _outlier_adjust(self._last_emitted, pval, filled, self.mid)
-        self._last_emitted = pval
+        last = self._last
+        # left neighbor already conditioned, right neighbor only gap-filled:
+        # exactly one in-place left-to-right sweep
+        pval = pfilled if last is None else _outlier_adjust(last[1], pfilled, filled, self.mid)
+        self._last = (pfilled, pval)
         return [(pframe, pfilled, pval)]
 
     def flush(self) -> list[tuple[int, float, float]]:
@@ -139,6 +135,5 @@ class StreamingConditioner:
         if self._pending is not None:
             pframe, pfilled = self._pending
             out.append((pframe, pfilled, pfilled))
-            self._last_emitted = pfilled
             self._pending = None
         return out

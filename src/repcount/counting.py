@@ -25,6 +25,12 @@ class RepEvent:
     verdict: str  # "correct" or "incorrect"
 
 
+def tally(events: list[RepEvent]) -> tuple[int, int, int]:
+    """(total, correct, incorrect) of a list of events."""
+    correct = sum(e.verdict == "correct" for e in events)
+    return (len(events), correct, len(events) - correct)
+
+
 class RepCounter:
     """Counts repetitions for one (person, exercise set)."""
 
@@ -41,9 +47,6 @@ class RepCounter:
         self.phase = "unstarted"  # unstarted | above | below
         self.cycle_min: Optional[float] = None
         self.cycle_max: Optional[float] = None
-        self.total = 0
-        self.correct = 0
-        self.incorrect = 0
         self.events: list[RepEvent] = []
         self._finalized = False
 
@@ -82,18 +85,13 @@ class RepCounter:
         event = RepEvent(person_id=self.person_id, frame=frame,
                          time_s=time_s, verdict=verdict)
         self.events.append(event)
-        self.total += 1
-        if verdict == "correct":
-            self.correct += 1
-        else:
-            self.incorrect += 1
         # extremes start over from the crossing sample
         self.cycle_min = angle
         self.cycle_max = angle
         return event
 
     def counts(self) -> tuple[int, int, int]:
-        return (self.total, self.correct, self.incorrect)
+        return tally(self.events)
 
     def finalize(self) -> tuple[int, int, int]:
         """Freeze counts; partial motion after the last crossing is discarded."""

@@ -7,9 +7,11 @@ planned for the whole chunk on its own arrays: the tracker's gates and
 candidate distances, the labels, and the angle cosines of every profile.
 Matching, the label vote, angles, conditioning and counting then run frame
 by frame (process_frame), each frame handed its plan. Each tracked person
-carries a label window and a stack of exercise sets; when the windowed label switches to a different
-known exercise the current set's counter is finalized and a new one
-starts. Unknown and warmup labels pause counting without closing the set.
+has one record: a label window, the open exercise set if any, and the
+answer so far. A set opens when the windowed label is a known exercise and
+closes when that label switches to another one, when the tracker retires
+the person, or at finalize; closing folds it into the record. Unknown and
+warmup labels pause counting without closing the set.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from .conditioning import StreamingConditioner
-from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent
+from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent, tally
 from .keypoints import FrameChunk, SkeletonFrame, chunk_is_full, normalize_frame
 from .kinematics import ExerciseProfile, angle_of_cosine, builtin_profiles, profile_cosines
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
@@ -33,12 +35,14 @@ from .tracker import FramePlan, PoseTracker
 @dataclass(frozen=True)
 class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
-    keep_traces: bool = False  # retain per-set angle traces for CSV export
+    keep_traces: bool = False  # retain per-person angle traces for CSV export
     fps: float = 30.0  # frame rate of the session: a rep at frame f is at f / fps seconds
 
     def __post_init__(self):
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"fps must be a finite number > 0, got {self.fps!r}")
+        # frame indices are int64: the last one must still have a finite time
+        if not (math.isfinite(self.fps) and self.fps > 0 and math.isfinite(2.0**63 / self.fps)):
+            raise ValueError(f"fps must be a finite number > 0 that gives every int64 frame "
+                             f"index a finite time, got {self.fps!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
 
@@ -49,7 +53,6 @@ class _ExerciseSet:
     conditioner: StreamingConditioner
     counter: RepCounter
     frames: int = 0
-    trace: list[tuple[int, Optional[float], float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -57,7 +60,11 @@ class _PersonState:
     person_id: int
     window: LabelWindow = field(default_factory=LabelWindow)
     active: Optional[_ExerciseSet] = None
-    closed_sets: list[_ExerciseSet] = field(default_factory=list)
+    events: list[RepEvent] = field(default_factory=list)  # of the closed sets
+    # of the closed set with the most frames; the first one wins a tie
+    exercise: str = UNKNOWN
+    exercise_frames: int = 0
+    trace: list[tuple[int, Optional[float], float, float]] = field(default_factory=list)
     frames_seen: list[int] = field(default_factory=list)
     raw_angles: dict[int, Optional[float]] = field(default_factory=dict)
 
@@ -139,6 +146,8 @@ class SessionEngine:
             windowed = window.current()
             if windowed in profiles:
                 self._step_exercise(state, windowed, cosines[windowed][row + sidx], index)
+        for pid in assignment.retired:  # never matched again: its set is over
+            self._close_set(persons[pid])
 
     def _plan_chunk(self, chunk: FrameChunk) -> list[_Planned]:
         """Plan a chunk's frames on its own arrays: the tracker plans each
@@ -190,20 +199,23 @@ class SessionEngine:
 
     def _emit(self, state: _PersonState, samples) -> None:
         """Count the conditioned samples of the active set, tracing them when asked."""
-        current = state.active
-        step, fps, keep_traces = current.counter.step, self.config.fps, self.config.keep_traces
+        step, fps = state.active.counter.step, self.config.fps
+        keep_traces = self.config.keep_traces
         for f, filled, conditioned in samples:
             step(f, f / fps, conditioned)
             if keep_traces:
-                current.trace.append((f, state.raw_angles.pop(f, None), filled, conditioned))
+                state.trace.append((f, state.raw_angles.pop(f, None), filled, conditioned))
 
     def _close_set(self, state: _PersonState) -> None:
+        """End the person's open set, if any, and fold it into the record."""
         current = state.active
         if current is None:
             return
         self._emit(state, current.conditioner.flush())
         current.counter.finalize()
-        state.closed_sets.append(current)
+        state.events += current.counter.events
+        if current.frames > state.exercise_frames:
+            state.exercise, state.exercise_frames = current.exercise, current.frames
         state.active = None
 
     def finalize(self) -> SessionResult:
@@ -215,23 +227,12 @@ class SessionEngine:
         for pid in sorted(self.persons):
             state = self.persons[pid]
             self._close_set(state)
-            events: list[RepEvent] = []
-            total = correct = incorrect = 0
-            dominant = None
-            for ex_set in state.closed_sets:
-                events.extend(ex_set.counter.events)
-                t, c, i = ex_set.counter.counts()
-                total += t
-                correct += c
-                incorrect += i
-                if dominant is None or ex_set.frames > dominant.frames:
-                    dominant = ex_set
+            total, correct, incorrect = tally(state.events)
             # a set opens whenever the voted label is a profile, so a person
-            # without one never had a profile label
-            predicted = dominant.exercise if dominant is not None else UNKNOWN
+            # without one never had a profile label and stays UNKNOWN
             summaries.append(PersonSummary(
-                person_id=pid, predicted_exercise=predicted,
-                total=total, correct=correct, incorrect=incorrect, events=events,
+                person_id=pid, predicted_exercise=state.exercise,
+                total=total, correct=correct, incorrect=incorrect, events=state.events,
             ))
             id_history[pid] = state.frames_seen
         return SessionResult(
@@ -244,15 +245,7 @@ class SessionEngine:
 
     def traces(self) -> dict[int, list[tuple[int, Optional[float], float, float]]]:
         """Per-person conditioned angle traces (requires keep_traces)."""
-        out = {}
-        for pid, state in self.persons.items():
-            rows: list[tuple[int, Optional[float], float, float]] = []
-            for ex_set in state.closed_sets:
-                rows.extend(ex_set.trace)
-            if state.active is not None:
-                rows.extend(state.active.trace)
-            out[pid] = rows
-        return out
+        return {pid: state.trace for pid, state in self.persons.items()}
 
 
 def analyze_frames(frames, model=None, thresholds=None, profiles=None,

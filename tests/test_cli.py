@@ -282,7 +282,7 @@ class TestExitCodes:
 
     # the input does not exist: the option must be rejected before it is read
     @pytest.mark.parametrize("command", ["analyze"])
-    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf", "0", "-1", "1e-310"])
     def test_bad_fps(self, tmp_path, capsys, command, fps):
         assert main([command, str(tmp_path / "nope.ndjson"), f"--fps={fps}"]) == EXIT_BAD_CONFIG
         assert "--fps must be a finite number > 0" in capsys.readouterr().err

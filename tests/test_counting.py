@@ -122,7 +122,15 @@ class TestRepCounter:
 
 class ReferenceCounter(RepCounter):
     """RepCounter.step as it was before it returned early inside the
-    debounce band."""
+    debounce band, with tallies of its own for counts() to be checked
+    against."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.total = self.correct = self.incorrect = 0
+
+    def counts(self):
+        return (self.total, self.correct, self.incorrect)
 
     def step(self, frame, time_s, angle):
         if angle is None:

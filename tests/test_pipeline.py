@@ -14,10 +14,10 @@ from repcount.keypoints import (FrameChunk, RawSkeleton, SkeletonFrame, normaliz
 from repcount.kinematics import angle_for
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
 from repcount.recognizer import UNKNOWN, LabelWindow, classify_with_reject
-from repcount.reporting import render_json
+from repcount.reporting import render_json, render_text
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
-from repcount.tracker import PoseTracker, SequencingError
+from repcount.tracker import RETENTION_WINDOW, PoseTracker, SequencingError
 
 
 def run_session(spec, trained_model, **config_kw):
@@ -48,7 +48,9 @@ class TestEngineConfig:
     def test_empty_session_reports_the_configured_fps(self):
         assert analyze_frames([], config=EngineConfig(fps=60.0)).fps == 60.0
 
-    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    # 1e-310: the time of a frame index near 2**63 would be inf
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0,
+                                     1e-310])
     def test_rejects_bad_fps(self, fps):
         with pytest.raises(ValueError, match="fps must be a finite number > 0"):
             EngineConfig(fps=fps)
@@ -173,6 +175,16 @@ class TestEndToEnd:
             frames += [SkeletonFrame.of(f.frame_index + len(frames), f.skeletons)
                        for f in generate_session(spec)[0]]
         engine = wide_gate_engine(model, thresholds, keep_traces=True)
+        ends = []  # (exercise, length of the trace) as each set closes
+        close_set = engine._close_set
+
+        def recording_close_set(state):
+            exercise = state.active and state.active.exercise
+            close_set(state)
+            if exercise:
+                ends.append((exercise, len(state.trace)))
+
+        engine._close_set = recording_close_set
         for f in frames:
             engine.process_frame(f)
             # only the sample awaiting its successor holds a raw angle
@@ -180,12 +192,15 @@ class TestEndToEnd:
         engine.finalize()
         (state,) = engine.persons.values()
         assert state.raw_angles == {}
-        assert [s.exercise for s in state.closed_sets] == ["squat", "push-up"]
-        for ex_set in state.closed_sets:
-            profile = engine.profiles[ex_set.exercise]
-            assert ex_set.trace
-            for f, raw, _, _ in ex_set.trace:
+        assert [exercise for exercise, _ in ends] == ["squat", "push-up"]
+        assert ends[-1][1] == len(state.trace)
+        start = 0
+        for exercise, end in ends:
+            profile = engine.profiles[exercise]
+            assert end > start
+            for f, raw, _, _ in state.trace[start:end]:
                 assert raw == angle_for(profile, frames[f].coords[0], frames[f].confidence[0])
+            start = end
 
     def test_finalize_twice_rejected(self, trained_model):
         model, thresholds, _ = trained_model
@@ -504,3 +519,91 @@ def test_counters_see_finite_values_and_verdicts_add_up(trained_model, frames):
     for summary in result.summaries:
         assert summary.total == summary.correct + summary.incorrect
         assert summary.total == len(summary.events)
+
+
+@functools.cache
+def three_person_source():
+    spec = SyntheticSessionSpec(
+        persons=tuple(PersonMotion(ex, full_cycles=12, noise_sigma=5.0, gap_rate=0.05)
+                      for ex in ("squat", "push-up", "pull-up")),
+        seed=5)
+    return generate_session(spec)[0]
+
+
+def leaving_session(leave, back, gone=None):
+    """The three-person session with its second person away in frames
+    [leave, back), and its third gone from frame `gone` on."""
+    frames = []
+    for f in three_person_source():
+        i = f.frame_index
+        keep = [True, not leave <= i < back, gone is None or i < gone]
+        frames.append(SkeletonFrame(i, f.coords[keep], f.confidence[keep]))
+    return frames
+
+
+def recording_tracker(engine, assignments, keep_retired=False):
+    """Record each frame's Assignment; with keep_retired the engine is told
+    of no retirement (the tracker still drops the tracks)."""
+    match_frame = engine.tracker.match_frame
+
+    def recording_match_frame(frame, plan=None):
+        assignment = match_frame(frame, plan)
+        assignments.append(dataclasses.replace(assignment))
+        if keep_retired:
+            assignment.retired = []
+        return assignment
+
+    engine.tracker.match_frame = recording_match_frame
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(40, 120), st.integers(RETENTION_WINDOW + 1, 3 * RETENTION_WINDOW))
+def test_a_returning_person_is_a_new_person(trained_model, leave, away):
+    """A person away mid-set for longer than the retention window comes
+    back under a new id; the set of the retired id closes on the frame that
+    retires it, and its record does not change after that frame."""
+    model, thresholds, _ = trained_model
+    back = leave + away
+    engine = SessionEngine(model=model, thresholds=thresholds)
+    assignments = []
+    recording_tracker(engine, assignments)
+    retired_record = None
+    for f in leaving_session(leave, back):
+        engine.process_frame(f)
+        assignment = assignments[-1]
+        if f.frame_index == leave - 1:
+            leaver = assignment.id_by_skeleton[1]
+            assert engine.persons[leaver].active is not None  # it leaves mid-set
+        elif f.frame_index == back:
+            assert 1 in assignment.new_ids  # ids are never reused
+            returner = assignment.id_by_skeleton[1]
+        if assignment.retired:
+            assert (f.frame_index, assignment.retired) == (leave + RETENTION_WINDOW, [leaver])
+            state = engine.persons[leaver]
+            assert state.active is None
+            retired_record = (list(state.events), state.exercise)
+    assert retired_record is not None
+    result = engine.finalize()
+    by_id = {s.person_id: s for s in result.summaries}
+    assert (by_id[leaver].events, by_id[leaver].predicted_exercise) == retired_record
+    assert all(e.frame >= back for e in by_id[returner].events)
+
+
+@pytest.mark.parametrize("leave,back,gone", [(60, 100, 150), (45, 200, 100), (100, 150, None)])
+def test_retirement_moves_when_a_set_closes_not_what_is_reported(trained_model, leave, back,
+                                                                 gone):
+    """Closing a retired person's set at retirement, not at finalize,
+    leaves the reports and the traces byte for byte as they were."""
+    model, thresholds, _ = trained_model
+    frames = leaving_session(leave, back, gone)
+    outputs = []
+    for keep_retired in (False, True):
+        engine = SessionEngine(model=model, thresholds=thresholds,
+                               config=EngineConfig(keep_traces=True))
+        assignments = []
+        recording_tracker(engine, assignments, keep_retired)
+        engine.process_frames(frames)
+        result = engine.finalize()
+        assert sum(len(a.retired) for a in assignments) == (1 if gone is None else 2)
+        outputs.append((render_json(result), render_text(result), engine.traces()))
+    assert outputs[0] == outputs[1]
