@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import statistics
@@ -18,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .counting import DEFAULT_TOLERANCE_DEG
-from .keypoints import (ParseError, SchemaError, _raise_not_utf8, load_chunks, load_frames,
-                        normalize_frame, read_ndjson, serialize_frame, write_session_csv)
+from .keypoints import (READ_BUFFER, ParseError, SchemaError, _raise_not_utf8, load_chunks,
+                        load_frames, normalize_frame, read_ndjson, serialize_frame,
+                        write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
@@ -53,10 +55,23 @@ def _train_arg_error(args) -> str | None:
 def _read_chunks(args):
     """The input's chunks, or None once the reason it is unreadable is printed."""
     try:
-        return read_ndjson(sys.stdin.buffer) if args.input == "-" else load_chunks(args.input)
+        return _read_stdin() if args.input == "-" else load_chunks(args.input)
     except (OSError, ParseError, SchemaError) as exc:
         print(f"error: unreadable input: {exc}", file=sys.stderr)
         return None
+
+
+def _read_stdin():
+    """The chunks of stdin, read like a file: through a READ_BUFFER buffer
+    of its own over its raw stream, when it has one."""
+    stdin = sys.stdin.buffer
+    if not hasattr(stdin, "raw"):  # an in-memory stream
+        return read_ndjson(stdin)
+    fh = io.BufferedReader(stdin.raw, READ_BUFFER)
+    try:
+        return read_ndjson(fh)
+    finally:
+        fh.detach()  # leaves stdin open
 
 
 def _run_chunks(chunks, model, thresholds, profiles, config=EngineConfig()) -> SessionEngine:

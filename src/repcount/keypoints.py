@@ -4,8 +4,16 @@ Two input formats are supported:
   A) per-frame JSON objects with a "people" array, each person carrying
      "pose_keypoints_2d" (x, y, c per joint) or "pose_keypoints_3d"
      (x, y, z, c per joint); either one file per frame or a newline-delimited
-     stream of such objects.
+     stream of such objects. An empty "pose_keypoints_3d", which OpenPose
+     writes beside the 2-D array unless it reconstructs 3-D, counts as
+     absent.
   B) a session CSV with header ``frame,person,joint,x,y,z,confidence``.
+
+A format-A document whose persons share one layout and which spells no
+boolean is packed in bulk, one packer call for all its persons; any other
+document, or one the bulk packing refuses, is read person by person, which
+also names its error. Each chunk of documents becomes one array pair. Both
+paths give the same values, and the errors are the per-person path's.
 """
 from __future__ import annotations
 
@@ -15,7 +23,8 @@ import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, repeat, starmap
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Optional, Sequence
 
@@ -144,6 +153,8 @@ def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.nda
 # packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
 # as doubles
 _KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
+# the keypoint field of each stride's layout
+_KEYPOINT_FIELDS = {3: itemgetter("pose_keypoints_2d"), 4: itemgetter("pose_keypoints_3d")}
 # the most frames and skeleton rows of a FrameChunk a loader makes, and so
 # what the engine plans at once. The NumPy calls of a chunk are amortized over
 # its rows: a chunk closes before it would pass CHUNK_ROWS rows, enough rows
@@ -151,6 +162,9 @@ _KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride
 # bounds the chunks of few persons, which have more frames per row.
 CHUNK_ROWS = 1024
 CHUNK_FRAMES = 256
+# the read buffer of a format-A stream: a 16-person line is about 11 kB,
+# more than the default 8 KiB, which copies such a line through refills
+READ_BUFFER = 1 << 20
 
 
 def chunk_is_full(frames: int, rows: int, size: int) -> bool:
@@ -170,10 +184,10 @@ def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, by
     so these are looked for when the document spells one (spells_boolean)."""
     if not isinstance(person, dict):
         raise SchemaError(f"person {person_idx}: must be an object")
-    if "pose_keypoints_3d" in person:
+    if person.get("pose_keypoints_3d", []) == [] and "pose_keypoints_2d" in person:
+        values, stride = person["pose_keypoints_2d"], 3  # no 3-D array, or an empty one
+    elif "pose_keypoints_3d" in person:
         values, stride = person["pose_keypoints_3d"], 4
-    elif "pose_keypoints_2d" in person:
-        values, stride = person["pose_keypoints_2d"], 3
     else:
         raise SchemaError(f"person {person_idx}: no pose_keypoints_2d or pose_keypoints_3d field")
     if not isinstance(values, list):
@@ -194,21 +208,49 @@ def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, by
     raise SchemaError(f"person {person_idx}: keypoint values must be numbers")
 
 
-def _utf8(data: bytes) -> str:
-    """data decoded from UTF-8; a ParseError names the first bad byte."""
+def _bulk_run(people: list) -> Optional[tuple[int, bytes]]:
+    """The packed keypoints of a document's persons as one run, (stride,
+    bytes), when they share one layout; each person's bytes are those of
+    _packed_keypoints, in person order. None when a person needs
+    _packed_keypoints, to be read in its own layout or to name its error.
+
+    Booleans are not looked for: the caller sends a document that spells one
+    to _packed_keypoints. The packer rejects what else is not a number, and
+    a keypoint array of a wrong length. A string or an object expands into
+    its characters or keys, which it rejects too."""
     try:
-        return data.decode("utf-8")
+        # the first person's layout, by the rule of _packed_keypoints
+        stride = 3 if people and people[0].get("pose_keypoints_3d", []) == [] else 4
+        if stride == 3 and any(person.get("pose_keypoints_3d", []) != [] for person in people):
+            return None  # a 3-D person among 2-D ones
+        return stride, b"".join(starmap(_KEYPOINT_PACKERS[stride].pack,
+                                        map(_KEYPOINT_FIELDS[stride], people)))
+    except (AttributeError, KeyError, TypeError, struct.error):
+        return None
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
+    """The ParseError of bytes that are not UTF-8, naming the first bad byte."""
+    return ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start)
+
+
+def _spells_boolean(doc: str | bytes) -> bool:
+    """Whether a document may spell a JSON boolean (a one-letter test is a
+    memchr, a word search is slow; in bytes, only a letter's code is)."""
+    if isinstance(doc, bytes):
+        return (ord("u") in doc and b"true" in doc) or (ord("a") in doc and b"false" in doc)
+    return ("u" in doc and "true" in doc) or ("a" in doc and "false" in doc)
+
+
+def _decoded_document(doc: str | bytes) -> tuple[int, list[tuple[int, bytes]]]:
+    """A format-A document's persons and their packed keypoints, as runs of
+    (stride, bytes) in person order: one run from _bulk_run, or else one
+    per person from _packed_keypoints. Raises the error of the first
+    structural check it fails; the value checks are the chunk's."""
+    try:
+        data = decode_json(doc)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start) from exc
-
-
-def _decoded_document(doc: str | bytes) -> list[tuple[int, bytes]]:
-    """The packed keypoints of each person of a format-A document, as
-    _packed_keypoints gives them. Raises the error of the first structural
-    check it fails; the value checks are the chunk's."""
-    text = _utf8(doc) if isinstance(doc, bytes) else doc
-    try:
-        data = decode_json(text)
+        raise _not_utf8(exc) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed frame document at offset {exc.pos}: {exc.msg}",
                          offset=exc.pos) from exc
@@ -217,39 +259,45 @@ def _decoded_document(doc: str | bytes) -> list[tuple[int, bytes]]:
     people = data["people"]
     if not isinstance(people, list):
         raise SchemaError('"people" must be an array')
-    # JSON booleans would convert to numbers; a document that spells one is
-    # searched for them (a one-letter test is a memchr, a word search is slow)
-    spells_boolean = ("u" in text and "true" in text) or ("a" in text and "false" in text)
-    return list(map(_packed_keypoints, people, count(), repeat(spells_boolean)))
+    # JSON booleans would pack as numbers: a document that spells one is
+    # read person by person, which looks for them
+    spells_boolean = _spells_boolean(doc)
+    run = None if spells_boolean else _bulk_run(people)
+    if run is not None:
+        return len(people), [run]
+    return len(people), list(map(_packed_keypoints, people, count(), repeat(spells_boolean)))
 
 
-def _assembled(frames: Sequence[list[tuple[int, bytes]]], first_index: int) -> FrameChunk:
+def _assembled(frames: Sequence[tuple[int, list[tuple[int, bytes]]]],
+               first_index: int) -> FrameChunk:
     """The chunk of frames first_index, first_index + 1, ... of decoded
     format-A documents; raises the error of one of its value checks."""
-    persons = [person for persons in frames for person in persons]  # in row order
-    n = len(persons)
-    coords = np.zeros((n, NUM_JOINTS, 3))
-    confidence = np.empty((n, NUM_JOINTS))
-    strides, packed = zip(*persons) if persons else ((), ())
-    for stride in set(strides):
-        if strides.count(stride) == n:  # one layout, the usual case: every row
-            rows, values = slice(None), packed
+    sizes = [persons for persons, _ in frames]
+    runs = [run for _, runs in frames for run in runs]  # in row order
+    coords = np.zeros((sum(sizes), NUM_JOINTS, 3))
+    confidence = np.empty((len(coords), NUM_JOINTS))
+    strides = {stride for stride, packed in runs if packed}
+    for stride in strides:
+        if len(strides) == 1:  # one layout, the usual case: every row
+            rows, packed = slice(None), [packed for _, packed in runs]
         else:
-            rows = [k for k, s in enumerate(strides) if s == stride]
-            values = [packed[k] for k in rows]
-        keypoints = np.frombuffer(b"".join(values)).reshape(-1, NUM_JOINTS, stride)
-        coords[rows, :, : stride - 1] = keypoints[..., :-1]
+            row_strides = [s for s, p in runs for _ in range(len(p) // _KEYPOINT_PACKERS[s].size)]
+            rows = [k for k, s in enumerate(row_strides) if s == stride]
+            packed = [p for s, p in runs if s == stride]
+        keypoints = np.frombuffer(b"".join(packed)).reshape(-1, NUM_JOINTS, stride)
+        for axis in range(stride - 1):  # a column at a time: one long copy, not one a joint
+            coords[rows, :, axis] = keypoints[..., axis]
         confidence[rows] = keypoints[..., -1]
     # undetected joints carry no positional meaning and are zeroed, so a
-    # non-finite one is rejected first, as format B does; a negative
-    # confidence is left for the frame check to reject
-    if not np.isfinite(coords).all():
+    # non-finite one is rejected first, as format B does; the chunk's check
+    # covers the other joints and the confidences
+    undetected = np.flatnonzero(confidence == 0)  # over the joints of all rows
+    joints = coords.reshape(-1, 3)
+    if not np.isfinite(joints[undetected]).all():
         raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
-    undetected = confidence == 0
-    coords[undetected] = 0.0
-    confidence[undetected] = 0.0  # -0.0 becomes 0.0
-    return FrameChunk(range(first_index, first_index + len(frames)),
-                      [len(persons) for persons in frames], coords, confidence)
+    joints[undetected] = 0.0
+    confidence.reshape(-1)[undetected] = 0.0  # -0.0 becomes 0.0
+    return FrameChunk(range(first_index, first_index + len(frames)), sizes, coords, confidence)
 
 
 def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
@@ -272,14 +320,16 @@ def serialize_frame(frame: SkeletonFrame) -> bytes:
     return json.dumps({"people": people}, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def _located(exc: ParseError | SchemaError, where: str) -> ParseError | SchemaError:
-    """exc with its message prefixed by `where`; a ParseError keeps its offset."""
+def _located(exc: ParseError | SchemaError, place: str | int) -> ParseError | SchemaError:
+    """exc with its message prefixed by its place, a path or a line number;
+    a ParseError keeps its offset."""
+    where = f"line {place}" if isinstance(place, int) else place
     if isinstance(exc, ParseError):
         return ParseError(f"{where}: {exc}", offset=exc.offset)
     return SchemaError(f"{where}: {exc}")
 
 
-def _located_chunk(frames: list[list[tuple[int, bytes]]], places: list[str],
+def _located_chunk(frames: list[tuple[int, list[tuple[int, bytes]]]], places: list[str | int],
                    first_index: int) -> FrameChunk:
     """_assembled(frames, first_index); when it fails, the frames are
     assembled again one by one, and the error of the first bad one is
@@ -287,53 +337,69 @@ def _located_chunk(frames: list[list[tuple[int, bytes]]], places: list[str],
     try:
         return _assembled(frames, first_index)
     except SchemaError:
-        for k, persons in enumerate(frames):
+        for k, frame in enumerate(frames):
             try:
-                _assembled([persons], first_index + k)
+                _assembled([frame], first_index + k)
             except SchemaError as exc:
                 raise _located(exc, places[k]) from exc
         raise  # unreachable: a chunk fails only where one of its frames does
 
 
-def _stripped(line: bytes) -> str | bytes:
-    """line without surrounding whitespace, decoded when it is UTF-8; other
-    bytes are left for _decoded_document to reject in line order."""
-    try:
-        return line.decode("utf-8").strip()
-    except UnicodeDecodeError:
-        return line.strip()
-
-
-def _decoded_chunks(docs: Iterable[tuple[str, str | bytes]]) -> Iterator[FrameChunk]:
+def _decoded_chunks(docs: Iterable[tuple[str | int, str | bytes]]) -> Iterator[FrameChunk]:
     """Yield the chunks of format-A documents given as (place, document)
     pairs, each closed where chunk_is_full says. A document is decoded
     before it joins the pending chunk, as its rows are known only then. A
     bad document's error names its place; an OSError of reading a document
     comes after the error of a bad one before it."""
-    frames: list[list[tuple[int, bytes]]] = []  # the pending chunk's decoded documents
-    places: list[str] = []
+    frames: list[tuple[int, list[tuple[int, bytes]]]] = []  # the pending chunk's documents
+    places: list[str | int] = []
     rows = index = 0
     try:
         for place, doc in docs:
             try:
-                persons = _decoded_document(doc)
+                frame = _decoded_document(doc)
             except (ParseError, SchemaError) as exc:
                 _located_chunk(frames, places, index)  # a bad document before it wins
                 raise _located(exc, place) from exc
-            # chunk_is_full(len(frames), rows, len(persons)), inlined: a call
+            # chunk_is_full(len(frames), rows, frame[0]), inlined: a call
             # per document is a visible part of decoding one
-            if frames and (len(frames) >= CHUNK_FRAMES or rows + len(persons) > CHUNK_ROWS):
+            if frames and (len(frames) >= CHUNK_FRAMES or rows + frame[0] > CHUNK_ROWS):
                 yield _located_chunk(frames, places, index)
                 index += len(frames)
                 frames, places, rows = [], [], 0
-            frames.append(persons)
+            frames.append(frame)
             places.append(place)
-            rows += len(persons)
+            rows += frame[0]
     except OSError:
         _located_chunk(frames, places, index)
         raise
     if frames:
         yield _located_chunk(frames, places, index)
+
+
+def _ndjson_documents(fh: BinaryIO) -> Iterator[tuple[int, str | bytes]]:
+    """Yield the (line number, document) pairs of a binary stream of
+    format-A documents, one a line, without blank lines.
+
+    Lines end at LF, CR or CRLF, as in text mode, and are numbered from 1.
+    A line is stripped of whitespace as str.strip strips it. bytes.strip
+    strips it alike when what is left starts with "{" and ends with "}", as
+    a document does, so such a line stays bytes; any other line is decoded
+    from UTF-8 first, unless it is not UTF-8, which _decoded_document then
+    rejects."""
+    number = 0
+    for line in fh:
+        for part in line.splitlines() if ord("\r") in line else (line,):
+            number += 1
+            doc = part.strip()
+            if doc[:1] != b"{" or doc[-1:] != b"}":  # maybe Unicode whitespace, or blank
+                try:
+                    doc = part.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    pass
+                if not doc:
+                    continue
+            yield number, doc
 
 
 def read_ndjson(fh: BinaryIO) -> list[FrameChunk]:
@@ -342,10 +408,7 @@ def read_ndjson(fh: BinaryIO) -> list[FrameChunk]:
     Lines end at LF, CR or CRLF, as in text mode; each is decoded from
     UTF-8 on its own, so a bad byte's error names its line (1-based, blank
     lines counted)."""
-    lines = (part for line in fh
-             for part in (line.splitlines() if b"\r" in line else (line,)))
-    return list(_decoded_chunks((f"line {number}", line)
-                                for number, line in enumerate(map(_stripped, lines), 1) if line))
+    return list(_decoded_chunks(_ndjson_documents(fh)))
 
 
 def load_chunks(path: str | Path) -> list[FrameChunk]:
@@ -358,7 +421,7 @@ def load_chunks(path: str | Path) -> list[FrameChunk]:
                                     for child in sorted(path.glob("*.json"))))
     if path.suffix.lower() == ".csv":
         return load_session_csv(path)
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=READ_BUFFER) as fh:
         return read_ndjson(fh)
 
 
@@ -524,11 +587,11 @@ def _raise_not_utf8(path: str | Path, cause: UnicodeDecodeError) -> NoReturn:
     what reading it as text raised."""
     data = Path(path).read_bytes()
     try:
-        _utf8(data)
-    except ParseError as exc:
-        head = data[:exc.offset]
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise _located(exc, f"line {line}") from cause
+        raise _located(_not_utf8(exc), line) from cause
     raise ParseError(f"not UTF-8: {cause.reason}") from cause  # the file changed since
 
 

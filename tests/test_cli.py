@@ -400,6 +400,53 @@ class TestExitCodes:
         assert main(["analyze", "-", "--model", model_path]) == EXIT_OK
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("stream", ["file", "in-memory"])
+    def test_stdin_report_equals_the_file_report(self, tmp_path, monkeypatch, model_path,
+                                                 stream):
+        """A multi-person session through stdin, over a file's raw stream or
+        in memory, gives the JSON report of the same file."""
+        session = simulate(tmp_path, exercise="squat", persons=4, full_cycles=3, noise=4.0,
+                           gap_rate=0.05)
+
+        def report(source, name):
+            out = tmp_path / name
+            assert main(["analyze", source, "--model", model_path, "--out-json", str(out),
+                         "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+            return out.read_bytes()
+
+        want = report(str(session), "file.json")
+        if stream == "file":
+            stdin = open(session, encoding="utf-8")
+            assert hasattr(stdin.buffer, "raw")
+        else:
+            stdin = io.TextIOWrapper(io.BytesIO(session.read_bytes()))
+        with stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert report("-", "stdin.json") == want
+            assert not stdin.closed
+
+    def test_openpose_output_is_analyzed(self, tmp_path, model_path):
+        """OpenPose 1.3 and later write an empty pose_keypoints_3d beside
+        pose_keypoints_2d: such a session reads as its 2-D keypoints."""
+        session = simulate(tmp_path, exercise="squat", full_cycles=3, noise=4.0)
+        plain, openpose = tmp_path / "plain.ndjson", tmp_path / "openpose.ndjson"
+        with open(plain, "w") as a, open(openpose, "w") as b:
+            for frame in load_frames(session):
+                people = [{"pose_keypoints_2d": np.column_stack([xyz[:, :2], c]).ravel().tolist()}
+                          for xyz, c in zip(frame.coords, frame.confidence)]
+                a.write(json.dumps({"people": people}) + "\n")
+                for person in people:
+                    person.update(person_id=[-1], face_keypoints_2d=[], pose_keypoints_3d=[],
+                                  face_keypoints_3d=[])
+                b.write(json.dumps({"version": 1.3, "people": people}) + "\n")
+        reports = []
+        for path in (plain, openpose):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["analyze", str(path), "--model", model_path, "--out-json", str(out),
+                         "--out-text", str(tmp_path / "t.txt")]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_malformed_ndjson_line_is_named(self, tmp_path, capsys):
         session = tmp_path / "a.ndjson"
         session.write_text('{"people": []}\n\n{"people": [1]}\n')

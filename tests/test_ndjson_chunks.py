@@ -20,6 +20,7 @@ from repcount.keypoints import (FrameChunk, ParseError, SchemaError, SkeletonFra
                                 load_chunks, load_frames, parse_frame,
                                 read_ndjson, serialize_frame, write_session_csv)
 from repcount.pipeline import SessionEngine
+from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
 
 _PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
 
@@ -141,7 +142,28 @@ BAD_DOCUMENTS = {
                                               + [1.0] * 72}]}),
     "negative-confidence": json.dumps({"people": [{"pose_keypoints_2d": [1.0] * 74 + [-0.5]}]}),
     "confidence-above-1": json.dumps({"people": [{"pose_keypoints_3d": [1.0] * 99 + [1.5]}]}),
+    "stride-3d": '{"people": [{"pose_keypoints_3d": [1.0, 2.0, 3.0]}]}',
+    "joints-3d": '{"people": [{"pose_keypoints_3d": [1.0, 2.0, 3.0, 0.5]}]}',
+    "string-3d": json.dumps({"people": [{"pose_keypoints_3d": ["1"] + [1.0] * 99}]}),
+    "boolean-3d": json.dumps({"people": [{"pose_keypoints_3d": [True] + [1.0] * 99}]}),
+    "null-3d": json.dumps({"people": [{"pose_keypoints_3d": [None] + [1.0] * 99}]}),
+    "huge-integer-3d": json.dumps({"people": [{"pose_keypoints_3d": [10 ** 400] + [1.0] * 99}]}),
+    "nan-3d": json.dumps({"people": [{"pose_keypoints_3d": [float("nan")] + [1.0] * 99}]}),
+    "inf-undetected-3d": json.dumps({"people": [{"pose_keypoints_3d": [float("inf"), 1.0, 1.0, 0.0]
+                                                 + [1.0] * 96}]}),
+    "negative-confidence-3d": json.dumps({"people": [{"pose_keypoints_3d": [1.0] * 99 + [-0.5]}]}),
 }
+# good documents that a stream draws besides generated ones: 2-D and 3-D
+# persons in one document, and a person with both layouts, whose 3-D one
+# counts
+GOOD_DOCUMENTS = [
+    json.dumps({"people": [{"pose_keypoints_2d": [2.0, 3.0, 0.5] * 25},
+                           {"pose_keypoints_3d": [4.0, 5.0, 6.0, 1.0] * 25}]}),
+    json.dumps({"people": [{"pose_keypoints_2d": [2.0, 3.0, 0.5] * 25,
+                            "pose_keypoints_3d": [4.0, 5.0, 6.0, 1.0] * 25}]}),
+]
+# whitespace that str.strip strips and bytes.strip does not
+UNICODE_SPACES = ["\u3000", "\x85", "\x1c"]
 
 
 @st.composite
@@ -160,18 +182,23 @@ def persons(draw):
 @st.composite
 def streams(draw):
     """The lines of a format-A stream: 0-4 persons per frame, blank and
-    whitespace-only lines, padded documents, and 0-2 bad documents."""
+    whitespace-only lines, padded documents, and 0-2 bad documents; the
+    whitespace is ASCII or Unicode."""
     lines = []
     for _ in range(draw(st.integers(0, 10))):
-        doc = json.dumps({"people": draw(st.lists(persons(), max_size=4))},
-                         separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
-        padding = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", "  "]))
+        doc = draw(st.one_of(
+            st.builds(json.dumps, st.builds(dict, people=st.lists(persons(), max_size=4)),
+                      separators=st.sampled_from([(",", ":"), (", ", ": ")])),
+            st.sampled_from(GOOD_DOCUMENTS)))
+        padding = (draw(st.sampled_from(["", " ", "\t", *UNICODE_SPACES])),
+                   draw(st.sampled_from(["", "  ", *UNICODE_SPACES])))
         lines.append(padding[0] + doc + padding[1])
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), BAD_DOCUMENTS[draw(st.sampled_from(
             sorted(BAD_DOCUMENTS)))])
     for _ in range(draw(st.integers(0, 4))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   ", " \t "])))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", "   ", " \t ", *UNICODE_SPACES, " \u3000\t"])))
     return lines
 
 
@@ -214,7 +241,8 @@ def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, chunk_
         assert [len(chunk.sizes) for chunk in got_chunks] == greedy_chunk_sizes(
             [len(frame.coords) for frame in want_frames], chunk_frames, chunk_rows)
     if want_error is None:  # parse_frame is the same decoder, one document at a time
-        docs = [line for line in lines if line.strip()]
+        # JSON whitespace is the decoder's to skip, and other whitespace the stream's
+        docs = [line.strip("".join(UNICODE_SPACES)) for line in lines if line.strip()]
         assert_same_frames([parse_frame(doc, i) for i, doc in enumerate(docs)], want_frames)
 
 
@@ -500,3 +528,79 @@ def test_frame_wider_than_the_row_budget_is_a_chunk_of_its_own(tmp_path):
             assert [list(chunk.sizes) for chunk in chunks] == [[2], [7], [1, 1], [6], [6], [3]]
             assert_same_frames(frames_of(chunks), frames)
             assert cuts_of_process_frames(frames) == indices_of(chunks)
+
+
+def document_2d(frame):
+    """A frame as a format-A document in the 2-D layout; z is dropped."""
+    people = [{"pose_keypoints_2d": np.column_stack([xyz[:, :2], c]).ravel().tolist()}
+              for xyz, c in zip(frame.coords, frame.confidence)]
+    return json.dumps({"people": people})
+
+
+def openpose_document(frame):
+    """A frame as OpenPose 1.3 and later write it: each person with all of
+    its keypoint arrays, the 3-D ones empty; z is dropped."""
+    people = json.loads(document_2d(frame))["people"]
+    for person in people:
+        person.update({"person_id": [-1], "face_keypoints_2d": [],
+                       "hand_left_keypoints_2d": [], "hand_right_keypoints_2d": [],
+                       "pose_keypoints_3d": [], "face_keypoints_3d": [],
+                       "hand_left_keypoints_3d": [], "hand_right_keypoints_3d": []})
+    return json.dumps({"version": 1.3, "people": people})
+
+
+def flattened(frames):
+    """The frames with z set to 0, as their 2-D documents hold them."""
+    return [SkeletonFrame(f.frame_index, np.concatenate([f.coords[..., :2], np.zeros_like(
+        f.coords[..., 2:])], axis=2), f.confidence.copy()) for f in frames]
+
+
+def test_openpose_document_reads_its_2d_keypoints(tmp_path):
+    frames = flattened(frames_of_sizes([2, 0, 1, 3]))
+    docs = [openpose_document(frame) for frame in frames]
+    assert_same_frames([parse_frame(doc, i) for i, doc in enumerate(docs)], frames)
+    # a document that spells a boolean is read person by person, by the same rule
+    spelled = [doc[:-1] + ', "tracked": true}' for doc in docs]
+    assert_same_frames([parse_frame(doc, i) for i, doc in enumerate(spelled)], frames)
+    path = tmp_path / "openpose.ndjson"
+    path.write_text("".join(doc + "\n" for doc in docs))
+    (tmp_path / "frames").mkdir()
+    for i, doc in enumerate(docs):
+        (tmp_path / "frames" / f"{i:03d}.json").write_text(doc)
+    for session in (path, tmp_path / "frames"):
+        assert_same_frames(load_frames(session), frames)
+
+
+def test_a_non_empty_3d_array_wins_over_the_2d_one():
+    frame = parse_frame(GOOD_DOCUMENTS[1], 0)
+    assert frame.coords[0, 0].tolist() == [4.0, 5.0, 6.0]
+    assert frame.confidence[0, 0] == 1.0
+
+
+def test_an_empty_3d_array_without_a_2d_one_is_rejected():
+    for doc in ('{"people": [{"pose_keypoints_3d": []}]}',
+                '{"people": [{"pose_keypoints_3d": [], "face_keypoints_2d": []}]}'):
+        with pytest.raises(SchemaError, match="^person 0: expected 25 joints, got 0$"):
+            parse_frame(doc, 0)
+
+
+def test_generated_sessions_never_take_the_per_person_path():
+    """Generated sessions in the 3-D, 2-D and OpenPose layouts are packed a
+    document at a time: _packed_keypoints, the per-person path, never runs."""
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("push-up", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("pull-up", 2, noise_sigma=5.0, gap_rate=0.05)),
+        seed=3, shuffle_order=True))
+    layouts = [([serialize_frame(frame).decode() for frame in frames], frames),
+               ([document_2d(frame) for frame in frames], flattened(frames)),
+               ([openpose_document(frame) for frame in frames], flattened(frames))]
+    with mock.patch.object(keypoints, "_packed_keypoints",
+                           wraps=keypoints._packed_keypoints) as per_person:
+        for docs, want in layouts:
+            got = frames_of(read_ndjson(io.BytesIO("\n".join(docs).encode())))
+            assert per_person.call_count == 0
+            assert_same_frames(got, want)
+        with pytest.raises(SchemaError):  # the counter sees a document the bulk path refuses
+            parse_frame(BAD_DOCUMENTS["string-3d"], 0)
+        assert per_person.call_count == 1
