@@ -100,32 +100,31 @@ class StreamingConditioner:
         """Feed one sample; return the (frame, filled, conditioned) samples
         finalized by this arrival (possibly empty)."""
         pending = self._pending
-        if pending is not None:
-            if raw is None:
-                last = self._last
-                # a single valid sample so far is repeated
-                raw = pending[1] if last is None else _clamp(2.0 * pending[1] - last[0])
-            return self._push(frame, raw)
-        if raw is None:
-            # leading gap: back-filled with the first valid value on arrival
-            self._leading_gaps.append(frame)
-            return []
-        emitted = [sample for gap_frame in self._leading_gaps
-                   for sample in self._push(gap_frame, raw)]
-        self._leading_gaps.clear()
-        emitted += self._push(frame, raw)
-        return emitted
-
-    def _push(self, frame: int, filled: float) -> list[tuple[int, float, float]]:
-        pending = self._pending
-        self._pending = (frame, filled)
         if pending is None:
-            return []
+            if raw is None:
+                # leading gap: back-filled with the first valid value on arrival
+                self._leading_gaps.append(frame)
+                return []
+            # the back-filled run is flat, so the outlier rule keeps each sample
+            emitted = [(gap_frame, raw, raw) for gap_frame in self._leading_gaps]
+            self._leading_gaps.clear()
+            self._pending = (frame, raw)
+            if emitted:
+                self._last = (raw, raw)
+            return emitted
         pframe, pfilled = pending
         last = self._last
+        if last is None:
+            # the first sample is an endpoint; a single valid one is repeated
+            self._pending = (frame, pfilled if raw is None else raw)
+            self._last = (pfilled, pfilled)
+            return [(pframe, pfilled, pfilled)]
+        if raw is None:
+            raw = _clamp(2.0 * pfilled - last[0])
+        self._pending = (frame, raw)
         # left neighbor already conditioned, right neighbor only gap-filled:
         # exactly one in-place left-to-right sweep
-        pval = pfilled if last is None else _outlier_adjust(last[1], pfilled, filled, self.mid)
+        pval = _outlier_adjust(last[1], pfilled, raw, self.mid)
         self._last = (pfilled, pval)
         return [(pframe, pfilled, pval)]
 

@@ -3,10 +3,13 @@ condition -> count -> report.
 
 One SessionEngine processes one frame stream sequentially, a FrameChunk at
 a time. What depends only on a frame, or on it and the frame before it, is
-planned for the whole chunk on its own arrays: the tracker's gates and
-candidate distances, the labels, and the angle cosines of every profile.
-Matching, the label vote, angles, conditioning and counting then run frame
-by frame (process_frame), each frame handed its plan. Each tracked person
+planned for the whole chunk on its own arrays: the tracker's gates,
+candidate distances and whether those candidates are disjoint, the labels,
+and the angle cosines of every profile. Matching, the label vote, angles,
+conditioning and counting then run frame by frame (process_frame), each
+frame handed its plan; a frame whose candidates are disjoint is matched
+without a sort, and in the steady state the one sample the conditioner
+releases goes straight to the counter. Each tracked person
 has one record: a label window, the open exercise set if any, and the
 answer so far. A set opens when the windowed label is a known exercise and
 closes when that label switches to another one, when the tracker retires
@@ -141,9 +144,7 @@ class SessionEngine:
             if state is None:
                 state = persons[pid] = _PersonState(person_id=pid)
             state.frames_seen.append(index)
-            window = state.window
-            window.push(labels[row + sidx])
-            windowed = window.current()
+            windowed = state.window.push(labels[row + sidx])
             if windowed in profiles:
                 self._step_exercise(state, windowed, cosines[windowed][row + sidx], index)
         for pid in assignment.retired:  # never matched again: its set is over
@@ -189,12 +190,16 @@ class SessionEngine:
                                    tolerance=self.config.tolerance),
             )
         raw = angle_of_cosine(cosine)
+        keep_traces = self.config.keep_traces
         # a sample with an angle is always emitted later, and pops it then
-        if raw is not None and self.config.keep_traces:
+        if raw is not None and keep_traces:
             state.raw_angles[frame_index] = raw
         active.frames += 1
         samples = active.conditioner.feed(frame_index, raw)
-        if samples:
+        if len(samples) == 1 and not keep_traces:  # the steady state
+            ((f, _, conditioned),) = samples
+            active.counter.step(f, f / self.config.fps, conditioned)
+        elif samples:
             self._emit(state, samples)
 
     def _emit(self, state: _PersonState, samples) -> None:

@@ -257,27 +257,31 @@ class LabelWindow:
         self._counts: dict[str, int] = {}  # label -> occurrences in the window
         self._current = WARMUP
 
-    def push(self, label: str) -> None:
+    def push(self, label: str) -> str:
+        """Add a frame's label; return the vote, current() after it."""
         labels, counts = self._labels, self._counts
         if len(labels) < LABEL_WINDOW_SIZE:
             labels.append(label)
             counts[label] = counts.get(label, 0) + 1
             if len(labels) == LABEL_WINDOW_SIZE:
                 self._current = self._vote()
-            return
+            return self._current
         evicted = labels[0]
         labels.append(label)  # evicts labels[0]
+        current = self._current
+        if label == evicted == current:  # the counts and the vote hold
+            return current
         n = counts[evicted]
         if n == 1:
             del counts[evicted]
         else:
             counts[evicted] = n - 1
         n = counts[label] = counts.get(label, 0) + 1
-        current = self._current
         if evicted == current and label != current:
-            self._current = self._vote()
+            current = self._current = self._vote()
         elif n >= counts[current]:
-            self._current = label
+            current = self._current = label
+        return current
 
     def current(self) -> str:
         """Most frequent label in the window; WARMUP until the window is

@@ -3,16 +3,23 @@
 Each skeleton in a new frame is paired with the spatially closest known
 person (greedy smallest-distance-first); unmatched skeletons get fresh ids,
 except one with no detected joint, which is never tracked, and persons
-unseen for longer than the retention window are retired.
+unseen for longer than the retention window are retired. A frame index may
+skip: a person last seen more than RETENTION_WINDOW + 1 frames back would
+have retired in a frame in between, so it retires when the frame comes,
+before matching, and is reported in that frame's retired ids.
 Distances use raw coordinates, since spatial position is the identity cue.
 
 What depends only on a frame and the frame before it is planned ahead for
-a whole FrameChunk (PoseTracker.plan): each frame's gate, and the
-distances of the pairs of its skeletons with those of the frame before
-whose detected-joint bounding boxes lie within the gate. The caller passes
-each frame's plan to match_frame, which reads the pairs of the tracks seen
-in the frame before from it; only tracks missing from that frame are
-measured when the frame comes. The tracker keeps no plan.
+a whole FrameChunk (PoseTracker.plan): each frame's gate, the distances of
+the pairs of its skeletons with those of the frame before whose
+detected-joint bounding boxes lie within the gate, and whether those pairs
+are disjoint (no skeleton on either side in two of them). The caller
+passes each frame's plan to match_frame, which reads the pairs of the
+tracks seen in the frame before from it; only tracks missing from that
+frame are measured when the frame comes. When every track was seen in the
+frame before and the pairs are disjoint, greedy matching would take every
+pair, so match_frame takes them as planned, without sorting. The tracker
+keeps no plan.
 """
 from __future__ import annotations
 
@@ -109,6 +116,21 @@ def box_gaps(low: np.ndarray, high: np.ndarray, rows_a: np.ndarray,
     return np.sqrt(sq)
 
 
+def greedy_pairs(candidates: list[tuple[float, int, int]]) -> list[tuple[int, int]]:
+    """The (person id, skeleton index) pairs of the greedy pass over
+    (distance, person id, skeleton index) candidates: in ascending order,
+    each candidate whose person and skeleton are both still free."""
+    used: set[int] = set()
+    taken: set[int] = set()
+    pairs = []
+    for _, pid, sidx in sorted(candidates):
+        if pid not in used and sidx not in taken:
+            used.add(pid)
+            taken.add(sidx)
+            pairs.append((pid, sidx))
+    return pairs
+
+
 @dataclass
 class Assignment:
     frame_index: int
@@ -127,6 +149,7 @@ class FramePlan(NamedTuple):
     tracked: list[bool]  # per skeleton: has a detected joint
     # (distance, skeleton of prev, skeleton of frame) for every pair within the gate
     candidates: list[tuple[float, int, int]]
+    disjoint: bool  # no skeleton of prev or of the frame is in two candidates
 
 
 def _frame_gates(bounds: list[int], coords: np.ndarray, confidence: np.ndarray) -> list[float]:
@@ -212,9 +235,16 @@ class PoseTracker:
                               (rows - bounds_a[frame_of]).tolist()))
         # prev_rows ascend, so a frame's candidates follow those of the frame before
         cuts = [0, *np.searchsorted(prev_rows, bounds_a[:-1]).tolist()]
+        # a row pairs only with rows of one frame, so a row in two candidates
+        # puts two of one frame's candidates in conflict
+        shared = ((np.bincount(prev_rows, minlength=len(coords)) > 1)[prev_rows]
+                  | (np.bincount(rows, minlength=len(coords)) > 1)[rows])
+        disjoint = np.ones(len(frames), dtype=bool)
+        disjoint[frame_of[shared]] = False
+        disjoint = disjoint.tolist()
 
-        return [FramePlan(frames[q - 1] if q else None, gates[q],
-                          tracked[bounds[q]:bounds[q + 1]], candidates[cuts[q]:cuts[q + 1]])
+        return [FramePlan(frames[q - 1] if q else None, gates[q], tracked[bounds[q]:bounds[q + 1]],
+                          candidates[cuts[q]:cuts[q + 1]], disjoint[q])
                 for q in range(len(lead), len(frames))]
 
     def _missing_candidates(self, pids: list[int], frame: SkeletonFrame,
@@ -235,34 +265,42 @@ class PoseTracker:
         if plan is None:
             (plan,) = self.plan(FrameChunk.of([frame]))
         last = self._last_frame
-        if last is not None and frame.frame_index <= last.frame_index:
-            raise SequencingError(
-                f"frame {frame.frame_index} not after frame {last.frame_index}"
-            )
-        self._last_frame = frame
-
-        # the tracks seen in the frame before have their pairs in the plan
-        planned_from = last if plan.prev is last else None
-        persons, last_ids = self.persons, self._last_ids
-        candidates = ([(d, last_ids[p], s) for d, p, s in plan.candidates]
-                      if planned_from is not None else [])
-        if planned_from is None or len(persons) > len(last_ids):
-            missing = [pid for pid, (f, _) in persons.items() if f is not planned_from]
-            if missing:
-                candidates += self._missing_candidates(missing, frame, plan.gate)
-        candidates.sort()  # by distance, then person id, then skeleton index
-
         index = frame.frame_index
+        if last is not None and index <= last.frame_index:
+            raise SequencingError(f"frame {index} not after frame {last.frame_index}")
+        self._last_frame = frame
+        persons, last_ids = self.persons, self._last_ids
+
+        retired: list[int] = []
+        # every track is within the window of the frame before, so one can
+        # outlive it unseen only across skipped frame indices
+        if last is not None and index - last.frame_index > 1:
+            retired = [pid for pid, (seen, _) in persons.items()
+                       if index - seen.frame_index > RETENTION_WINDOW + 1]
+            for pid in retired:
+                del persons[pid]
+
+        # the tracks seen in the frame before have their pairs in the plan,
+        # unless they just retired: then every track did
+        planned = (last is not None and plan.prev is last
+                   and index - last.frame_index <= RETENTION_WINDOW + 1)
+        if planned and plan.disjoint and len(persons) == len(last_ids):
+            # every track is in the plan, and greedy_pairs would take each of
+            # its pairs, since no two share an end
+            pairs = [(last_ids[p], sidx) for _, p, sidx in plan.candidates]
+        else:
+            candidates = ([(d, last_ids[p], s) for d, p, s in plan.candidates]
+                          if planned else [])
+            if not planned or len(persons) > len(last_ids):
+                missing = [pid for pid, (f, _) in persons.items() if not planned or f is not last]
+                if missing:
+                    candidates += self._missing_candidates(missing, frame, plan.gate)
+            pairs = greedy_pairs(candidates)
         ids: dict[int, int] = {}  # skeleton index -> person id
-        pairs: list[tuple[int, int]] = []
-        used: set[int] = set()
-        for _, pid, sidx in candidates:
-            if pid in used or sidx in ids:
-                continue
-            used.add(pid)
+        for pid, sidx in pairs:
             ids[sidx] = pid
-            pairs.append((pid, sidx))
             persons[pid] = (frame, sidx)
+        pairs.sort()
 
         new_ids: list[int] = []
         if len(ids) < len(plan.tracked):  # some skeleton is unmatched
@@ -276,7 +314,6 @@ class PoseTracker:
                 new_ids.append(sidx)
                 ids[sidx] = pid
 
-        retired: list[int] = []
         if len(ids) < len(persons):  # someone was not seen
             for pid, (seen, _) in list(persons.items()):  # ascending id
                 if index - seen.frame_index > RETENTION_WINDOW:
@@ -284,5 +321,4 @@ class PoseTracker:
                     del persons[pid]
 
         self._last_ids = dict(ids)
-        pairs.sort()
         return Assignment(index, pairs, new_ids, retired, ids)

@@ -174,6 +174,32 @@ def test_csv_and_ndjson_give_identical_reports(tmp_path, model_path):
     assert json.loads(reports[0][0])["persons"]
 
 
+def test_a_session_csv_with_nobody_in_view_for_a_while_retires_the_person(tmp_path,
+                                                                        model_path):
+    """Two squat sets at one spot, 100 frame indices apart: a session CSV
+    has no rows in between, the NDJSON stream has frames without persons,
+    and both report two persons with the same reps."""
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", full_cycles=4),), seed=8))
+    n = len(frames)
+    both = frames + [keypoints.SkeletonFrame(f.frame_index + n + 100, f.coords, f.confidence)
+                     for f in frames]
+    write_session_csv(tmp_path / "session.csv", both)
+    by_index = {f.frame_index: f for f in both}
+    with open(tmp_path / "session.ndjson", "wb") as fh:
+        for i in range(2 * n + 100):
+            f = by_index.get(i)
+            fh.write(b'{"people":[]}\n' if f is None else serialize_frame(f) + b"\n")
+    persons = []
+    for name in ("session.csv", "session.ndjson"):
+        out_json = tmp_path / f"{name}.json"
+        assert main(["analyze", str(tmp_path / name), "--model", model_path,
+                     "--out-json", str(out_json)]) == EXIT_OK
+        persons.append(json.loads(out_json.read_bytes())["persons"])
+    assert persons[0] == persons[1]
+    assert [p["total_reps"] for p in persons[0]] == [4, 4]
+
+
 class TestExitCodes:
     def test_missing_input(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.ndjson")]) == EXIT_BAD_INPUT

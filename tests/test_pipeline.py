@@ -366,7 +366,7 @@ def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk, chu
 
     def recording_push(window, label):
         pushed.append(label)
-        push(window, label)
+        return push(window, label)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
@@ -587,6 +587,46 @@ def test_a_returning_person_is_a_new_person(trained_model, leave, away):
     by_id = {s.person_id: s for s in result.summaries}
     assert (by_id[leaver].events, by_id[leaver].predicted_exercise) == retired_record
     assert all(e.frame >= back for e in by_id[returner].events)
+
+
+@st.composite
+def skipping_streams(draw):
+    """Frames of the three-person session under frame indices that skip
+    now and then, by less than, exactly, or more than the retention window
+    allows; after a skip, each person may be out of view. Returns the
+    frames and, per skip, which skipped indices a stream that writes a frame
+    without persons there instead has."""
+    source = three_person_source()
+    start = draw(st.integers(0, len(source) - 200))
+    frames, filled, index, keep = [], [], 0, [True] * 3
+    for f in source[start:start + draw(st.integers(1, 200))]:
+        step = draw(st.sampled_from([1] * 16 + [2, RETENTION_WINDOW, RETENTION_WINDOW + 1,
+                                                RETENTION_WINDOW + 2, 3 * RETENTION_WINDOW]))
+        if step > 1:
+            keep = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+            skipped = range(index + 1, index + step)
+            filled += draw(st.sampled_from([[], list(skipped), [skipped[-1]],
+                                            list(skipped[::2])]))
+        index += step
+        frames.append(SkeletonFrame(index, f.coords[keep], f.confidence[keep]))
+    return frames, filled
+
+
+@settings(max_examples=40, deadline=None)
+@given(skipping_streams())
+def test_skipped_indices_and_frames_without_persons_agree(trained_model, case):
+    """A stream that skips frame indices and the one with frames without
+    persons at some of those indices give the same ids, events and
+    exercises; only the frame count differs."""
+    model, thresholds, _ = trained_model
+    frames, filled = case
+    empty = np.zeros((0, NUM_JOINTS, 3)), np.zeros((0, NUM_JOINTS))
+    with_empty = sorted(frames + [SkeletonFrame(i, *empty) for i in filled],
+                        key=lambda f: f.frame_index)
+    skipping = analyze_frames(frames, model=model, thresholds=thresholds)
+    result = analyze_frames(with_empty, model=model, thresholds=thresholds)
+    assert result.frame_count == skipping.frame_count + len(filled)
+    assert dataclasses.replace(result, frame_count=skipping.frame_count) == skipping
 
 
 @pytest.mark.parametrize("leave,back,gone", [(60, 100, 150), (45, 200, 100), (100, 150, None)])

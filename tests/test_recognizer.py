@@ -291,13 +291,14 @@ class CounterLabelWindow:
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), st.lists(st.sampled_from(["a", "b", "c", UNKNOWN]), max_size=60))
 def test_label_window_equals_counter_vote(size, labels):
-    """Kept counts give the Counter vote through warm-up, ties and eviction."""
+    """Kept counts give the Counter vote through warm-up, ties and eviction,
+    and push returns it."""
     with mock.patch.object(recognizer, "LABEL_WINDOW_SIZE", size):
         window, reference = LabelWindow(), CounterLabelWindow(size)
         for label in labels:
-            window.push(label)
+            voted = window.push(label)
             reference.push(label)
-            assert window.current() == reference.current()
+            assert voted == window.current() == reference.current()
 
 
 def test_label_window_rescans_when_the_current_label_is_evicted():

@@ -186,6 +186,27 @@ class TestMatchFrame:
         with pytest.raises(SequencingError):
             t.match_frame(frame(5, skeleton_at((0, 0))))
 
+    @pytest.mark.parametrize("gap", [tracker.RETENTION_WINDOW + 1, tracker.RETENTION_WINDOW + 2])
+    def test_skipped_indices_retire_as_frames_without_persons_do(self, gap):
+        """A frame RETENTION_WINDOW + 1 indices after a track's last
+        skeleton still matches it; one index more and the track retires
+        before the frame is matched, in that frame's assignment. Frames
+        without persons in between give the same ids."""
+        s = skeleton_at((0, 0))
+        skipping, filled = PoseTracker(), PoseTracker()
+        first = skipping.match_frame(frame(0, s)).id_by_skeleton[0]
+        filled.match_frame(frame(0, s))
+        a = skipping.match_frame(frame(gap, s))
+        between = [pid for i in range(1, gap) for pid in filled.match_frame(frame(i)).retired]
+        b = filled.match_frame(frame(gap, s))
+        if gap == tracker.RETENTION_WINDOW + 1:
+            assert (a.pairs, a.new_ids, a.retired) == ([(first, 0)], [], [])
+        else:
+            assert (a.pairs, a.new_ids, a.retired) == ([], [0], [first])
+            assert a.id_by_skeleton[0] != first
+        assert (a.pairs, a.new_ids, a.id_by_skeleton) == (b.pairs, b.new_ids, b.id_by_skeleton)
+        assert a.retired == between + b.retired
+
     def test_frames_missing_tracks_gap(self):
         t = PoseTracker()
         s = skeleton_at((0, 0))
@@ -205,6 +226,39 @@ class TestMatchFrame:
         a1 = t.match_frame(frame(1, s, empty))
         assert a1.pairs == [(a0.id_by_skeleton[1], 0)] and a1.new_ids == []
         assert list(t.persons) == [a0.id_by_skeleton[1]]
+
+
+def test_frames_in_no_doubt_skip_the_greedy_pass():
+    """A generated 3-person session goes through greedy_pairs on its first
+    frame only: after it, every track was seen in the frame before and no
+    two planned pairs share a skeleton. A frame with two skeletons inside
+    one track's gate goes through it, and so does one after a frame that
+    missed a track."""
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("push-up", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("pull-up", 2, noise_sigma=5.0, gap_rate=0.05)),
+        seed=3, shuffle_order=True))
+    a, b, near_a = skeleton_at((0, 0)), skeleton_at((400, 0)), skeleton_at((3, 0))
+    with mock.patch.object(tracker, "greedy_pairs", wraps=tracker.greedy_pairs) as greedy:
+        result = analyze_frames(frames)
+        assert greedy.call_count == 1
+        assert sorted(result.id_history) == [1, 2, 3]
+
+        t = PoseTracker(max_match_distance=50.0)
+        ids = t.match_frame(frame(0, a, b)).id_by_skeleton  # the first frame
+        assert t.match_frame(frame(1, a, b)).id_by_skeleton == ids
+        assert greedy.call_count == 2
+        crowded = t.match_frame(frame(2, near_a, a))  # both within a's gate
+        assert greedy.call_count == 3
+        assert crowded.pairs == [(ids[0], 1)] and crowded.new_ids == [0]
+
+        t = PoseTracker(max_match_distance=50.0)
+        ids = t.match_frame(frame(0, a, b)).id_by_skeleton
+        assert t.match_frame(frame(1, a)).id_by_skeleton == {0: ids[0]}
+        assert greedy.call_count == 4  # b's track is missing only from now on
+        assert t.match_frame(frame(2, b, a)).id_by_skeleton == {0: ids[1], 1: ids[0]}
+        assert greedy.call_count == 5
 
 
 def random_skeletons(rng, n, spread=40.0):
@@ -521,6 +575,9 @@ class ReferenceTracker:
         if gate is None:
             gate = reference_torso_gate(coords, confidence)
         assignment = tracker.Assignment(frame_index=frame.frame_index)
+        # a track missing for more than the window plus one frame would have
+        # retired in a skipped frame: it retires before matching
+        self._retire(assignment, self.retention_window + 1)
         used_rows, used_skeletons = set(), set()
         for row, sidx in self._candidates(coords, confidence, gate):
             if row in used_rows or sidx in used_skeletons:
@@ -549,12 +606,19 @@ class ReferenceTracker:
         if fresh:
             self._coords = np.concatenate([self._coords, coords[fresh]])
             self._confidence = np.concatenate([self._confidence, confidence[fresh]])
+        self._retire(assignment, self.retention_window)
+        assignment.pairs.sort()
+        return assignment
+
+    def _retire(self, assignment, window):
+        """Retire the persons missing from the assignment's frame for more
+        than window frames."""
         retired_rows = []
         for row, pid in enumerate(self._row_ids):
             person = self.persons[pid]
-            if person.last_seen_frame != frame.frame_index:
-                person.frames_missing = frame.frame_index - person.last_seen_frame
-                if person.frames_missing > self.retention_window:
+            if person.last_seen_frame != assignment.frame_index:
+                person.frames_missing = assignment.frame_index - person.last_seen_frame
+                if person.frames_missing > window:
                     assignment.retired.append(pid)
                     retired_rows.append(row)
                     del self.persons[pid]
@@ -562,8 +626,6 @@ class ReferenceTracker:
             self._row_ids = [pid for pid in self._row_ids if pid in self.persons]
             self._coords = np.delete(self._coords, retired_rows, axis=0)
             self._confidence = np.delete(self._confidence, retired_rows, axis=0)
-        assignment.pairs.sort()
-        return assignment
 
 
 @functools.cache
