@@ -28,18 +28,6 @@ R_HEEL = 24
 
 NUM_JOINTS = 25
 
-JOINT_NAMES = [
-    "nose", "neck",
-    "r_shoulder", "r_elbow", "r_wrist",
-    "l_shoulder", "l_elbow", "l_wrist",
-    "mid_hip",
-    "r_hip", "r_knee", "r_ankle",
-    "l_hip", "l_knee", "l_ankle",
-    "r_eye", "l_eye", "r_ear", "l_ear",
-    "l_big_toe", "l_small_toe", "l_heel",
-    "r_big_toe", "r_small_toe", "r_heel",
-]
-
 # index -> index of the same joint on the opposite side (midline joints map to
 # themselves)
 MIRROR = {

@@ -49,6 +49,8 @@ def _train_arg_error(args) -> str | None:
         return f"--learning-rate must be a finite number > 0, got {args.learning_rate!r}"
     if not 0 <= args.calibrate_split < 1:  # NaN fails the comparison
         return f"--calibrate-split must lie in [0, 1), got {args.calibrate_split!r}"
+    if args.seed < 0:
+        return f"--seed must be >= 0, got {args.seed}"
     return None
 
 
@@ -201,6 +203,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.seed < 0:  # before the model is read
+        raise SpecError(f"--seed must be >= 0, got {args.seed}")
     model, _ = load_model(args.model)
     try:
         if args.synthetic_frames:

@@ -9,11 +9,12 @@ Two input formats are supported:
      absent.
   B) a session CSV with header ``frame,person,joint,x,y,z,confidence``.
 
-A format-A document whose persons share one layout and which spells no
-boolean is packed in bulk, one packer call for all its persons; any other
-document, or one the bulk packing refuses, is read person by person, which
-also names its error. Each chunk of documents becomes one array pair. Both
-paths give the same values, and the errors are the per-person path's.
+Every format-A person is packed as one row of (x, y, z, c) doubles, a 2-D
+person's with z = 0. A document whose persons share one layout and which
+spells no boolean is packed in bulk, one packer call for all its persons; any
+other document, or one the bulk packing refuses, is read person by person,
+which also names its error. Each chunk of documents becomes one array pair.
+Both paths give the same values, and the errors are the per-person path's.
 """
 from __future__ import annotations
 
@@ -109,8 +110,10 @@ class FrameChunk:
     confidence: np.ndarray
 
     def __post_init__(self):
-        if len(self.indices) != len(self.sizes) or sum(self.sizes) != len(self.coords):
-            raise SchemaError("a chunk needs one size per frame, and the sizes add up to its rows")
+        if (len(self.indices) != len(self.sizes) or sum(self.sizes) != len(self.coords)
+                or min(self.sizes, default=0) < 0):  # a negative size overlaps frames
+            raise SchemaError("a chunk needs one size per frame, and the sizes add up to its "
+                              "rows, each >= 0")
         _check_frame_arrays(min(self.indices, default=0), self.coords, self.confidence)
 
     @classmethod
@@ -151,8 +154,9 @@ def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.nda
 
 
 # packs one format-A person's keypoint values, 3 (2D) or 4 (3D) per joint,
-# as doubles
-_KEYPOINT_PACKERS = {stride: struct.Struct(f"{NUM_JOINTS * stride}d") for stride in (3, 4)}
+# as a row of (x, y, z, c) doubles: a 2-D joint's z is the pad "8x", which
+# struct writes as zero bytes, the bytes of +0.0
+_KEYPOINT_PACKERS = {3: struct.Struct("dd8xd" * NUM_JOINTS), 4: struct.Struct(f"{NUM_JOINTS * 4}d")}
 # the keypoint field of each stride's layout
 _KEYPOINT_FIELDS = {3: itemgetter("pose_keypoints_2d"), 4: itemgetter("pose_keypoints_3d")}
 # the most frames and skeleton rows of a FrameChunk a loader makes, and so
@@ -175,9 +179,9 @@ def chunk_is_full(frames: int, rows: int, size: int) -> bool:
     return frames > 0 and (frames >= CHUNK_FRAMES or rows + size > CHUNK_ROWS)
 
 
-def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, bytes]:
-    """One format-A person's stride, 3 (x, y, c) or 4 (x, y, z, c), and
-    keypoint values packed as 25 * stride doubles.
+def _packed_keypoints(person, person_idx, spells_boolean: bool) -> bytes:
+    """One format-A person's keypoint values, 3 (x, y, c) or 4 (x, y, z, c)
+    per joint, packed as a row of 25 (x, y, z, c) doubles.
 
     Values must be JSON numbers. Packing them as doubles rejects strings,
     null, objects, arrays and integers beyond float, but converts booleans,
@@ -202,17 +206,17 @@ def _packed_keypoints(person, person_idx, spells_boolean: bool) -> tuple[int, by
         raise SchemaError(f"person {person_idx}: expected {NUM_JOINTS} joints, got {n}")
     try:
         if not (spells_boolean and any(type(v) is bool for v in values)):
-            return stride, _KEYPOINT_PACKERS[stride].pack(*values)
+            return _KEYPOINT_PACKERS[stride].pack(*values)
     except struct.error:
         pass
     raise SchemaError(f"person {person_idx}: keypoint values must be numbers")
 
 
-def _bulk_run(people: list) -> Optional[tuple[int, bytes]]:
-    """The packed keypoints of a document's persons as one run, (stride,
-    bytes), when they share one layout; each person's bytes are those of
-    _packed_keypoints, in person order. None when a person needs
-    _packed_keypoints, to be read in its own layout or to name its error.
+def _bulk_run(people: list) -> Optional[bytes]:
+    """The packed keypoints of a document's persons, when they share one
+    layout; each person's bytes are those of _packed_keypoints, in person
+    order. None when a person needs _packed_keypoints, to be read in its own
+    layout or to name its error.
 
     Booleans are not looked for: the caller sends a document that spells one
     to _packed_keypoints. The packer rejects what else is not a number, and
@@ -223,8 +227,8 @@ def _bulk_run(people: list) -> Optional[tuple[int, bytes]]:
         stride = 3 if people and people[0].get("pose_keypoints_3d", []) == [] else 4
         if stride == 3 and any(person.get("pose_keypoints_3d", []) != [] for person in people):
             return None  # a 3-D person among 2-D ones
-        return stride, b"".join(starmap(_KEYPOINT_PACKERS[stride].pack,
-                                        map(_KEYPOINT_FIELDS[stride], people)))
+        return b"".join(starmap(_KEYPOINT_PACKERS[stride].pack,
+                                 map(_KEYPOINT_FIELDS[stride], people)))
     except (AttributeError, KeyError, TypeError, struct.error):
         return None
 
@@ -242,10 +246,10 @@ def _spells_boolean(doc: str | bytes) -> bool:
     return ("u" in doc and "true" in doc) or ("a" in doc and "false" in doc)
 
 
-def _decoded_document(doc: str | bytes) -> tuple[int, list[tuple[int, bytes]]]:
-    """A format-A document's persons and their packed keypoints, as runs of
-    (stride, bytes) in person order: one run from _bulk_run, or else one
-    per person from _packed_keypoints. Raises the error of the first
+def _decoded_document(doc: str | bytes) -> tuple[int, bytes]:
+    """A format-A document's persons and their packed keypoints, one
+    (x, y, z, c) row each in person order: from _bulk_run, or else joined
+    from _packed_keypoints person by person. Raises the error of the first
     structural check it fails; the value checks are the chunk's."""
     try:
         data = decode_json(doc)
@@ -262,32 +266,21 @@ def _decoded_document(doc: str | bytes) -> tuple[int, list[tuple[int, bytes]]]:
     # JSON booleans would pack as numbers: a document that spells one is
     # read person by person, which looks for them
     spells_boolean = _spells_boolean(doc)
-    run = None if spells_boolean else _bulk_run(people)
-    if run is not None:
-        return len(people), [run]
-    return len(people), list(map(_packed_keypoints, people, count(), repeat(spells_boolean)))
+    packed = None if spells_boolean else _bulk_run(people)
+    if packed is None:
+        packed = b"".join(map(_packed_keypoints, people, count(), repeat(spells_boolean)))
+    return len(people), packed
 
 
-def _assembled(frames: Sequence[tuple[int, list[tuple[int, bytes]]]],
-               first_index: int) -> FrameChunk:
+def _assembled(frames: Sequence[tuple[int, bytes]], first_index: int) -> FrameChunk:
     """The chunk of frames first_index, first_index + 1, ... of decoded
     format-A documents; raises the error of one of its value checks."""
     sizes = [persons for persons, _ in frames]
-    runs = [run for _, runs in frames for run in runs]  # in row order
-    coords = np.zeros((sum(sizes), NUM_JOINTS, 3))
-    confidence = np.empty((len(coords), NUM_JOINTS))
-    strides = {stride for stride, packed in runs if packed}
-    for stride in strides:
-        if len(strides) == 1:  # one layout, the usual case: every row
-            rows, packed = slice(None), [packed for _, packed in runs]
-        else:
-            row_strides = [s for s, p in runs for _ in range(len(p) // _KEYPOINT_PACKERS[s].size)]
-            rows = [k for k, s in enumerate(row_strides) if s == stride]
-            packed = [p for s, p in runs if s == stride]
-        keypoints = np.frombuffer(b"".join(packed)).reshape(-1, NUM_JOINTS, stride)
-        for axis in range(stride - 1):  # a column at a time: one long copy, not one a joint
-            coords[rows, :, axis] = keypoints[..., axis]
-        confidence[rows] = keypoints[..., -1]
+    rows = np.frombuffer(b"".join([packed for _, packed in frames])).reshape(-1, NUM_JOINTS, 4)
+    coords = np.empty((len(rows), NUM_JOINTS, 3))
+    for axis in range(3):  # a column at a time: one long copy, not one a joint
+        coords[..., axis] = rows[..., axis]
+    confidence = rows[..., 3].copy()
     # undetected joints carry no positional meaning and are zeroed, so a
     # non-finite one is rejected first, as format B does; the chunk's check
     # covers the other joints and the confidences
@@ -329,7 +322,7 @@ def _located(exc: ParseError | SchemaError, place: str | int) -> ParseError | Sc
     return SchemaError(f"{where}: {exc}")
 
 
-def _located_chunk(frames: list[tuple[int, list[tuple[int, bytes]]]], places: list[str | int],
+def _located_chunk(frames: list[tuple[int, bytes]], places: list[str | int],
                    first_index: int) -> FrameChunk:
     """_assembled(frames, first_index); when it fails, the frames are
     assembled again one by one, and the error of the first bad one is
@@ -351,7 +344,7 @@ def _decoded_chunks(docs: Iterable[tuple[str | int, str | bytes]]) -> Iterator[F
     before it joins the pending chunk, as its rows are known only then. A
     bad document's error names its place; an OSError of reading a document
     comes after the error of a bad one before it."""
-    frames: list[tuple[int, list[tuple[int, bytes]]]] = []  # the pending chunk's documents
+    frames: list[tuple[int, bytes]] = []  # the pending chunk's documents
     places: list[str | int] = []
     rows = index = 0
     try:

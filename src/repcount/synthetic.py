@@ -227,6 +227,8 @@ class SyntheticSessionSpec:
             raise SpecError("spec needs at least one person")
         if self.lead_in < 0:
             raise SpecError("lead_in must be >= 0")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         for p in self.persons:
             p.validate()
 
@@ -333,10 +335,13 @@ def make_labeled_dataset(class_names: list[str], frames_per_class: int,
     give the softmax probability distribution the lower tail the reject
     calibration relies on. Returns (features, integer labels), shuffled,
     deterministic per seed. Raises SpecError, before generating anything,
-    when frames_per_class < 1 or a class has no synthetic motion.
+    when frames_per_class < 1, a class has no synthetic motion or the seed
+    is negative.
     """
     if frames_per_class < 1:
         raise SpecError(f"need at least 1 frame per class, got {frames_per_class}")
+    if seed < 0:
+        raise SpecError(f"seed must be >= 0, got {seed}")
     if unknown := [name for name in class_names if name not in POSE_BUILDERS]:
         raise SpecError(f"no synthetic motion for class(es) {unknown}")
     glitch_rng = np.random.default_rng(seed + 5000)

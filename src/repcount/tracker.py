@@ -134,11 +134,17 @@ def greedy_pairs(candidates: list[tuple[float, int, int]]) -> list[tuple[int, in
 @dataclass
 class Assignment:
     frame_index: int
-    pairs: list[tuple[int, int]] = field(default_factory=list)  # (person id, skeleton index)
     new_ids: list[int] = field(default_factory=list)  # skeleton indices granted fresh ids
     retired: list[int] = field(default_factory=list)  # person ids dropped this frame
     # every skeleton index -> assigned person id (matched or fresh)
     id_by_skeleton: dict[int, int] = field(default_factory=dict)
+
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """(person id, skeleton index) of every matched skeleton, ascending:
+        id_by_skeleton without the new_ids. Built on each access."""
+        fresh = set(self.new_ids)
+        return sorted((pid, s) for s, pid in self.id_by_skeleton.items() if s not in fresh)
 
 
 class FramePlan(NamedTuple):
@@ -287,7 +293,7 @@ class PoseTracker:
         if planned and plan.disjoint and len(persons) == len(last_ids):
             # every track is in the plan, and greedy_pairs would take each of
             # its pairs, since no two share an end
-            pairs = [(last_ids[p], sidx) for _, p, sidx in plan.candidates]
+            ids = {sidx: last_ids[p] for _, p, sidx in plan.candidates}
         else:
             candidates = ([(d, last_ids[p], s) for d, p, s in plan.candidates]
                           if planned else [])
@@ -295,12 +301,9 @@ class PoseTracker:
                 missing = [pid for pid, (f, _) in persons.items() if not planned or f is not last]
                 if missing:
                     candidates += self._missing_candidates(missing, frame, plan.gate)
-            pairs = greedy_pairs(candidates)
-        ids: dict[int, int] = {}  # skeleton index -> person id
-        for pid, sidx in pairs:
-            ids[sidx] = pid
+            ids = {sidx: pid for pid, sidx in greedy_pairs(candidates)}
+        for sidx, pid in ids.items():  # ids: skeleton index -> person id
             persons[pid] = (frame, sidx)
-        pairs.sort()
 
         new_ids: list[int] = []
         if len(ids) < len(plan.tracked):  # some skeleton is unmatched
@@ -321,4 +324,4 @@ class PoseTracker:
                     del persons[pid]
 
         self._last_ids = dict(ids)
-        return Assignment(index, pairs, new_ids, retired, ids)
+        return Assignment(index, new_ids, retired, ids)

@@ -250,6 +250,22 @@ class TestExitCodes:
         assert main(["simulate", "--exercise", "burpee",
                      "--out", str(tmp_path / "x.ndjson")]) == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--seed", "-1"], id="simulate"),
+        pytest.param(["train", "--synthetic-frames", "30", "--seed", "-1"], id="train-synthetic"),
+        pytest.param(["train", "--data", "nope.ndjson", "--labels", "nope.csv", "--seed", "-1"],
+                     id="train-data"),
+        pytest.param(["calibrate", "--model", "nope.json", "--synthetic-frames", "30",
+                      "--seed", "-3"], id="calibrate"),
+    ])
+    def test_negative_seed(self, tmp_path, monkeypatch, capsys, argv):
+        """A negative seed is an invalid configuration, rejected before any
+        file is read (none of those named exists) or anything is written."""
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "x.out"]) == EXIT_BAD_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
+
     def test_train_without_data(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.json")]) == EXIT_BAD_DATASET
 

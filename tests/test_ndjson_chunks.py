@@ -414,8 +414,10 @@ def test_split_rejects_exactly_when_a_frame_would(case):
 
 
 def test_split_sizes_must_cover_the_rows():
-    # rows left over, rows missing, a frame without a size, a size without a frame
-    for indices, sizes in ([0], [1]), ([0, 1], [2, 1]), ([0, 1], [2]), ([0], [1, 1]):
+    # rows left over, rows missing, a frame without a size, a size without a
+    # frame, and negative sizes that add up to the rows
+    for indices, sizes in (([0], [1]), ([0, 1], [2, 1]), ([0, 1], [2]), ([0], [1, 1]),
+                           ([0, 1, 2], [2, -1, 1]), ([0, 1], [3, -1])):
         with pytest.raises(SchemaError, match="one size per frame, and the sizes add up to its rows"):
             FrameChunk(indices, sizes, np.zeros((2, NUM_JOINTS, 3)), np.zeros((2, NUM_JOINTS)))
 

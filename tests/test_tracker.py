@@ -585,7 +585,6 @@ class ReferenceTracker:
             used_rows.add(row)
             used_skeletons.add(sidx)
             pid = self._row_ids[row]
-            assignment.pairs.append((pid, sidx))
             assignment.id_by_skeleton[sidx] = pid
             person = self.persons[pid]
             person.last_seen_frame = frame.frame_index
@@ -607,7 +606,6 @@ class ReferenceTracker:
             self._coords = np.concatenate([self._coords, coords[fresh]])
             self._confidence = np.concatenate([self._confidence, confidence[fresh]])
         self._retire(assignment, self.retention_window)
-        assignment.pairs.sort()
         return assignment
 
     def _retire(self, assignment, window):
