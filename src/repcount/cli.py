@@ -38,6 +38,18 @@ EXIT_BAD_CONFIG = 4
 EXIT_BAD_DATASET = 5
 
 
+def _data_arg_error(args) -> str | None:
+    """Why the data flags of train or calibrate are invalid, or None."""
+    given = [flag for flag in ("--data", "--labels") if getattr(args, flag[2:], None)]
+    if args.synthetic_frames and given:
+        return f"--synthetic-frames excludes {' and '.join(given)}: give one source of data"
+    if args.synthetic_frames and args.synthetic_frames < 3:
+        return f"--synthetic-frames {args.synthetic_frames}: need at least 1 frame per class of 3"
+    if args.seed is not None and args.seed < 0:
+        return f"--seed must be >= 0, got {args.seed}"
+    return None
+
+
 def _train_arg_error(args) -> str | None:
     """Why a number of the train command is invalid, or None when all are
     valid."""
@@ -49,8 +61,6 @@ def _train_arg_error(args) -> str | None:
         return f"--learning-rate must be a finite number > 0, got {args.learning_rate!r}"
     if not 0 <= args.calibrate_split < 1:  # NaN fails the comparison
         return f"--calibrate-split must lie in [0, 1), got {args.calibrate_split!r}"
-    if args.seed < 0:
-        return f"--seed must be >= 0, got {args.seed}"
     return None
 
 
@@ -171,7 +181,7 @@ def _normalized_rows(frame) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
-    if (message := _train_arg_error(args)) is not None:
+    if (message := _data_arg_error(args) or _train_arg_error(args)) is not None:
         print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
@@ -203,13 +213,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.seed < 0:  # before the model is read
-        raise SpecError(f"--seed must be >= 0, got {args.seed}")
+    if message := _data_arg_error(args):  # before the model is read
+        raise SpecError(message)
+    if args.seed is not None and args.data:  # the seed (default 0) seeds synthetic frames only
+        raise SpecError("--seed applies to --synthetic-frames only, not to --data")
     model, _ = load_model(args.model)
     try:
         if args.synthetic_frames:
             x, _ = make_labeled_dataset(model.class_names, args.synthetic_frames // 3,
-                                        seed=args.seed)
+                                        seed=args.seed or 0)
         elif not args.data:
             raise CalibrationError("need --data (or --synthetic-frames)")
         else:
@@ -310,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="held-out keypoint session")
     p.add_argument("--synthetic-frames", type=int, default=0)
     p.add_argument("--out", help="output model path (default: overwrite --model)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of --synthetic-frames (default 0)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="generate a synthetic session with ground truth")

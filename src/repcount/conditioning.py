@@ -45,14 +45,6 @@ def fill_gaps(samples: list[Optional[float]]) -> list[Optional[float]]:
     return out
 
 
-def _outlier_adjust(prev: float, cur: float, nxt: float, mid: float) -> float:
-    """One application of the outlier rule to a single interior sample."""
-    neighbor_mean = 0.5 * (prev + nxt)
-    if (cur > mid and cur < neighbor_mean) or (cur < mid and cur > neighbor_mean):
-        return neighbor_mean
-    return cur
-
-
 def normalize_outliers(samples: list[float], mid: float, iterations: int = 1) -> list[float]:
     """Pull mid-line-ward spikes to their neighbor mean.
 
@@ -63,7 +55,9 @@ def normalize_outliers(samples: list[float], mid: float, iterations: int = 1) ->
     out = list(samples)
     for _ in range(iterations):
         for f in range(1, len(out) - 1):
-            out[f] = _outlier_adjust(out[f - 1], out[f], out[f + 1], mid)
+            mean = 0.5 * (out[f - 1] + out[f + 1])
+            if mid < out[f] < mean or mean < out[f] < mid:  # toward the mid-line
+                out[f] = mean
     return out
 
 
@@ -122,9 +116,10 @@ class StreamingConditioner:
         if raw is None:
             raw = _clamp(2.0 * pfilled - last[0])
         self._pending = (frame, raw)
-        # left neighbor already conditioned, right neighbor only gap-filled:
-        # exactly one in-place left-to-right sweep
-        pval = _outlier_adjust(last[1], pfilled, raw, self.mid)
+        # normalize_outliers' rule, with the left neighbor already conditioned
+        # and the right one only gap-filled: one in-place left-to-right sweep
+        mean, mid = 0.5 * (last[1] + raw), self.mid
+        pval = mean if mid < pfilled < mean or mean < pfilled < mid else pfilled
         self._last = (pfilled, pval)
         return [(pframe, pfilled, pval)]
 

@@ -9,13 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from . import body25
 from .body25 import NUM_JOINTS, mirror_triple
 from .jsoninput import decode_json
+from .recognizer import UNKNOWN, WARMUP
 
 LIMB_EPSILON = 1e-9  # input units; below this a limb vector is degenerate
 
@@ -124,6 +125,12 @@ def profile_cosines(profiles: Mapping[str, ExerciseProfile], coords: np.ndarray,
     return dict(zip(profiles, chosen.tolist()))
 
 
+def check_profile_names(names: Iterable[str]) -> None:
+    """Reject profiles named like the labels of frames that show no exercise."""
+    if reserved := sorted({UNKNOWN, WARMUP}.intersection(names)):
+        raise ProfileError(f"profile name {reserved[0]!r} is reserved: a label of the recognizer")
+
+
 def angle_of_cosine(cosine: float) -> Optional[float]:
     """Degrees of a profile_cosines value; None for a NaN (a gap), the one
     value unequal to itself."""
@@ -186,4 +193,5 @@ def load_profiles(path: str | Path) -> dict[str, ExerciseProfile]:
         if profile.name in profiles:
             raise ProfileError(f"profile {profile.name!r} is named twice")
         profiles[profile.name] = profile
+    check_profile_names(profiles)
     return profiles

@@ -4,12 +4,12 @@ condition -> count -> report.
 One SessionEngine processes one frame stream sequentially, a FrameChunk at
 a time. What depends only on a frame, or on it and the frame before it, is
 planned for the whole chunk on its own arrays: the tracker's gates,
-candidate distances and whether those candidates are disjoint, the labels,
-and the angle cosines of every profile. Matching, the label vote, angles,
+candidate distances and which frames are steady, the labels, and the
+angle cosines of every profile. Matching, the label vote, angles,
 conditioning and counting then run frame by frame (process_frame), each
-frame handed its plan; a frame whose candidates are disjoint is matched
-without a sort, and in the steady state the one sample the conditioner
-releases goes straight to the counter. Each tracked person
+frame handed its plan. In the steady state the tracker hands a steady
+frame's planned ids straight to the persons, and the one sample the
+conditioner releases goes straight to the counter. Each tracked person
 has one record: a label window, the open exercise set if any, and the
 answer so far. A set opens when the windowed label is a known exercise and
 closes when that label switches to another one, when the tracker retires
@@ -28,7 +28,7 @@ import numpy as np
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent, tally
 from .keypoints import FrameChunk, SkeletonFrame, chunk_is_full, normalize_frame
-from .kinematics import ExerciseProfile, angle_of_cosine, builtin_profiles, profile_cosines
+from .kinematics import ExerciseProfile, builtin_profiles, check_profile_names, profile_cosines
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
 from .reporting import PersonSummary, SessionResult
@@ -89,6 +89,7 @@ class SessionEngine:
         self.model = model
         self.thresholds = thresholds
         self.profiles = profiles if profiles is not None else builtin_profiles()
+        check_profile_names(self.profiles)
         self.config = config
         self.tracker = PoseTracker()
         self.persons: dict[int, _PersonState] = {}
@@ -136,10 +137,8 @@ class SessionEngine:
         self.frame_count += 1  # once matched: a frame out of order is not counted
         index = frame.frame_index
         persons, profiles = self.persons, self.profiles
-        ids = assignment.id_by_skeleton
-        # a skeleton without an id (no detected joint) is skipped
-        for sidx in sorted(ids):
-            pid = ids[sidx]
+        # skeletons without an id (no detected joint) are skipped; any order will do
+        for sidx, pid in assignment.id_by_skeleton.items():
             state = persons.get(pid)
             if state is None:
                 state = persons[pid] = _PersonState(person_id=pid)
@@ -189,7 +188,7 @@ class SessionEngine:
                 counter=RepCounter(profile, person_id=state.person_id,
                                    tolerance=self.config.tolerance),
             )
-        raw = angle_of_cosine(cosine)
+        raw = None if cosine != cosine else math.degrees(math.acos(cosine))  # angle_of_cosine
         keep_traces = self.config.keep_traces
         # a sample with an angle is always emitted later, and pops it then
         if raw is not None and keep_traces:

@@ -12,13 +12,13 @@ Distances use raw coordinates, since spatial position is the identity cue.
 What depends only on a frame and the frame before it is planned ahead for
 a whole FrameChunk (PoseTracker.plan): each frame's gate, the distances of
 the pairs of its skeletons with those of the frame before whose
-detected-joint bounding boxes lie within the gate, and whether those pairs
-are disjoint (no skeleton on either side in two of them). The caller
-passes each frame's plan to match_frame, which reads the pairs of the
-tracks seen in the frame before from it; only tracks missing from that
-frame are measured when the frame comes. When every track was seen in the
-frame before and the pairs are disjoint, greedy matching would take every
-pair, so match_frame takes them as planned, without sorting. The tracker
+detected-joint bounding boxes lie within the gate, and whether the frame
+is steady: within the retention window of the frame before, with pairs
+that are disjoint (no skeleton on either side in two of them) and pair
+every skeleton of both frames. After a frame that saw every live track,
+match_frame takes a steady frame's pairs as planned. Any other frame reads
+the pairs of the tracks seen in the frame before from its plan, and only
+tracks missing from that frame are measured when it comes. The tracker
 keeps no plan.
 """
 from __future__ import annotations
@@ -133,6 +133,8 @@ def greedy_pairs(candidates: list[tuple[float, int, int]]) -> list[tuple[int, in
 
 @dataclass
 class Assignment:
+    """match_frame's answer for one frame; its fields are read-only to callers."""
+
     frame_index: int
     new_ids: list[int] = field(default_factory=list)  # skeleton indices granted fresh ids
     retired: list[int] = field(default_factory=list)  # person ids dropped this frame
@@ -155,7 +157,7 @@ class FramePlan(NamedTuple):
     tracked: list[bool]  # per skeleton: has a detected joint
     # (distance, skeleton of prev, skeleton of frame) for every pair within the gate
     candidates: list[tuple[float, int, int]]
-    disjoint: bool  # no skeleton of prev or of the frame is in two candidates
+    steady: bool  # within the window of prev; candidates pair each skeleton of both once
 
 
 def _frame_gates(bounds: list[int], coords: np.ndarray, confidence: np.ndarray) -> list[float]:
@@ -242,15 +244,17 @@ class PoseTracker:
         # prev_rows ascend, so a frame's candidates follow those of the frame before
         cuts = [0, *np.searchsorted(prev_rows, bounds_a[:-1]).tolist()]
         # a row pairs only with rows of one frame, so a row in two candidates
-        # puts two of one frame's candidates in conflict
+        # puts two of one frame's candidates in conflict; as many candidates
+        # free of one as the rows on either side pair every row once
         shared = ((np.bincount(prev_rows, minlength=len(coords)) > 1)[prev_rows]
                   | (np.bincount(rows, minlength=len(coords)) > 1)[rows])
-        disjoint = np.ones(len(frames), dtype=bool)
-        disjoint[frame_of[shared]] = False
-        disjoint = disjoint.tolist()
+        free = np.bincount(frame_of[~shared], minlength=len(frames))[1:]
+        gaps = np.diff([f.frame_index for f in frames])
+        steady = [False, *((free == sizes_a[1:]) & (free == sizes_a[:-1])  # the first: no prev
+                           & (gaps <= RETENTION_WINDOW + 1)).tolist()]
 
         return [FramePlan(frames[q - 1] if q else None, gates[q], tracked[bounds[q]:bounds[q + 1]],
-                          candidates[cuts[q]:cuts[q + 1]], disjoint[q])
+                          candidates[cuts[q]:cuts[q + 1]], steady[q])
                 for q in range(len(lead), len(frames))]
 
     def _missing_candidates(self, pids: list[int], frame: SkeletonFrame,
@@ -276,7 +280,19 @@ class PoseTracker:
             raise SequencingError(f"frame {index} not after frame {last.frame_index}")
         self._last_frame = frame
         persons, last_ids = self.persons, self._last_ids
+        if plan.steady and plan.prev is last and len(persons) == len(last_ids):
+            # each track pairs with its own skeleton: nothing to sort, grant or retire
+            ids = self._last_ids = {}
+            for _, p, sidx in plan.candidates:
+                pid = ids[sidx] = last_ids[p]
+                persons[pid] = (frame, sidx)
+            return Assignment(index, [], [], ids)
+        return self._match_general(frame, plan, last)
 
+    def _match_general(self, frame: SkeletonFrame, plan: FramePlan, last) -> Assignment:
+        """match_frame of a frame off the steady state, after the frame last."""
+        index = frame.frame_index
+        persons, last_ids = self.persons, self._last_ids
         retired: list[int] = []
         # every track is within the window of the frame before, so one can
         # outlive it unseen only across skipped frame indices
@@ -290,13 +306,13 @@ class PoseTracker:
         # unless they just retired: then every track did
         planned = (last is not None and plan.prev is last
                    and index - last.frame_index <= RETENTION_WINDOW + 1)
-        if planned and plan.disjoint and len(persons) == len(last_ids):
-            # every track is in the plan, and greedy_pairs would take each of
-            # its pairs, since no two share an end
-            ids = {sidx: last_ids[p] for _, p, sidx in plan.candidates}
+        pairs = plan.candidates
+        if (planned and len(persons) == len(last_ids)
+                and len({p for _, p, _ in pairs}) == len(pairs) == len({s for *_, s in pairs})):
+            # every track is in the plan, and greedy_pairs would take each pair
+            ids = {sidx: last_ids[p] for _, p, sidx in pairs}
         else:
-            candidates = ([(d, last_ids[p], s) for d, p, s in plan.candidates]
-                          if planned else [])
+            candidates = [(d, last_ids[p], s) for d, p, s in pairs] if planned else []
             if not planned or len(persons) > len(last_ids):
                 missing = [pid for pid, (f, _) in persons.items() if not planned or f is not last]
                 if missing:
@@ -323,5 +339,5 @@ class PoseTracker:
                     retired.append(pid)
                     del persons[pid]
 
-        self._last_ids = dict(ids)
+        self._last_ids = ids  # the tracker's map of the frame: never changed once handed out
         return Assignment(index, new_ids, retired, ids)

@@ -275,6 +275,45 @@ class TestExitCodes:
         assert "need --data (or --synthetic-frames)" in capsys.readouterr().err
         assert open(model_path, "rb").read() == before
 
+    # the recognizer gives these labels to frames it does not take for an
+    # exercise; a profile of that name would count them
+    @pytest.mark.parametrize("name", ["unknown", "warmup"])
+    def test_reserved_profile_name(self, tmp_path, capsys, name):
+        session = simulate(tmp_path, exercise="squat", full_cycles=5)
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps([{"name": name, "joint_triple": [9, 10, 11],
+                                         "rom_low": 80, "rom_high": 170,
+                                         "motion_type": "push"}]))
+        capsys.readouterr()
+        assert main(["analyze", str(session), "--profiles", str(profiles)]) == EXIT_BAD_CONFIG
+        captured = capsys.readouterr()
+        assert f"profile name {name!r} is reserved" in captured.err and captured.out == ""
+
+    # rejected before the model (none of the named files exists) or any
+    # data is read, and before anything is written
+    @pytest.mark.parametrize("argv,flags", [
+        pytest.param(["train", "--synthetic-frames", "30", "--data", "nope.ndjson"],
+                     ["--synthetic-frames", "--data"], id="train-synthetic-and-data"),
+        pytest.param(["train", "--synthetic-frames", "30", "--labels", "nope.csv"],
+                     ["--synthetic-frames", "--labels"], id="train-synthetic-and-labels"),
+        pytest.param(["train", "--synthetic-frames", "-6"], ["--synthetic-frames", "-6"],
+                     id="train-negative-frames"),
+        pytest.param(["calibrate", "--model", "nope.json", "--synthetic-frames", "30",
+                      "--data", "nope.ndjson"], ["--synthetic-frames", "--data"],
+                     id="calibrate-synthetic-and-data"),
+        pytest.param(["calibrate", "--model", "nope.json", "--data", "nope.ndjson",
+                      "--seed", "1"], ["--seed", "--data"], id="calibrate-seed-with-data"),
+        pytest.param(["calibrate", "--model", "nope.json", "--synthetic-frames", "-6"],
+                     ["--synthetic-frames", "-6"], id="calibrate-negative-frames"),
+    ])
+    def test_data_flags_that_do_not_go_together(self, tmp_path, monkeypatch, capsys, argv,
+                                                 flags):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "x.out"]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in flags), err
+        assert not any(tmp_path.iterdir())
+
     def test_empty_profile_list(self, tmp_path, capsys):
         session = simulate(tmp_path, exercise="push-up", full_cycles=2)
         profiles = tmp_path / "profiles.json"

@@ -11,9 +11,9 @@ from repcount import keypoints, pipeline
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import (FrameChunk, RawSkeleton, SkeletonFrame, normalize_frame,
                                 normalize_skeleton)
-from repcount.kinematics import angle_for
+from repcount.kinematics import ProfileError, angle_for, builtin_profiles
 from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
-from repcount.recognizer import UNKNOWN, LabelWindow, classify_with_reject
+from repcount.recognizer import UNKNOWN, WARMUP, LabelWindow, classify_with_reject
 from repcount.reporting import render_json, render_text
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
@@ -59,6 +59,12 @@ class TestEngineConfig:
     def test_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             EngineConfig(tolerance=tolerance)
+
+    # the engine counts the frames of every profile the vote names
+    @pytest.mark.parametrize("name", [UNKNOWN, WARMUP])
+    def test_rejects_a_profile_named_like_a_label(self, name):
+        with pytest.raises(ProfileError, match=f"profile name '{name}' is reserved"):
+            SessionEngine(profiles={name: builtin_profiles()["squat"]})
 
     def test_is_frozen(self):
         """The default config an engine shares with every other engine
@@ -466,6 +472,35 @@ def test_scaling_by_a_power_of_two_leaves_the_report_unchanged(trained_model, k)
     assert sum(s.total for s in want.summaries) > 0
     assert render_json(analyze_frames(scaled, model=model, thresholds=thresholds)) == \
         render_json(want)
+
+
+@st.composite
+def sessions_on_a_1_64_grid(draw):
+    """A short synthetic session of 1-3 persons, any of them doing sit-ups,
+    with every coordinate rounded to a multiple of 1/64."""
+    motions = tuple(
+        PersonMotion(draw(st.sampled_from(["squat", "push-up", "pull-up", "sit-up"])),
+                     full_cycles=draw(st.integers(1, 3)), noise_sigma=5.0, gap_rate=0.05)
+        for _ in range(draw(st.integers(1, 3))))
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=motions, seed=draw(st.integers(0, 2**32 - 1)), shuffle_order=draw(st.booleans())))
+    return [SkeletonFrame(f.frame_index, np.round(f.coords * 64.0) / 64.0, f.confidence)
+            for f in frames]
+
+
+@settings(max_examples=25, deadline=None)
+@given(sessions_on_a_1_64_grid(), st.tuples(*[st.integers(-2**20, 2**20)] * 3), st.booleans())
+def test_translation_leaves_the_report_unchanged(trained_model, frames, shift, with_model):
+    """Every layer reads coordinates only through their differences. On
+    multiples of 1/64 of at most 2**12, a shift by an integer vector of at
+    most 2**20 keeps each coordinate and each difference exact, so it
+    changes no byte of the report."""
+    model, thresholds, _ = trained_model if with_model else (None, None, None)
+    assert np.abs(np.concatenate([f.coords for f in frames])).max() <= 2**12
+    moved = [SkeletonFrame(f.frame_index, f.coords + np.array(shift, dtype=np.float64),
+                           f.confidence) for f in frames]
+    assert render_json(analyze_frames(moved, model=model, thresholds=thresholds)) == \
+        render_json(analyze_frames(frames, model=model, thresholds=thresholds))
 
 
 @st.composite

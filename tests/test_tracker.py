@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from repcount import keypoints, pipeline, recognizer, tracker
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
 from repcount.keypoints import FrameChunk, RawSkeleton, SkeletonFrame, normalize_skeleton
-from repcount.pipeline import SessionEngine, analyze_frames
-from repcount.reporting import render_json
+from repcount.pipeline import EngineConfig, SessionEngine, analyze_frames
+from repcount.reporting import render_json, render_text
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
-from repcount.tracker import (PoseTracker, SequencingError, distance_matrix,
+from repcount.tracker import (RETENTION_WINDOW, PoseTracker, SequencingError, distance_matrix,
                               skeleton_distance)
 
 
@@ -259,6 +259,40 @@ def test_frames_in_no_doubt_skip_the_greedy_pass():
         assert greedy.call_count == 4  # b's track is missing only from now on
         assert t.match_frame(frame(2, b, a)).id_by_skeleton == {0: ids[1], 1: ids[0]}
         assert greedy.call_count == 5
+
+
+def test_only_frames_in_doubt_take_the_general_path(monkeypatch):
+    """A generated 3-person session takes match_frame's general path on its
+    first frame only: every later frame is steady. A frame with a new
+    skeleton, each frame that misses a track, and the frame that retires
+    it take the general path; the steady frames after them do not."""
+    general_frames = []
+    general = PoseTracker._match_general
+
+    def counting(self, frame, plan, last):
+        general_frames.append(frame.frame_index)
+        return general(self, frame, plan, last)
+
+    monkeypatch.setattr(PoseTracker, "_match_general", counting)
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("push-up", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("pull-up", 2, noise_sigma=5.0, gap_rate=0.05)),
+        seed=3, shuffle_order=True))
+    analyze_frames(frames)
+    assert general_frames == [frames[0].frame_index]
+
+    general_frames.clear()
+    a, b, c = skeleton_at((0, 0)), skeleton_at((400, 0)), skeleton_at((800, 0))
+    t = PoseTracker(max_match_distance=50.0)
+    for index in range(3):
+        t.match_frame(frame(index, a, b))
+    assert t.match_frame(frame(3, a, b, c)).new_ids == [2]
+    t.match_frame(frame(4, a, b, c))
+    gone = 4 + RETENTION_WINDOW + 1  # c, missing from frame 5 on, retires here
+    retired = {index: t.match_frame(frame(index, b, a)).retired for index in range(5, gone + 3)}
+    assert retired[gone] == [3] and not any(retired[i] for i in retired if i != gone)
+    assert general_frames == [0, 3, *range(5, gone + 1)]
 
 
 def random_skeletons(rng, n, spread=40.0):
@@ -725,3 +759,34 @@ def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, 
         mp.setattr(tracker, "RETENTION_WINDOW", window)
         planned = run(PoseTracker(gate))
     assert planned == run(ReferenceTracker(gate, retention_window=window))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tracked_sessions(), st.integers(1, 9), st.booleans())
+def test_steady_frames_match_as_on_the_general_path(trained_model, frames, chunk, keep_traces):
+    """Steady frames forced onto match_frame's general path give the same
+    assignment on every frame, the same reports and the same traces."""
+    model, thresholds, _ = trained_model
+
+    def run():
+        engine = SessionEngine(model=model, thresholds=thresholds,
+                               config=EngineConfig(keep_traces=keep_traces))
+        match, seen = engine.tracker.match_frame, []
+
+        def recording_match(frame, plan=None):
+            seen.append(match(frame, plan))
+            return seen[-1]
+
+        engine.tracker.match_frame = recording_match
+        engine.process_frames(frames)
+        result = engine.finalize()
+        return ([(a.frame_index, a.pairs, a.new_ids, a.retired, a.id_by_skeleton) for a in seen],
+                render_json(result), render_text(result), engine.traces())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
+        steady = run()
+        plan = PoseTracker.plan
+        mp.setattr(PoseTracker, "plan",
+                   lambda self, c: [p._replace(steady=False) for p in plan(self, c)])
+        assert run() == steady
