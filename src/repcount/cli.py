@@ -64,6 +64,21 @@ def _train_arg_error(args) -> str | None:
     return None
 
 
+def _output_error(args, *flags: str) -> str | None:
+    """Why the path a given output flag names cannot be written, or None:
+    each must name a file in an existing directory. Checked before anything
+    is read, so that no work is done for a file that cannot be written."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
+            return f"{flag} {path}: directory {str(Path(path).parent)!r} does not exist"
+        if Path(path).is_dir():
+            return f"{flag} {path}: is a directory"
+    return None
+
+
 def _read_chunks(args):
     """The input's chunks, or None once the reason it is unreadable is printed."""
     try:
@@ -100,6 +115,9 @@ def cmd_analyze(args) -> int:
                               keep_traces=bool(args.out_csv))
     except ValueError as exc:  # it names the field, which is the option's name
         print(f"error: --{exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    if message := _output_error(args, "--out-text", "--out-json", "--out-csv"):
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
         profiles = load_profiles(args.profiles) if args.profiles else builtin_profiles()
@@ -181,7 +199,8 @@ def _normalized_rows(frame) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
-    if (message := _data_arg_error(args) or _train_arg_error(args)) is not None:
+    if message := (_data_arg_error(args) or _train_arg_error(args)
+                   or _output_error(args, "--out", "--curve-out")):
         print(f"error: {message}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
@@ -213,7 +232,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if message := _data_arg_error(args):  # before the model is read
+    if message := _data_arg_error(args) or _output_error(args, "--out"):  # before any reading
         raise SpecError(message)
     if args.seed is not None and args.data:  # the seed (default 0) seeds synthetic frames only
         raise SpecError("--seed applies to --synthetic-frames only, not to --data")
@@ -241,6 +260,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if message := _output_error(args, "--out", "--truth-out"):
+        print(f"error: {message}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     persons = tuple(
         PersonMotion(exercise=args.exercise, full_cycles=args.full_cycles,
                      partial_cycles=args.partial_cycles, period=args.period,

@@ -22,7 +22,7 @@ import csv
 import json
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import accumulate, count, repeat, starmap
 from operator import itemgetter
@@ -77,6 +77,7 @@ class SkeletonFrame:
     frame_index: int
     coords: np.ndarray  # (S, 25, 3) finite float64, columns x, y, z
     confidence: np.ndarray  # (S, 25) float64 in [0, 1]
+    chunk = None  # the FrameChunk whose rows a frame is; a frame made on its own has none
 
     def __post_init__(self):
         _check_frame_arrays(self.frame_index, self.coords, self.confidence)
@@ -124,16 +125,50 @@ class FrameChunk:
                    np.concatenate([f.confidence for f in frames]))
 
     @cached_property
+    def offsets(self) -> list[int]:
+        """Frame k's rows are offsets[k]:offsets[k + 1]."""
+        return list(accumulate(self.sizes, initial=0))
+
+    @cached_property
     def frames(self) -> list[SkeletonFrame]:
-        """The frames, as row views of the chunk's arrays."""
-        frames = []
-        for index, start, end in zip(self.indices, accumulate(self.sizes, initial=0),
-                                     accumulate(self.sizes)):
-            frame = object.__new__(SkeletonFrame)  # checked with the chunk: no __init__
-            frame.__dict__.update(frame_index=index, coords=self.coords[start:end],
-                                  confidence=self.confidence[start:end])
-            frames.append(frame)
+        """The frames, each holding its frame index, the chunk and its
+        position in it; the views of a frame's rows are made when first read."""
+        frames = list(map(object.__new__, repeat(_ChunkFrame, len(self.sizes))))
+        # slot by slot, past the frozen __setattr__, with no call per frame
+        for slot, values in ((_ChunkFrame.frame_index, self.indices),
+                             (_ChunkFrame.chunk, repeat(self)), (_ChunkFrame.position, count())):
+            for _ in map(slot.__set__, frames, values):
+                pass
         return frames
+
+    def rows(self, position: int) -> slice:
+        """The rows of the chunk's frame at `position`."""
+        offsets = self.offsets
+        return slice(offsets[position], offsets[position + 1])
+
+
+class _ChunkFrame(SkeletonFrame):
+    """The frame at `position` of its chunk, checked with the chunk and
+    built by it, with no __init__; its coords and confidence are views of
+    the chunk's rows, made on first read."""
+
+    __slots__ = ("frame_index", "chunk", "position")
+
+    def __setattr__(self, name: str, *_) -> None:  # read-only, as every frame
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # a copy is a frame of its own
+        return SkeletonFrame, (self.frame_index, self.coords, self.confidence)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return self.chunk.coords[self.chunk.rows(self.position)]
+
+    @cached_property
+    def confidence(self) -> np.ndarray:
+        return self.chunk.confidence[self.chunk.rows(self.position)]
 
 
 def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.ndarray) -> None:
@@ -610,16 +645,24 @@ def normalize_frame(coords: np.ndarray, confidence: np.ndarray) -> tuple[np.ndar
     rejected when its neck or mid-hip is undetected or its torso is shorter
     than TORSO_EPSILON.
     """
-    xy = coords[:, :, :2]
-    origin = xy[:, MID_HIP]
-    d = xy[:, NECK] - origin
+    n = len(coords)
+    origin = coords[:, MID_HIP, :2]
+    d = coords[:, NECK, :2] - origin
     torso = np.sqrt(np.vecdot(d, d))  # bit for bit what np.linalg.norm gives one row
     # neck and mid-hip detected: the smaller confidence of the two is > 0
     ok = (np.minimum(confidence[:, NECK], confidence[:, MID_HIP]) > 0) & (torso >= TORSO_EPSILON)
-    out = xy - origin[:, None]
-    out = out / np.where(ok, torso, 1.0)[:, None, None]  # rejected rows divide by 1, never by 0
-    out = np.where((confidence > 0)[..., None], out, 0.0)
-    return out.reshape(len(out), 2 * NUM_JOINTS), ok
+    # rejected rows divide by 1, never by 0
+    scale = np.repeat(np.where(ok, torso, 1.0), NUM_JOINTS)
+    undetected = ~(confidence > 0).reshape(-1)
+    joints = coords.reshape(-1, 3)
+    out = np.empty((n * NUM_JOINTS, 2))
+    # a plane of all joints at a time: long loops, where (S, 25, 2) arrays loop
+    # over their short last axis; the values are those of the (S, 25, 2) form
+    for axis in range(2):
+        plane = joints[:, axis] - np.repeat(origin[:, axis], NUM_JOINTS)
+        plane[undetected] = 0  # 0 over any scale is 0.0
+        np.divide(plane, scale, out=out[:, axis])
+    return out.reshape(n, 2 * NUM_JOINTS), ok
 
 
 def normalize_skeleton(skel: RawSkeleton) -> Optional[np.ndarray]:

@@ -3,13 +3,14 @@ condition -> count -> report.
 
 One SessionEngine processes one frame stream sequentially, a FrameChunk at
 a time. What depends only on a frame, or on it and the frame before it, is
-planned for the whole chunk on its own arrays: the tracker's gates,
-candidate distances and which frames are steady, the labels, and the
-angle cosines of every profile. Matching, the label vote, angles,
-conditioning and counting then run frame by frame (process_frame), each
-frame handed its plan. In the steady state the tracker hands a steady
-frame's planned ids straight to the persons, and the one sample the
-conditioner releases goes straight to the counter. Each tracked person
+planned for the whole chunk on its own arrays, in one plan per chunk: the
+tracker's gates, candidate distances and which frames are steady, the
+labels, and the angle cosines of every profile. Matching, the label vote,
+angles, conditioning and counting then run frame by frame (process_frame),
+each frame reading the chunk's plan at its position and rows, with no
+plan object and no views of its own. In the steady state the tracker
+hands a steady frame's planned ids straight to the persons, and the one
+sample the conditioner releases goes straight to the counter. Each tracked person
 has one record: a label window, the open exercise set if any, and the
 answer so far. A set opens when the windowed label is a known exercise and
 closes when that label switches to another one, when the tracker retires
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .kinematics import ExerciseProfile, builtin_profiles, check_profile_names, 
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
 from .reporting import PersonSummary, SessionResult
-from .tracker import FramePlan, PoseTracker
+from .tracker import ChunkPlan, PoseTracker
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,16 @@ class _PersonState:
     raw_angles: dict[int, Optional[float]] = field(default_factory=dict)
 
 
-class _Planned(NamedTuple):
-    """A frame's part of its chunk's plan."""
+@dataclass(frozen=True, slots=True)
+class _ChunkPlan:
+    """The plan of a chunk's frames: the frame at position k reads the
+    labels and cosines of its rows, rows[k]:rows[k + 1]."""
 
-    labels: list[str]  # the chunk's, per row
-    cosines: dict[str, list[float]]  # the chunk's profile_cosines
-    row: int  # the frame's first row in the chunk
-    match: FramePlan  # the tracker's plan of the frame
+    chunk: FrameChunk
+    match: ChunkPlan  # the tracker's
+    rows: list[int]
+    labels: list[str]  # per row
+    cosines: dict[str, list[float]]  # profile_cosines, per row
 
 
 class SessionEngine:
@@ -95,8 +98,8 @@ class SessionEngine:
         self.persons: dict[int, _PersonState] = {}
         self.frame_count = 0
         self._finalized = False
-        # the next frame process_chunk hands to process_frame, and its plan
-        self._next: tuple[Optional[SkeletonFrame], Optional[_Planned]] = (None, None)
+        # the plan of the chunk whose frames process_chunk hands to process_frame
+        self._next: Optional[_ChunkPlan] = None
 
     def process_frames(self, frames: Iterable[SkeletonFrame]) -> None:
         """Process frames in order, stacked in chunks closed where
@@ -119,23 +122,26 @@ class SessionEngine:
         if self._finalized:
             raise RuntimeError("session already finalized")
         try:
-            for frame, planned in zip(chunk.frames, self._plan_chunk(chunk)):
-                self._next = (frame, planned)
+            self._next = self._plan_chunk(chunk)
+            for frame in chunk.frames:
                 self.process_frame(frame)
         finally:
-            self._next = (None, None)
+            self._next = None
 
     def process_frame(self, frame: SkeletonFrame) -> None:
         if self._finalized:
             raise RuntimeError("session already finalized")
-        next_frame, planned = self._next
-        self._next = (None, None)
-        if next_frame is not frame:  # a direct caller: the frame is a chunk of one
-            (planned,) = self._plan_chunk(FrameChunk.of([frame]))
-        labels, cosines, row, match = planned
-        assignment = self.tracker.match_frame(frame, match)
+        plan = self._next
+        if plan is None or frame.chunk is not plan.chunk:
+            # a direct caller: the frame is processed as the frame of a chunk of one
+            chunk = FrameChunk.of([frame])
+            (frame,) = chunk.frames
+            plan = self._plan_chunk(chunk)
+        assignment = self.tracker.match_frame(frame, plan.match)
         self.frame_count += 1  # once matched: a frame out of order is not counted
         index = frame.frame_index
+        row = plan.rows[frame.position]
+        labels, cosines = plan.labels, plan.cosines
         persons, profiles = self.persons, self.profiles
         # skeletons without an id (no detected joint) are skipped; any order will do
         for sidx, pid in assignment.id_by_skeleton.items():
@@ -149,15 +155,13 @@ class SessionEngine:
         for pid in assignment.retired:  # never matched again: its set is over
             self._close_set(persons[pid])
 
-    def _plan_chunk(self, chunk: FrameChunk) -> list[_Planned]:
+    def _plan_chunk(self, chunk: FrameChunk) -> _ChunkPlan:
         """Plan a chunk's frames on its own arrays: the tracker plans each
         against the frame before it, and the labels and angle cosines of
         every row are computed at once."""
         labels = self._chunk_labels(chunk)
         cosines = profile_cosines(self.profiles, chunk.coords, chunk.confidence)
-        rows = accumulate(chunk.sizes, initial=0)
-        return [_Planned(labels, cosines, row, match)
-                for row, match in zip(rows, self.tracker.plan(chunk))]
+        return _ChunkPlan(chunk, self.tracker.plan(chunk), chunk.offsets, labels, cosines)
 
     def _chunk_labels(self, chunk: FrameChunk) -> list[str]:
         """The labels of the chunk's rows: every row is normalized in one

@@ -10,14 +10,16 @@ before matching, and is reported in that frame's retired ids.
 Distances use raw coordinates, since spatial position is the identity cue.
 
 What depends only on a frame and the frame before it is planned ahead for
-a whole FrameChunk (PoseTracker.plan): each frame's gate, the distances of
-the pairs of its skeletons with those of the frame before whose
-detected-joint bounding boxes lie within the gate, and whether the frame
-is steady: within the retention window of the frame before, with pairs
-that are disjoint (no skeleton on either side in two of them) and pair
-every skeleton of both frames. After a frame that saw every live track,
+a whole FrameChunk, in one ChunkPlan (PoseTracker.plan) whose per-frame
+lists a frame reads at its position in the chunk: each frame's gate, the
+distances of the pairs of its skeletons with those of the frame before
+(once rows have several partners, only of the pairs whose detected-joint
+bounding boxes lie within the gate), and whether the frame is steady:
+within the retention window of the frame before, with pairs that are
+disjoint (no skeleton on either side in two of them) and pair every
+skeleton of both frames. After a frame that saw every live track,
 match_frame takes a steady frame's pairs as planned. Any other frame reads
-the pairs of the tracks seen in the frame before from its plan, and only
+the pairs of the tracks seen in the frame before from the plan, and only
 tracks missing from that frame are measured when it comes. The tracker
 keeps no plan.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -77,6 +79,25 @@ def skeleton_distance(a: RawSkeleton, b: RawSkeleton) -> Optional[float]:
     return None if math.isnan(d) else d
 
 
+def _plane_distances(planes: list[np.ndarray], detected: np.ndarray, rows_a: np.ndarray,
+                     rows_b: np.ndarray) -> np.ndarray:
+    """pair_distances of the row pairs (rows_a[k], rows_b[k]), bit for bit,
+    from the (N, 25) planes of x, y and z of the rows and their (N, 25)
+    detected masks: each axis is gathered and squared as one (K, 25) plane."""
+    shared = detected[rows_a] & detected[rows_b]
+    x, y, z = planes
+    norms = x[rows_a] - x[rows_b]
+    np.multiply(norms, norms, out=norms)
+    for plane in (y, z):  # pair_distances' operations, in its order
+        sq = plane[rows_a] - plane[rows_b]
+        np.multiply(sq, sq, out=sq)
+        norms += sq
+    np.sqrt(norms, out=norms)
+    norms[~shared] = 0.0
+    with np.errstate(invalid="ignore"):
+        return norms.sum(axis=1) / shared.sum(axis=1)
+
+
 def distance_matrix(track_coords: np.ndarray, track_confidence: np.ndarray,
                     coords: np.ndarray, confidence: np.ndarray) -> np.ndarray:
     """(P, S) pair_distances of P tracks against S skeletons; NaN where a
@@ -93,10 +114,15 @@ def detected_boxes(coords: np.ndarray, detected: np.ndarray) -> tuple[np.ndarray
     row's detected joints; a row without one gets the empty box (+inf, -inf)."""
     low = np.empty((3, len(coords)))
     high = np.empty((3, len(coords)))
-    for k in range(3):  # per axis: a reduce over (N, 25, 3) strides slowly
-        axis = coords[..., k]
-        low[k] = np.where(detected, axis, np.inf).min(axis=1)
-        high[k] = np.where(detected, axis, -np.inf).max(axis=1)
+    undetected = np.flatnonzero(~detected.T)  # of the joint-major planes
+    # per axis, a (25, N) plane of every row's joints: the reduce over its
+    # first axis runs along rows, not over 25 strided values a row
+    for axis, plane in enumerate(coords.transpose(2, 1, 0).copy()):
+        values = plane.reshape(-1)
+        values[undetected] = np.inf
+        plane.min(axis=0, out=low[axis])
+        values[undetected] = -np.inf
+        plane.max(axis=0, out=high[axis])
     return low, high
 
 
@@ -131,7 +157,7 @@ def greedy_pairs(candidates: list[tuple[float, int, int]]) -> list[tuple[int, in
     return pairs
 
 
-@dataclass
+@dataclass(slots=True)
 class Assignment:
     """match_frame's answer for one frame; its fields are read-only to callers."""
 
@@ -149,15 +175,17 @@ class Assignment:
         return sorted((pid, s) for s, pid in self.id_by_skeleton.items() if s not in fresh)
 
 
-class FramePlan(NamedTuple):
-    """What match_frame needs of a frame, computed ahead of it."""
+@dataclass(frozen=True, slots=True)
+class ChunkPlan:
+    """What match_frame needs of a chunk's frames, computed ahead of them:
+    the frame at position k of the chunk reads entry k of each per-frame list."""
 
-    prev: Optional[SkeletonFrame]  # the frame the candidates were measured against
-    gate: float
-    tracked: list[bool]  # per skeleton: has a detected joint
-    # (distance, skeleton of prev, skeleton of frame) for every pair within the gate
-    candidates: list[tuple[float, int, int]]
-    steady: bool  # within the window of prev; candidates pair each skeleton of both once
+    prev: list[Optional[SkeletonFrame]]  # per frame: the frame its candidates were measured against
+    gates: list[float]  # per frame
+    tracked: list[bool]  # per row of the chunk: has a detected joint
+    # per frame: (distance, skeleton of prev, skeleton of the frame) for every pair within the gate
+    candidates: list[list[tuple[float, int, int]]]
+    steady: list[bool]  # per frame: within the window of prev; candidates pair each skeleton of both once
 
 
 def _frame_gates(bounds: list[int], coords: np.ndarray, confidence: np.ndarray) -> list[float]:
@@ -203,22 +231,26 @@ class PoseTracker:
         self._last_frame: Optional[SkeletonFrame] = None
         self._last_ids: dict[int, int] = {}  # skeleton of the last frame -> person id
 
-    def plan(self, chunk: FrameChunk) -> list[FramePlan]:
-        """The plans of the chunk's frames, for match_frame: each frame is
+    def plan(self, chunk: FrameChunk) -> ChunkPlan:
+        """The plan of the chunk's frames, for match_frame: each frame is
         planned against the frame before it, the first against the frame
         matched last, whose rows are stacked in front of the chunk's."""
-        lead = [] if self._last_frame is None else [self._last_frame]
-        frames = [*lead, *chunk.frames]
-        coords = np.concatenate([*(f.coords for f in lead), chunk.coords])
-        confidence = np.concatenate([*(f.confidence for f in lead), chunk.confidence])
-        sizes = [len(f.coords) for f in frames]
+        lead = self._last_frame
+        sizes, indices = list(chunk.sizes), list(chunk.indices)
+        coords, confidence = chunk.coords, chunk.confidence
+        if lead is not None:  # every matched frame is a chunk's
+            lead_rows = lead.chunk.rows(lead.position)
+            coords = np.concatenate([lead.chunk.coords[lead_rows], coords])
+            confidence = np.concatenate([lead.chunk.confidence[lead_rows], confidence])
+            sizes.insert(0, lead_rows.stop - lead_rows.start)
+            indices.insert(0, lead.frame_index)
+        n_lead = len(sizes) - len(chunk.sizes)
         bounds = list(accumulate(sizes, initial=0))
         detected = confidence > 0
-        tracked = detected.any(axis=1).tolist()
         if self.max_match_distance is None:
             gates = _frame_gates(bounds, coords, confidence)
         else:
-            gates = [self.max_match_distance] * len(frames)
+            gates = [self.max_match_distance] * len(sizes)
 
         # every (row of frame q - 1, row of frame q) pair, q >= 1, in row
         # order: each row of a frame pairs with the rows of the next frame
@@ -229,13 +261,15 @@ class PoseTracker:
         rows = np.arange(len(prev_rows)) - np.repeat(np.cumsum(fanout) - fanout - first_paired,
                                                      fanout)
         gate = np.repeat(np.repeat(gates[1:], sizes_a[:-1]), fanout)
-        # exact pruning: a pair whose boxes lie farther apart than the gate
-        # cannot be within it
-        low, high = detected_boxes(coords, detected)
-        near = np.flatnonzero(box_gaps(low, high, prev_rows, rows) <= gate * (1 + BOX_GAP_SLACK))
-        prev_rows, rows, gate = prev_rows[near], rows[near], gate[near]
-        dist = pair_distances(coords[prev_rows], confidence[prev_rows],
-                              coords[rows], confidence[rows])
+        if len(prev_rows) > len(coords):
+            # exact pruning, worth its boxes once rows have several partners:
+            # a pair whose boxes lie farther apart than the gate cannot be within it
+            low, high = detected_boxes(coords, detected)
+            near = np.flatnonzero(box_gaps(low, high, prev_rows, rows)
+                                  <= gate * (1 + BOX_GAP_SLACK))
+            prev_rows, rows, gate = prev_rows[near], rows[near], gate[near]
+        dist = _plane_distances([coords[..., axis] for axis in range(3)], detected,
+                                prev_rows, rows)
         hit = np.flatnonzero(dist <= gate)  # NaN (no shared joint) compares false
         prev_rows, rows = prev_rows[hit], rows[hit]
         frame_of = np.searchsorted(bounds_a, rows, side="right") - 1
@@ -248,14 +282,16 @@ class PoseTracker:
         # free of one as the rows on either side pair every row once
         shared = ((np.bincount(prev_rows, minlength=len(coords)) > 1)[prev_rows]
                   | (np.bincount(rows, minlength=len(coords)) > 1)[rows])
-        free = np.bincount(frame_of[~shared], minlength=len(frames))[1:]
-        gaps = np.diff([f.frame_index for f in frames])
+        free = np.bincount(frame_of[~shared], minlength=len(sizes))[1:]
+        gaps = np.diff(indices)
         steady = [False, *((free == sizes_a[1:]) & (free == sizes_a[:-1])  # the first: no prev
                            & (gaps <= RETENTION_WINDOW + 1)).tolist()]
 
-        return [FramePlan(frames[q - 1] if q else None, gates[q], tracked[bounds[q]:bounds[q + 1]],
-                          candidates[cuts[q]:cuts[q + 1]], steady[q])
-                for q in range(len(lead), len(frames))]
+        return ChunkPlan(prev=[lead, *chunk.frames[:-1]], gates=gates[n_lead:],
+                         tracked=detected[bounds[n_lead]:].any(axis=1).tolist(),
+                         candidates=[candidates[cuts[q]:cuts[q + 1]]
+                                     for q in range(n_lead, len(sizes))],
+                         steady=steady[n_lead:])
 
     def _missing_candidates(self, pids: list[int], frame: SkeletonFrame,
                             gate: float) -> list[tuple[float, int, int]]:
@@ -269,29 +305,32 @@ class PoseTracker:
         return [(d, pids[t], s) for d, t, s in zip(dist[tracks, skeletons].tolist(),
                                                    tracks.tolist(), skeletons.tolist())]
 
-    def match_frame(self, frame: SkeletonFrame, plan: Optional[FramePlan] = None) -> Assignment:
-        """Match a frame's skeletons to the known persons, by its plan; a
-        frame without one is planned as a chunk of one."""
+    def match_frame(self, frame: SkeletonFrame, plan: Optional[ChunkPlan] = None) -> Assignment:
+        """Match a frame's skeletons to the known persons, by the plan of the
+        frame's chunk; a frame without one is matched as a chunk of one."""
         if plan is None:
-            (plan,) = self.plan(FrameChunk.of([frame]))
+            chunk = FrameChunk.of([frame])
+            (frame,) = chunk.frames
+            plan = self.plan(chunk)
         last = self._last_frame
         index = frame.frame_index
         if last is not None and index <= last.frame_index:
             raise SequencingError(f"frame {index} not after frame {last.frame_index}")
         self._last_frame = frame
+        k = frame.position
         persons, last_ids = self.persons, self._last_ids
-        if plan.steady and plan.prev is last and len(persons) == len(last_ids):
+        if plan.steady[k] and plan.prev[k] is last and len(persons) == len(last_ids):
             # each track pairs with its own skeleton: nothing to sort, grant or retire
             ids = self._last_ids = {}
-            for _, p, sidx in plan.candidates:
+            for _, p, sidx in plan.candidates[k]:
                 pid = ids[sidx] = last_ids[p]
                 persons[pid] = (frame, sidx)
             return Assignment(index, [], [], ids)
         return self._match_general(frame, plan, last)
 
-    def _match_general(self, frame: SkeletonFrame, plan: FramePlan, last) -> Assignment:
+    def _match_general(self, frame: SkeletonFrame, plan: ChunkPlan, last) -> Assignment:
         """match_frame of a frame off the steady state, after the frame last."""
-        index = frame.frame_index
+        index, k = frame.frame_index, frame.position
         persons, last_ids = self.persons, self._last_ids
         retired: list[int] = []
         # every track is within the window of the frame before, so one can
@@ -304,9 +343,9 @@ class PoseTracker:
 
         # the tracks seen in the frame before have their pairs in the plan,
         # unless they just retired: then every track did
-        planned = (last is not None and plan.prev is last
+        planned = (last is not None and plan.prev[k] is last
                    and index - last.frame_index <= RETENTION_WINDOW + 1)
-        pairs = plan.candidates
+        pairs = plan.candidates[k]
         if (planned and len(persons) == len(last_ids)
                 and len({p for _, p, _ in pairs}) == len(pairs) == len({s for *_, s in pairs})):
             # every track is in the plan, and greedy_pairs would take each pair
@@ -316,16 +355,17 @@ class PoseTracker:
             if not planned or len(persons) > len(last_ids):
                 missing = [pid for pid, (f, _) in persons.items() if not planned or f is not last]
                 if missing:
-                    candidates += self._missing_candidates(missing, frame, plan.gate)
+                    candidates += self._missing_candidates(missing, frame, plan.gates[k])
             ids = {sidx: pid for pid, sidx in greedy_pairs(candidates)}
         for sidx, pid in ids.items():  # ids: skeleton index -> person id
             persons[pid] = (frame, sidx)
 
         new_ids: list[int] = []
-        if len(ids) < len(plan.tracked):  # some skeleton is unmatched
-            for sidx, tracked in enumerate(plan.tracked):
+        tracked = plan.tracked[frame.chunk.rows(k)]
+        if len(ids) < len(tracked):  # some skeleton is unmatched
+            for sidx, has_joint in enumerate(tracked):
                 # a skeleton with no detected joint can never be matched again
-                if sidx in ids or not tracked:
+                if sidx in ids or not has_joint:
                     continue
                 pid = self._next_id
                 self._next_id += 1  # ids are never reused

@@ -314,6 +314,37 @@ class TestExitCodes:
         assert all(flag in err for flag in flags), err
         assert not any(tmp_path.iterdir())
 
+    # an output in a directory that does not exist is an invalid
+    # configuration: rejected before anything is read (none of the named
+    # inputs exists), generated, trained or written
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["analyze", "nope.ndjson", "--out-text", "nodir/r.txt"], "--out-text",
+                     id="analyze-text"),
+        pytest.param(["analyze", "nope.ndjson", "--out-json", "nodir/r.json"], "--out-json",
+                     id="analyze-json"),
+        pytest.param(["analyze", "nope.ndjson", "--out-csv", "nodir/e.csv"], "--out-csv",
+                     id="analyze-csv"),
+        pytest.param(["simulate", "--out", "nodir/s.ndjson"], "--out", id="simulate"),
+        pytest.param(["simulate", "--out", "s.ndjson", "--truth-out", "nodir/t.json"],
+                     "--truth-out", id="simulate-truth"),
+        pytest.param(["train", "--synthetic-frames", "30", "--epochs", "1",
+                      "--out", "nodir/m.json"], "--out", id="train"),
+        pytest.param(["train", "--synthetic-frames", "30", "--epochs", "1", "--out", "m.json",
+                      "--curve-out", "nodir/c.csv"], "--curve-out", id="train-curve"),
+        pytest.param(["calibrate", "--model", "nope.json", "--synthetic-frames", "30",
+                      "--out", "nodir/m.json"], "--out", id="calibrate"),
+    ])
+    def test_output_in_a_missing_directory(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{flag} nodir/" in err, err
+        assert not any(tmp_path.iterdir())
+
+    def test_output_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+        assert "is a directory" in capsys.readouterr().err
+
     def test_empty_profile_list(self, tmp_path, capsys):
         session = simulate(tmp_path, exercise="push-up", full_cycles=2)
         profiles = tmp_path / "profiles.json"

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses: code that loses
-its last user should take its import with it."""
+"""No module of the package imports a name it never uses, and no private
+top-level name is left that nothing in the package uses: code that loses
+its last user should take its imports with it, and go itself."""
 import ast
 from pathlib import Path
 
@@ -44,3 +45,48 @@ def test_the_check_finds_an_unused_import():
 def test_no_module_imports_a_name_it_never_uses(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source, init=path.name == "__init__.py") == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names (a leading underscore, not a dunder) that
+    the modules define and that no code of the modules reads, as
+    "module:name"; a read inside the name's own definition does not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = []  # (module, name, its definition)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    reads = []  # (name, the node that reads it)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, node))
+            elif isinstance(node, ast.Attribute):
+                reads.append((node.attr, node))
+    unused = []
+    for module, name, definition in defined:
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(read == name and id(node) not in own for read, node in reads):
+            unused.append(f"{module}:{name}")
+    return unused
+
+
+def test_the_check_finds_an_unused_private_name():
+    sources = {"a": "_KEPT = 1\n_left = 2\ndef _recursive(n):\n    return _recursive(n - 1)\n"
+                    "class _Used:\n    pass\n__all__ = []\n",
+               "b": "from .a import _KEPT, _Used\nprint(_KEPT, _Used)\n"}
+    assert unused_private_names(sources) == ["a:_left", "a:_recursive"]
+
+
+def test_no_private_name_is_left_unused():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []

@@ -17,7 +17,7 @@ from repcount.recognizer import UNKNOWN, WARMUP, LabelWindow, classify_with_reje
 from repcount.reporting import render_json, render_text
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
-from repcount.tracker import RETENTION_WINDOW, PoseTracker, SequencingError
+from repcount.tracker import RETENTION_WINDOW, ChunkPlan, PoseTracker, SequencingError
 
 
 def run_session(spec, trained_model, **config_kw):
@@ -395,7 +395,7 @@ def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, traine
     monkeypatch.setattr(keypoints, "CHUNK_FRAMES", 8)
     engine = SessionEngine(model=model, thresholds=thresholds)
     engine.process_frames(frames[:12])
-    assert engine._next == (None, None)
+    assert engine._next is None
     match_frame = engine.tracker.match_frame
 
     def failing_match(frame, plan=None):
@@ -406,7 +406,7 @@ def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, traine
     monkeypatch.setattr(engine.tracker, "match_frame", failing_match)
     with pytest.raises(RuntimeError, match="tracker failed"):
         engine.process_frames(frames[12:])
-    assert engine._next == (None, None)
+    assert engine._next is None
     engine.finalize()
     with pytest.raises(RuntimeError, match="finalized"):
         engine.process_frames(frames)
@@ -434,6 +434,39 @@ def test_labels_computed_ahead_belong_to_their_frame(monkeypatch, trained_model)
 
     monkeypatch.setattr(SessionEngine, "process_frame", every_other_frame)
     assert render_json(analyze_frames(frames, model=model, thresholds=thresholds)) == want
+
+
+def test_steady_frames_cost_no_views_and_no_plan_of_their_own(monkeypatch, trained_model):
+    """A generated 3-person session is planned once per chunk, and the
+    frames that match on the steady path never make the views of their
+    rows: the plan reads the chunk's arrays, not the frames'."""
+    model, thresholds, _ = trained_model
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("push-up", 2, noise_sigma=5.0, gap_rate=0.05),
+                 PersonMotion("pull-up", 2, noise_sigma=5.0, gap_rate=0.05)), seed=3))
+    chunks = [FrameChunk.of(frames[k:k + 40]) for k in range(0, len(frames), 40)]
+    plans, general = [], []
+
+    def recording(owner, name, record):
+        original = getattr(owner, name)
+
+        def recorded(self, *args, **kwargs):
+            record(self, *args)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(owner, name, recorded)
+
+    for cls in (ChunkPlan, pipeline._ChunkPlan):  # the tracker's, the engine's
+        recording(cls, "__init__", lambda plan, *_: plans.append(type(plan)))
+    recording(PoseTracker, "_match_general", lambda _, frame, *__: general.append(frame))
+    engine = SessionEngine(model=model, thresholds=thresholds)
+    for chunk in chunks:
+        engine.process_chunk(chunk)
+    assert plans == [ChunkPlan, pipeline._ChunkPlan] * len(chunks)
+    steady = [f for chunk in chunks for f in chunk.frames if f not in general]
+    assert len(general) == 1 and len(steady) == len(frames) - 1
+    assert not any({"coords", "confidence"} & vars(f).keys() for f in steady)
+    assert engine.frame_count == len(frames)
 
 
 def test_frame_the_tracker_rejects_is_not_counted():

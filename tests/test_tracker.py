@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -408,8 +409,8 @@ def test_one_distance_rule(n_old, n_new, seed, joints):
                           want[rows, cols])
 
     before, after = frame(0, *old), frame(2, *new)
-    (_, plan) = PoseTracker(1e9).plan(FrameChunk.of([before, after]))
-    assert plan.candidates == [(want[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())]
+    plan = PoseTracker(1e9).plan(FrameChunk.of([before, after]))
+    assert plan.candidates[1] == [(want[r, c], r, c) for r, c in zip(rows.tolist(), cols.tolist())]
 
     seen = []
 
@@ -445,6 +446,58 @@ def test_box_gap_bounds_the_distance(seed, spread, offset):
         assert gap >= 0.0
     else:
         assert gap <= d * (1 + tracker.BOX_GAP_SLACK)
+
+
+@st.composite
+def gappy_chunks(draw):
+    """The (N, 25, 3) coords and (N, 25) confidences of 0-40 rows at one of
+    several scales and offsets, each row with its own rate of undetected
+    joints, some rows without any detected joint, and coordinates that
+    repeat or are -0.0, so that minima, maxima and distances tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    scale = draw(st.sampled_from([1e-6, 1.0, 40.0, 1e6]))
+    coords = rng.normal(0.0, scale, size=(n, NUM_JOINTS, 3))
+    coords += draw(st.sampled_from([0.0, -1e3, 1e9]))
+    coords[rng.random(coords.shape) < 0.1] = -0.0
+    coords[rng.random(coords.shape) < 0.1] = coords.reshape(-1)[0] if n else 0.0
+    conf = rng.uniform(0.05, 1.0, (n, NUM_JOINTS))
+    conf[rng.random((n, NUM_JOINTS)) < rng.uniform(0.0, 1.0, (n, 1))] = 0.0
+    conf[rng.random(n) < 0.2] = 0.0  # rows without a detected joint
+    return coords, conf
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_chunks())
+def test_detected_boxes_are_each_rows_min_and_max(chunk):
+    coords, conf = chunk
+    low, high = tracker.detected_boxes(coords, conf > 0)
+    assert low.shape == high.shape == (3, len(coords))
+    for row in range(len(coords)):
+        seen = coords[row][conf[row] > 0]
+        if len(seen):
+            assert low[:, row].tolist() == seen.min(axis=0).tolist()
+            assert high[:, row].tolist() == seen.max(axis=0).tolist()
+        else:
+            assert low[:, row].tolist() == [np.inf] * 3
+            assert high[:, row].tolist() == [-np.inf] * 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(gappy_chunks(), st.integers(0, 2**32 - 1))
+def test_plane_distances_are_pair_distances_bit_for_bit(chunk, seed):
+    """The plan's per-axis distances of any row pairs, a row with itself
+    and rows without a shared joint among them, are those of the
+    tracker's one distance rule."""
+    coords, conf = chunk
+    rng = np.random.default_rng(seed)
+    rows_a, rows_b = rng.integers(0, max(len(coords), 1), (2, rng.integers(0, 60)))
+    if not len(coords):
+        rows_a = rows_b = rows_a[:0]
+    got = tracker._plane_distances([coords[..., axis] for axis in range(3)], conf > 0,
+                                   rows_a, rows_b)
+    want = tracker.pair_distances(coords[rows_a], conf[rows_a], coords[rows_b], conf[rows_b])
+    assert got.tobytes() == want.tobytes()
 
 
 def crowd_session(n_persons=16, cycles=2, seed=4):
@@ -788,5 +841,5 @@ def test_steady_frames_match_as_on_the_general_path(trained_model, frames, chunk
         steady = run()
         plan = PoseTracker.plan
         mp.setattr(PoseTracker, "plan",
-                   lambda self, c: [p._replace(steady=False) for p in plan(self, c)])
+                   lambda self, c: dataclasses.replace(plan(self, c), steady=[False] * len(c.sizes)))
         assert run() == steady
