@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .body25 import NUM_JOINTS
 from .counting import DEFAULT_TOLERANCE_DEG
 from .keypoints import (READ_BUFFER, ParseError, SchemaError, _raise_not_utf8, load_chunks,
                         load_frames, normalize_frame, read_ndjson, serialize_frame,
@@ -156,21 +157,25 @@ def _load_training_data(args):
         return x, y, class_names
     if not args.data or not args.labels:
         raise TrainingError("need --data and --labels (or --synthetic-frames)")
-    frames = load_frames(args.data)
+    x, frame_of = _data_rows(args.data)
     labels_by_frame = _read_labels(args.labels)
     class_names = sorted(set(labels_by_frame.values()))
     index = {name: i for i, name in enumerate(class_names)}
-    feats, labs = [], []
-    for frame in frames:
-        label = labels_by_frame.get(frame.frame_index)
-        if label is None:
-            continue
-        rows = _normalized_rows(frame)
-        feats.append(rows)
-        labs += [index[label]] * len(rows)
-    if not labs:
+    keep = [k for k, f in enumerate(frame_of) if f in labels_by_frame]
+    if not keep:
         raise TrainingError("no usable labeled frames")
-    return np.concatenate(feats), np.asarray(labs), class_names
+    return x[keep], np.asarray([index[labels_by_frame[frame_of[k]]] for k in keep]), class_names
+
+
+def _data_rows(path) -> tuple[np.ndarray, list[int]]:
+    """The features of every normalizable skeleton of the session at path,
+    in order, and the frame index of each."""
+    features, frame_of = [np.empty((0, 2 * NUM_JOINTS))], []
+    for frame in load_frames(path):
+        rows, ok = normalize_frame(frame.coords, frame.confidence)
+        features.append(rows[ok])
+        frame_of += [frame.frame_index] * len(features[-1])
+    return np.concatenate(features), frame_of
 
 
 def _read_labels(path) -> dict[int, str]:
@@ -192,12 +197,6 @@ def _read_labels(path) -> dict[int, str]:
     return labels
 
 
-def _normalized_rows(frame) -> np.ndarray:
-    """The features of a frame's normalizable skeletons, in skeleton order."""
-    features, ok = normalize_frame(frame.coords, frame.confidence)
-    return features[ok]
-
-
 def cmd_train(args) -> int:
     if message := (_data_arg_error(args) or _train_arg_error(args)
                    or _output_error(args, "--out", "--curve-out")):
@@ -205,6 +204,11 @@ def cmd_train(args) -> int:
         return EXIT_BAD_CONFIG
     try:
         x, y, class_names = _load_training_data(args)
+        n_cal = int(len(x) * args.calibrate_split)
+        if args.calibrate_split > 0 and n_cal == 0:
+            raise TrainingError(f"--calibrate-split {args.calibrate_split!r} of {len(x)} rows "
+                                f"holds out int({len(x)} * {args.calibrate_split!r}) = 0 rows: "
+                                "no held-out samples to calibrate on")
         config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                              batch_size=args.batch_size, seed=args.seed)
         model, history = train(x, y, class_names, config)
@@ -212,8 +216,7 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATASET
     thresholds = None
-    if args.calibrate_split > 0:
-        n_cal = int(len(x) * args.calibrate_split)
+    if n_cal:
         try:
             thresholds = calibrate_reject(model, x[len(x) - n_cal:])
         except CalibrationError as exc:
@@ -244,10 +247,9 @@ def cmd_calibrate(args) -> int:
         elif not args.data:
             raise CalibrationError("need --data (or --synthetic-frames)")
         else:
-            rows = [_normalized_rows(f) for f in load_frames(args.data)]
-            if not any(len(r) for r in rows):
+            x, _ = _data_rows(args.data)
+            if not len(x):
                 raise CalibrationError("no normalizable skeleton in --data")
-            x = np.concatenate(rows)
         thresholds = calibrate_reject(model, x)
     except (OSError, ParseError, SchemaError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

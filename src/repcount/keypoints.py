@@ -206,12 +206,19 @@ CHUNK_FRAMES = 256
 READ_BUFFER = 1 << 20
 
 
-def chunk_is_full(frames: int, rows: int, size: int) -> bool:
-    """Whether a chunk of `frames` frames and `rows` rows closes before a
-    frame of `size` rows would join it: at CHUNK_FRAMES frames, or when the
-    frame would take it past CHUNK_ROWS rows. A frame is never split, so one
-    wider than CHUNK_ROWS is a chunk of its own."""
-    return frames > 0 and (frames >= CHUNK_FRAMES or rows + size > CHUNK_ROWS)
+def chunk_starts(sizes: Sequence[int]) -> list[int]:
+    """The first frame of each chunk of frames of these row counts: a chunk
+    closes at CHUNK_FRAMES frames, or before a frame would take it past
+    CHUNK_ROWS rows. A frame is never split, so one wider than CHUNK_ROWS
+    is a chunk of its own."""
+    starts: list[int] = []
+    rows = 0
+    for k, size in enumerate(sizes):
+        if not starts or k - starts[-1] >= CHUNK_FRAMES or rows + size > CHUNK_ROWS:
+            starts.append(k)
+            rows = 0
+        rows += size
+    return starts
 
 
 def _packed_keypoints(person, person_idx, spells_boolean: bool) -> bytes:
@@ -375,7 +382,7 @@ def _located_chunk(frames: list[tuple[int, bytes]], places: list[str | int],
 
 def _decoded_chunks(docs: Iterable[tuple[str | int, str | bytes]]) -> Iterator[FrameChunk]:
     """Yield the chunks of format-A documents given as (place, document)
-    pairs, each closed where chunk_is_full says. A document is decoded
+    pairs, each cut where chunk_starts would cut it. A document is decoded
     before it joins the pending chunk, as its rows are known only then. A
     bad document's error names its place; an OSError of reading a document
     comes after the error of a bad one before it."""
@@ -389,8 +396,8 @@ def _decoded_chunks(docs: Iterable[tuple[str | int, str | bytes]]) -> Iterator[F
             except (ParseError, SchemaError) as exc:
                 _located_chunk(frames, places, index)  # a bad document before it wins
                 raise _located(exc, place) from exc
-            # chunk_is_full(len(frames), rows, frame[0]), inlined: a call
-            # per document is a visible part of decoding one
+            # the rule of chunk_starts, inlined as the documents stream in:
+            # a call per document is a visible part of decoding one
             if frames and (len(frames) >= CHUNK_FRAMES or rows + frame[0] > CHUNK_ROWS):
                 yield _located_chunk(frames, places, index)
                 index += len(frames)
@@ -440,7 +447,7 @@ def read_ndjson(fh: BinaryIO) -> list[FrameChunk]:
 
 
 def load_chunks(path: str | Path) -> list[FrameChunk]:
-    """Load a session, in chunks closed where chunk_is_full says, from a
+    """Load a session, in the chunks chunk_starts cuts, from a
     directory of per-frame JSON files (lexicographic order), a
     newline-delimited JSON file, or a format-B CSV file."""
     path = Path(path)
@@ -474,8 +481,8 @@ def load_session_csv(path: str | Path) -> list[FrameChunk]:
 
     Rows may come in any order; blank lines are skipped, and of repeated
     (frame, person, joint) rows the last one counts. Frames come out sorted
-    by frame number, their persons by id, in chunks closed where
-    chunk_is_full says, which are row views of one array pair. Rows are read
+    by frame number, their persons by id, in the chunks chunk_starts
+    cuts, which are row views of one array pair. Rows are read
     in chunks by np.loadtxt; when one is rejected, the first bad row of the
     file is reported with its line number. A file that is not UTF-8 raises a
     ParseError naming the line and byte of its first bad byte.
@@ -495,14 +502,7 @@ def load_session_csv(path: str | Path) -> list[FrameChunk]:
     confidence = confidence[order]
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
     indices, sizes = frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist()
-    firsts = [0]  # the chunks' first frames
-    n_frames = n_rows = 0  # of the last chunk so far
-    for k, size in enumerate(sizes):
-        if chunk_is_full(n_frames, n_rows, size):
-            firsts.append(k)
-            n_frames = n_rows = 0
-        n_frames += 1
-        n_rows += size
+    firsts = chunk_starts(sizes)
     cuts = [*starts[firsts].tolist(), len(frame)]  # the chunks' first rows, and the end
     coords.flags.writeable = confidence.flags.writeable = False  # as each chunk's view
     return [FrameChunk(indices[k:m], sizes[k:m], coords[a:b], confidence[a:b])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .conditioning import StreamingConditioner
 from .counting import DEFAULT_TOLERANCE_DEG, RepCounter, RepEvent, tally
-from .keypoints import FrameChunk, SkeletonFrame, chunk_is_full, normalize_frame
+from .keypoints import FrameChunk, SkeletonFrame, chunk_starts, normalize_frame
 from .kinematics import ExerciseProfile, builtin_profiles, check_profile_names, profile_cosines
 from .recognizer import (UNKNOWN, LabelWindow, MlpModel, RejectThresholds,
                          classify_with_reject)
@@ -102,19 +102,12 @@ class SessionEngine:
         self._next: Optional[_ChunkPlan] = None
 
     def process_frames(self, frames: Iterable[SkeletonFrame]) -> None:
-        """Process frames in order, stacked in chunks closed where
-        keypoints.chunk_is_full says, as the loaders close theirs."""
-        chunk: list[SkeletonFrame] = []
-        rows = 0
-        for frame in frames:
-            size = len(frame.coords)
-            if chunk_is_full(len(chunk), rows, size):
-                self.process_chunk(FrameChunk.of(chunk))
-                chunk, rows = [], 0
-            chunk.append(frame)
-            rows += size
-        if chunk:
-            self.process_chunk(FrameChunk.of(chunk))
+        """Process frames in order, stacked in the chunks keypoints.chunk_starts
+        cuts, as the loaders cut theirs."""
+        frames = list(frames)
+        starts = chunk_starts([len(frame.coords) for frame in frames])
+        for k, m in zip(starts, [*starts[1:], len(frames)]):
+            self.process_chunk(FrameChunk.of(frames[k:m]))
 
     def process_chunk(self, chunk: FrameChunk) -> None:
         """Plan the chunk's frames together, then process them one by one;
@@ -129,14 +122,11 @@ class SessionEngine:
             self._next = None
 
     def process_frame(self, frame: SkeletonFrame) -> None:
-        if self._finalized:
-            raise RuntimeError("session already finalized")
         plan = self._next
         if plan is None or frame.chunk is not plan.chunk:
-            # a direct caller: the frame is processed as the frame of a chunk of one
-            chunk = FrameChunk.of([frame])
-            (frame,) = chunk.frames
-            plan = self._plan_chunk(chunk)
+            # a direct caller: the frame is processed as a chunk of one
+            self.process_chunk(FrameChunk.of([frame]))
+            return
         assignment = self.tracker.match_frame(frame, plan.match)
         self.frame_count += 1  # once matched: a frame out of order is not counted
         index = frame.frame_index

@@ -60,6 +60,9 @@ class MlpModel:
                 raise ModelFormatError(f"layer {i}: non-finite parameters")
         if len(self.class_names) != self.layer_dims[-1]:
             raise ModelFormatError("class_names length must equal the output dimension")
+        if not (all(isinstance(name, str) for name in self.class_names)
+                and len(set(self.class_names)) == len(self.class_names)):
+            raise ModelFormatError(f"class_names must be distinct strings, got {self.class_names!r}")
 
 
 @dataclass

@@ -47,21 +47,23 @@ class SequencingError(RuntimeError):
     """Frame fed to the tracker out of order."""
 
 
-def pair_distances(coords_a: np.ndarray, confidence_a: np.ndarray,
-                   coords_b: np.ndarray, confidence_b: np.ndarray) -> np.ndarray:
-    """Mean Euclidean distance over the joints detected in both rows, for K
-    row pairs given as (K, 25, 3) coords and (K, 25) confidences per side;
-    NaN where a pair shares no detected joint.
+def pair_distances(coords: np.ndarray, detected: np.ndarray, rows_a: np.ndarray,
+                   rows_b: np.ndarray) -> np.ndarray:
+    """Mean Euclidean distance over the joints detected in both rows, for
+    each row pair (rows_a[k], rows_b[k]) of (N, 25, 3) coords and their
+    (N, 25) detected masks; NaN where a pair shares no detected joint.
 
     The tracker's one distance rule: a masked sum over all 25 joints, so a
-    pair gets the same bits whichever way it is reached.
-    """
-    shared = (confidence_a > 0) & (confidence_b > 0)
-    sq = coords_a - coords_b
-    np.multiply(sq, sq, out=sq)  # in place: fewer fresh arrays to fault in
-    # the same left-to-right sum as .sum(axis=2), without a slow short-axis reduce
-    norms = sq[..., 0] + sq[..., 1]
-    norms += sq[..., 2]
+    pair gets the same bits whichever way it is reached. Each axis is
+    gathered and squared as one (K, 25) plane."""
+    shared = detected[rows_a] & detected[rows_b]
+    x, y, z = (coords[..., axis] for axis in range(3))
+    norms = x[rows_a] - x[rows_b]
+    np.multiply(norms, norms, out=norms)  # in place: fewer fresh arrays to fault in
+    for plane in (y, z):  # (x² + y²) + z², left to right
+        sq = plane[rows_a] - plane[rows_b]
+        np.multiply(sq, sq, out=sq)
+        norms += sq
     np.sqrt(norms, out=norms)
     norms[~shared] = 0.0
     with np.errstate(invalid="ignore"):
@@ -74,28 +76,9 @@ def skeleton_distance(a: RawSkeleton, b: RawSkeleton) -> Optional[float]:
     Returns None (incomparable) when the two skeletons share no detected
     joint.
     """
-    (d,) = pair_distances(a.coords[None], a.confidence[None],
-                          b.coords[None], b.confidence[None]).tolist()
+    (d,) = pair_distances(np.stack([a.coords, b.coords]),
+                          np.stack([a.confidence, b.confidence]) > 0, [0], [1]).tolist()
     return None if math.isnan(d) else d
-
-
-def _plane_distances(planes: list[np.ndarray], detected: np.ndarray, rows_a: np.ndarray,
-                     rows_b: np.ndarray) -> np.ndarray:
-    """pair_distances of the row pairs (rows_a[k], rows_b[k]), bit for bit,
-    from the (N, 25) planes of x, y and z of the rows and their (N, 25)
-    detected masks: each axis is gathered and squared as one (K, 25) plane."""
-    shared = detected[rows_a] & detected[rows_b]
-    x, y, z = planes
-    norms = x[rows_a] - x[rows_b]
-    np.multiply(norms, norms, out=norms)
-    for plane in (y, z):  # pair_distances' operations, in its order
-        sq = plane[rows_a] - plane[rows_b]
-        np.multiply(sq, sq, out=sq)
-        norms += sq
-    np.sqrt(norms, out=norms)
-    norms[~shared] = 0.0
-    with np.errstate(invalid="ignore"):
-        return norms.sum(axis=1) / shared.sum(axis=1)
 
 
 def distance_matrix(track_coords: np.ndarray, track_confidence: np.ndarray,
@@ -104,9 +87,10 @@ def distance_matrix(track_coords: np.ndarray, track_confidence: np.ndarray,
     pair shares no detected joint. Equal to skeleton_distance bit for bit."""
     n_tracks, n_skeletons = len(track_coords), len(coords)
     rows = np.repeat(np.arange(n_tracks), n_skeletons)
-    cols = np.tile(np.arange(n_skeletons), n_tracks)
-    return pair_distances(track_coords[rows], track_confidence[rows],
-                          coords[cols], confidence[cols]).reshape(n_tracks, n_skeletons)
+    cols = np.tile(np.arange(n_tracks, n_tracks + n_skeletons), n_tracks)
+    return pair_distances(np.concatenate([track_coords, coords]),
+                          np.concatenate([track_confidence, confidence]) > 0,
+                          rows, cols).reshape(n_tracks, n_skeletons)
 
 
 def detected_boxes(coords: np.ndarray, detected: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +252,7 @@ class PoseTracker:
             near = np.flatnonzero(box_gaps(low, high, prev_rows, rows)
                                   <= gate * (1 + BOX_GAP_SLACK))
             prev_rows, rows, gate = prev_rows[near], rows[near], gate[near]
-        dist = _plane_distances([coords[..., axis] for axis in range(3)], detected,
-                                prev_rows, rows)
+        dist = pair_distances(coords, detected, prev_rows, rows)
         hit = np.flatnonzero(dist <= gate)  # NaN (no shared joint) compares false
         prev_rows, rows = prev_rows[hit], rows[hit]
         frame_of = np.searchsorted(bounds_a, rows, side="right") - 1
@@ -292,6 +275,16 @@ class PoseTracker:
                          candidates=[candidates[cuts[q]:cuts[q + 1]]
                                      for q in range(n_lead, len(sizes))],
                          steady=steady[n_lead:])
+
+    def _retire(self, index: int, window: int) -> list[int]:
+        """Drop the tracks last seen more than `window` frames before frame
+        `index`; their ids, ascending (persons holds its ids in the order
+        they were granted)."""
+        retired = [pid for pid, (seen, _) in self.persons.items()
+                   if index - seen.frame_index > window]
+        for pid in retired:
+            del self.persons[pid]
+        return retired
 
     def _missing_candidates(self, pids: list[int], frame: SkeletonFrame,
                             gate: float) -> list[tuple[float, int, int]]:
@@ -332,14 +325,10 @@ class PoseTracker:
         """match_frame of a frame off the steady state, after the frame last."""
         index, k = frame.frame_index, frame.position
         persons, last_ids = self.persons, self._last_ids
-        retired: list[int] = []
         # every track is within the window of the frame before, so one can
         # outlive it unseen only across skipped frame indices
-        if last is not None and index - last.frame_index > 1:
-            retired = [pid for pid, (seen, _) in persons.items()
-                       if index - seen.frame_index > RETENTION_WINDOW + 1]
-            for pid in retired:
-                del persons[pid]
+        retired = (self._retire(index, RETENTION_WINDOW + 1)
+                   if last is not None and index - last.frame_index > 1 else [])
 
         # the tracks seen in the frame before have their pairs in the plan,
         # unless they just retired: then every track did
@@ -374,10 +363,7 @@ class PoseTracker:
                 ids[sidx] = pid
 
         if len(ids) < len(persons):  # someone was not seen
-            for pid, (seen, _) in list(persons.items()):  # ascending id
-                if index - seen.frame_index > RETENTION_WINDOW:
-                    retired.append(pid)
-                    del persons[pid]
+            retired += self._retire(index, RETENTION_WINDOW)
 
         self._last_ids = ids  # the tracker's map of the frame: never changed once handed out
         return Assignment(index, new_ids, retired, ids)

@@ -368,6 +368,22 @@ class TestExitCodes:
             == EXIT_BAD_MODEL
         assert "reject_thresholds" in capsys.readouterr().err
 
+    # the input does not exist: the model must be rejected before it is read
+    @pytest.mark.parametrize("class_names", [
+        pytest.param([1, 2, 3], id="numbers"),
+        pytest.param(["push-up", "push-up", "squat"], id="repeated"),
+        pytest.param(["push-up", None, "squat"], id="null"),
+    ])
+    def test_class_names_that_are_not_distinct_strings(self, tmp_path, capsys, model_path,
+                                                       class_names):
+        doc = json.loads(open(model_path, encoding="utf-8").read())
+        doc["class_names"], doc["reject_thresholds"] = class_names, None
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", str(tmp_path / "nope.ndjson"), "--model", str(bad)]) \
+            == EXIT_BAD_MODEL
+        assert "class_names must be distinct strings" in capsys.readouterr().err
+
     def test_model_number_beyond_a_double(self, tmp_path, capsys, model_path):
         doc = json.loads(open(model_path, encoding="utf-8").read())
         doc["weights"][0][0][0] = 10 ** 400
@@ -436,12 +452,15 @@ class TestExitCodes:
         assert "parameters became non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_calibrate_split_that_holds_no_row(self, tmp_path, capsys):
-        # 0.001 of 300 rows rounds down to none
+    def test_calibrate_split_that_holds_no_row(self, tmp_path, capsys, monkeypatch):
+        # 0.001 of 300 rows rounds down to none, which is said before calibration
+        monkeypatch.setattr(cli, "calibrate_reject", None)
         out = tmp_path / "m.json"
         assert main(["train", "--synthetic-frames", "300", "--epochs", "1",
                      "--calibrate-split", "0.001", "--out", str(out)]) == EXIT_BAD_DATASET
-        assert "no held-out samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "no held-out samples" in err
+        assert "--calibrate-split 0.001 of 300 rows holds out int(300 * 0.001) = 0 rows" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("triple", [

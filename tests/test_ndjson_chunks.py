@@ -444,7 +444,7 @@ def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames, chunk_row
     increasing indices, cut by the greedy rule of CHUNK_FRAMES frames and
     CHUNK_ROWS rows, whose frames are load_frames' and, for format A, the
     per-document decoder's; SessionEngine.process_frames cuts the frames
-    of format A where its loaders do."""
+    of every loader where the loader does."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         # serialize_frame fails on a frame without a person
@@ -464,9 +464,9 @@ def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames, chunk_row
                 assert [len(chunk.sizes) for chunk in chunks] == greedy_chunk_sizes(
                     [len(frame.coords) for frame in got], chunk_frames, chunk_rows)
                 assert_same_frames(got, load_frames(tmp / name))
+                assert cuts_of_process_frames(got) == indices_of(chunks)
                 if name != "session.csv":
                     assert_same_frames(got, list(reference_iter_ndjson_frames(docs)))
-                    assert cuts_of_process_frames(got) == indices_of(chunks)
                 else:  # a frame without a detected joint has no row
                     assert indices == [f.frame_index for f in frames if f.confidence.any()]
 
@@ -530,6 +530,29 @@ def test_frame_wider_than_the_row_budget_is_a_chunk_of_its_own(tmp_path):
             assert [list(chunk.sizes) for chunk in chunks] == [[2], [7], [1, 1], [6], [6], [3]]
             assert_same_frames(frames_of(chunks), frames)
             assert cuts_of_process_frames(frames) == indices_of(chunks)
+
+
+def brute_force_starts(sizes, chunk_frames, chunk_rows):
+    """The first frame of each chunk, each chunk the longest run of the
+    frames after the one before that holds at most chunk_frames frames and
+    chunk_rows rows, or else the one frame that comes next."""
+    starts, k = [], 0
+    while k < len(sizes):
+        starts.append(k)
+        k = max(m for m in range(k + 1, len(sizes) + 1)
+                if m == k + 1 or (m - k <= chunk_frames and sum(sizes[k:m]) <= chunk_rows))
+    return starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0, 0, 1, 2, 3, 9]), max_size=40), st.integers(1, 9),
+       CHUNK_ROWS_DRAWN)
+def test_chunk_starts_is_the_greedy_rule(sizes, chunk_frames, chunk_rows):
+    """chunk_starts cuts any row counts where the brute-force reference
+    does, frames of 0 rows and frames wider than CHUNK_ROWS among them."""
+    with chunk_budget(chunk_frames, chunk_rows):
+        assert keypoints.chunk_starts(sizes) == brute_force_starts(sizes, chunk_frames,
+                                                                    chunk_rows)
 
 
 def document_2d(frame):

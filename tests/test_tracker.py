@@ -404,8 +404,8 @@ def test_one_distance_rule(n_old, n_new, seed, joints):
     assert skeleton_distance(old[-1], new[-1]) is None
     assert np.array_equal(distance_matrix(*stacked(old), *stacked(new)), want, equal_nan=True)
     rows, cols = np.nonzero(~np.isnan(want))
-    assert np.array_equal(tracker.pair_distances(*stacked([old[r] for r in rows]),
-                                                 *stacked([new[c] for c in cols])),
+    coords, confidence = stacked(old + new)
+    assert np.array_equal(tracker.pair_distances(coords, confidence > 0, rows, len(old) + cols),
                           want[rows, cols])
 
     before, after = frame(0, *old), frame(2, *new)
@@ -485,18 +485,20 @@ def test_detected_boxes_are_each_rows_min_and_max(chunk):
 
 @settings(max_examples=200, deadline=None)
 @given(gappy_chunks(), st.integers(0, 2**32 - 1))
-def test_plane_distances_are_pair_distances_bit_for_bit(chunk, seed):
-    """The plan's per-axis distances of any row pairs, a row with itself
-    and rows without a shared joint among them, are those of the
-    tracker's one distance rule."""
+def test_pair_distances_are_the_reference_bit_for_bit(chunk, seed):
+    """The one distance rule, on any row pairs of a stack, a row with itself
+    and rows without a shared joint among them, gives the bits of the
+    independent reference_distance_matrix; NaN where a pair shares no
+    detected joint."""
     coords, conf = chunk
     rng = np.random.default_rng(seed)
     rows_a, rows_b = rng.integers(0, max(len(coords), 1), (2, rng.integers(0, 60)))
+    want = np.empty(0)
     if not len(coords):
         rows_a = rows_b = rows_a[:0]
-    got = tracker._plane_distances([coords[..., axis] for axis in range(3)], conf > 0,
-                                   rows_a, rows_b)
-    want = tracker.pair_distances(coords[rows_a], conf[rows_a], coords[rows_b], conf[rows_b])
+    else:
+        want = reference_distance_matrix(coords, conf, coords, conf)[rows_a, rows_b]
+    got = tracker.pair_distances(coords, conf > 0, rows_a, rows_b)
     assert got.tobytes() == want.tobytes()
 
 
