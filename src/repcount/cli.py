@@ -102,6 +102,16 @@ def _read_stdin():
         fh.detach()  # leaves stdin open
 
 
+def _load_pose_model(path):
+    """load_model for a model that classifies skeletons: its input width
+    must be the 2 * NUM_JOINTS features normalize_frame gives a skeleton."""
+    model, thresholds = load_model(path)
+    if model.layer_dims[0] != 2 * NUM_JOINTS:
+        raise ModelFormatError(f"model {path} takes {model.layer_dims[0]} input features, "
+                               f"a skeleton gives {2 * NUM_JOINTS}")
+    return model, thresholds
+
+
 def _run_chunks(chunks, model, thresholds, profiles, config=EngineConfig()) -> SessionEngine:
     """A fresh engine that has processed the chunks, in order."""
     engine = SessionEngine(model=model, thresholds=thresholds, profiles=profiles, config=config)
@@ -125,7 +135,7 @@ def cmd_analyze(args) -> int:
     except (OSError, ProfileError, json.JSONDecodeError) as exc:
         print(f"error: invalid profile config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    model, thresholds = load_model(args.model) if args.model else (None, None)
+    model, thresholds = _load_pose_model(args.model) if args.model else (None, None)
     if (chunks := _read_chunks(args)) is None:
         return EXIT_BAD_INPUT
 
@@ -159,12 +169,15 @@ def _load_training_data(args):
         raise TrainingError("need --data and --labels (or --synthetic-frames)")
     x, frame_of = _data_rows(args.data)
     labels_by_frame = _read_labels(args.labels)
-    class_names = sorted(set(labels_by_frame.values()))
-    index = {name: i for i, name in enumerate(class_names)}
     keep = [k for k, f in enumerate(frame_of) if f in labels_by_frame]
     if not keep:
         raise TrainingError("no usable labeled frames")
-    return x[keep], np.asarray([index[labels_by_frame[frame_of[k]]] for k in keep]), class_names
+    # the classes are the labels of the kept rows: a label of no kept row
+    # would be a class without a training row
+    labels = [labels_by_frame[frame_of[k]] for k in keep]
+    class_names = sorted(set(labels))
+    index = {name: i for i, name in enumerate(class_names)}
+    return x[keep], np.asarray([index[label] for label in labels]), class_names
 
 
 def _data_rows(path) -> tuple[np.ndarray, list[int]]:
@@ -239,7 +252,7 @@ def cmd_calibrate(args) -> int:
         raise SpecError(message)
     if args.seed is not None and args.data:  # the seed (default 0) seeds synthetic frames only
         raise SpecError("--seed applies to --synthetic-frames only, not to --data")
-    model, _ = load_model(args.model)
+    model, _ = _load_pose_model(args.model)
     try:
         if args.synthetic_frames:
             x, _ = make_labeled_dataset(model.class_names, args.synthetic_frames // 3,
@@ -290,7 +303,7 @@ def cmd_bench(args) -> int:
     if args.repetitions < 1:
         print("error: --repetitions must be >= 1", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    model, thresholds = load_model(args.model) if args.model else (None, None)
+    model, thresholds = _load_pose_model(args.model) if args.model else (None, None)
     if (chunks := _read_chunks(args)) is None:
         return EXIT_BAD_INPUT
     profiles = builtin_profiles()

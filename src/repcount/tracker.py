@@ -9,19 +9,19 @@ have retired in a frame in between, so it retires when the frame comes,
 before matching, and is reported in that frame's retired ids.
 Distances use raw coordinates, since spatial position is the identity cue.
 
-What depends only on a frame and the frame before it is planned ahead for
-a whole FrameChunk, in one ChunkPlan (PoseTracker.plan) whose per-frame
-lists a frame reads at its position in the chunk: each frame's gate, the
-distances of the pairs of its skeletons with those of the frame before
-(once rows have several partners, only of the pairs whose detected-joint
-bounding boxes lie within the gate), and whether the frame is steady:
-within the retention window of the frame before, with pairs that are
-disjoint (no skeleton on either side in two of them) and pair every
-skeleton of both frames. After a frame that saw every live track,
-match_frame takes a steady frame's pairs as planned. Any other frame reads
-the pairs of the tracks seen in the frame before from the plan, and only
-tracks missing from that frame are measured when it comes. The tracker
-keeps no plan.
+What depends only on a frame and the frame before it is planned ahead for a
+whole FrameChunk, in one ChunkPlan (PoseTracker.plan) whose per-frame lists
+a frame reads at its position in the chunk: each frame's gate, the distances
+of the pairs of its skeletons with those of the frame before (once rows have
+several partners, only of the pairs whose detected-joint bounding boxes lie
+within the gate), and whether the frame is steady: within the retention
+window of the frame before, with pairs that are disjoint (no skeleton on
+either side in two of them) and pair every skeleton of both frames. After a
+frame that saw every live track, match_frame takes a steady frame's pairs as
+planned. Every other frame (in the benchmark sessions, only the first) takes
+one rule: retire across skipped frame indices, take the plan's pairs of the
+tracks seen in the frame before, measure the other live tracks, pair by the
+greedy pass, grant new ids, retire. The tracker keeps no plan.
 """
 from __future__ import annotations
 
@@ -325,45 +325,30 @@ class PoseTracker:
         """match_frame of a frame off the steady state, after the frame last."""
         index, k = frame.frame_index, frame.position
         persons, last_ids = self.persons, self._last_ids
-        # every track is within the window of the frame before, so one can
-        # outlive it unseen only across skipped frame indices
-        retired = (self._retire(index, RETENTION_WINDOW + 1)
-                   if last is not None and index - last.frame_index > 1 else [])
+        retired = self._retire(index, RETENTION_WINDOW + 1)  # across skipped frame indices
 
         # the tracks seen in the frame before have their pairs in the plan,
         # unless they just retired: then every track did
         planned = (last is not None and plan.prev[k] is last
                    and index - last.frame_index <= RETENTION_WINDOW + 1)
-        pairs = plan.candidates[k]
-        if (planned and len(persons) == len(last_ids)
-                and len({p for _, p, _ in pairs}) == len(pairs) == len({s for *_, s in pairs})):
-            # every track is in the plan, and greedy_pairs would take each pair
-            ids = {sidx: last_ids[p] for _, p, sidx in pairs}
-        else:
-            candidates = [(d, last_ids[p], s) for d, p, s in pairs] if planned else []
-            if not planned or len(persons) > len(last_ids):
-                missing = [pid for pid, (f, _) in persons.items() if not planned or f is not last]
-                if missing:
-                    candidates += self._missing_candidates(missing, frame, plan.gates[k])
-            ids = {sidx: pid for pid, sidx in greedy_pairs(candidates)}
+        candidates = [(d, last_ids[p], s) for d, p, s in plan.candidates[k]] if planned else []
+        missing = [pid for pid, (f, _) in persons.items() if not planned or f is not last]
+        if missing:
+            candidates += self._missing_candidates(missing, frame, plan.gates[k])
+        ids = {sidx: pid for pid, sidx in greedy_pairs(candidates)}
         for sidx, pid in ids.items():  # ids: skeleton index -> person id
             persons[pid] = (frame, sidx)
 
         new_ids: list[int] = []
-        tracked = plan.tracked[frame.chunk.rows(k)]
-        if len(ids) < len(tracked):  # some skeleton is unmatched
-            for sidx, has_joint in enumerate(tracked):
-                # a skeleton with no detected joint can never be matched again
-                if sidx in ids or not has_joint:
-                    continue
+        for sidx, detected in enumerate(plan.tracked[frame.chunk.rows(k)]):
+            # a skeleton with no detected joint can never be matched again
+            if detected and sidx not in ids:
                 pid = self._next_id
                 self._next_id += 1  # ids are never reused
                 persons[pid] = (frame, sidx)
                 new_ids.append(sidx)
                 ids[sidx] = pid
 
-        if len(ids) < len(persons):  # someone was not seen
-            retired += self._retire(index, RETENTION_WINDOW)
-
+        retired += self._retire(index, RETENTION_WINDOW)
         self._last_ids = ids  # the tracker's map of the frame: never changed once handed out
         return Assignment(index, new_ids, retired, ids)

@@ -13,7 +13,7 @@ from repcount.conditioning import StreamingConditioner
 from repcount.counting import RepCounter
 from repcount.keypoints import load_frames, serialize_frame, write_session_csv
 from repcount.pipeline import EngineConfig, analyze_frames
-from repcount.recognizer import LabelWindow, load_model, save_model
+from repcount.recognizer import LabelWindow, MlpModel, load_model, save_model
 from repcount.reporting import render_json
 from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
 
@@ -384,6 +384,22 @@ class TestExitCodes:
             == EXIT_BAD_MODEL
         assert "class_names must be distinct strings" in capsys.readouterr().err
 
+    # a model of another input width is rejected before the input, which
+    # does not exist, is read
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "nope.ndjson", "--model"], id="analyze"),
+        pytest.param(["calibrate", "--synthetic-frames", "30", "--model"], id="calibrate"),
+        pytest.param(["bench", "nope.ndjson", "--model"], id="bench"),
+    ])
+    def test_model_of_another_input_width(self, tmp_path, capsys, argv):
+        model = MlpModel(layer_dims=[4, 3], weights=[np.zeros((4, 3))], biases=[np.zeros(3)],
+                         class_names=["push-up", "pull-up", "squat"])
+        narrow = tmp_path / "narrow.json"
+        save_model(narrow, model)
+        assert main([*argv, str(narrow)]) == EXIT_BAD_MODEL
+        err = capsys.readouterr().err
+        assert "takes 4 input features, a skeleton gives 50" in err
+
     def test_model_number_beyond_a_double(self, tmp_path, capsys, model_path):
         doc = json.loads(open(model_path, encoding="utf-8").read())
         doc["weights"][0][0][0] = 10 ** 400
@@ -617,6 +633,23 @@ class TestTrain:
                      "--calibrate-split", "0", "--out", str(out)]) == EXIT_BAD_CONFIG
         assert "need at least 1 frame per class" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_labels_of_frames_not_in_the_data_add_no_class(self, tmp_path):
+        """The classes are the labels of the data's rows: a label of a frame
+        the session does not hold changes no byte of the model."""
+        session = simulate(tmp_path, exercise="squat", full_cycles=2)
+        frames = len(session.read_text().splitlines())
+        rows = [f"{f},{'push-up' if f < frames // 2 else 'squat'}" for f in range(frames)]
+        models = []
+        for extra in ([], ["99999,lunge"]):
+            labels = tmp_path / "labels.csv"
+            labels.write_text("\n".join(["frame,label", *rows, *extra]) + "\n")
+            out = tmp_path / f"model{len(extra)}.json"
+            assert main(["train", "--data", str(session), "--labels", str(labels),
+                         "--epochs", "2", "--calibrate-split", "0", "--out", str(out)]) == EXIT_OK
+            models.append(out.read_bytes())
+        assert json.loads(models[0])["class_names"] == ["push-up", "squat"]
+        assert models[1] == models[0]
 
     @pytest.mark.parametrize("labels,where", [
         pytest.param(b"frame,label\n0,squat\nx,squat\n", "line 3", id="frame-not-integer"),

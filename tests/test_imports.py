@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses, no private
-top-level name is left that nothing in the package uses, and no public
-top-level function or class is left that nothing in the package, its tests
-or its benchmark uses: code that loses its last user should take its
-imports with it, and go itself."""
+top-level name or private method is left that nothing in the package uses,
+no public top-level function or class is left that nothing in the package,
+its tests or its benchmark uses, and no dataclass field that none of them
+reads: code that loses its last user should take its imports with it, and
+go itself."""
 import ast
 from pathlib import Path
 
@@ -51,9 +52,9 @@ def test_no_module_imports_a_name_it_never_uses(path):
 
 
 def _unread(defined: list[tuple[str, str, ast.AST]], trees) -> list[str]:
-    """The "module:name" of each (module, name, its definition) that no
-    code of the trees reads, as a loaded name or a taken attribute; a read
-    inside the name's own definition does not count."""
+    """The label of each (label, name, its definition) that no code of the
+    trees reads, as a loaded name or a taken attribute; a read inside the
+    name's own definition does not count."""
     reads = []  # (name, the node that reads it)
     for tree in trees:
         for node in ast.walk(tree):
@@ -62,10 +63,10 @@ def _unread(defined: list[tuple[str, str, ast.AST]], trees) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 reads.append((node.attr, node))
     unused = []
-    for module, name, definition in defined:
+    for label, name, definition in defined:
         own = {id(node) for node in ast.walk(definition)}
         if not any(read == name and id(node) not in own for read, node in reads):
-            unused.append(f"{module}:{name}")
+            unused.append(label)
     return unused
 
 
@@ -84,7 +85,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            defined += [(module, name, node) for name in names
+            defined += [(f"{module}:{name}", name, node) for name in names
                         if name.startswith("_") and not name.startswith("__")]
     return _unread(defined, trees.values())
 
@@ -108,7 +109,8 @@ def unused_public_names(sources: dict[str, str], users: list[str]) -> list[str]:
     tests) reads, as "module:name"; a read inside the name's own definition
     does not count, nor does an import or a string naming it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    defined = [(module, node.name, node) for module, tree in trees.items() for node in tree.body
+    defined = [(f"{module}:{node.name}", node.name, node)
+               for module, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                and not node.name.startswith("_")]
     return _unread(defined, [*trees.values(), *map(ast.parse, users)])
@@ -128,3 +130,76 @@ def test_no_public_name_is_left_unused():
     users = [path.read_text(encoding="utf-8")
              for folder in ("tests", "bench") for path in sorted((REPO / folder).glob("*.py"))]
     assert unused_public_names(sources, users) == []
+
+
+def unused_private_methods(sources: dict[str, str]) -> list[str]:
+    """The private methods (a leading underscore, not a dunder) of the
+    modules' top-level classes that no code of the modules reads, as
+    "module:Class.method"; a read inside the method's own definition does
+    not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = [(f"{module}:{cls.name}.{node.name}", node.name, node)
+               for module, tree in trees.items() for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    return _unread(defined, trees.values())
+
+
+def test_the_check_finds_an_unused_private_method():
+    sources = {"a": "class A:\n    def __init__(self):\n        self._used()\n"
+                    "    def _used(self):\n        pass\n"
+                    "    def _recursive(self):\n        return self._recursive()\n"
+                    "    def _left(self):\n        pass\n",
+               "b": "from .a import A\nA()._outside()\nclass B:\n    def _outside(self):\n"
+                    "        pass\n"}
+    assert unused_private_methods(sources) == ["a:A._recursive", "a:A._left"]
+
+
+def test_no_private_method_is_left_unused():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_methods(sources) == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether the class is decorated by dataclass, called or not, by its
+    name or as dataclasses.dataclass."""
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(sources: dict[str, str], users: list[str]) -> list[str]:
+    """The fields of the modules' top-level dataclasses that no code of the
+    modules or of the users reads as an attribute, as "module:Class.field";
+    a field that is only written, or only named by a keyword, is unread."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, users)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{module}:{cls.name}.{node.target.id}"
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and node.target.id not in read]
+
+
+def test_the_check_finds_an_unread_dataclass_field():
+    sources = {"a": "import dataclasses\nfrom dataclasses import dataclass\n"
+                    "@dataclass(frozen=True)\nclass A:\n    kept: int\n    written: int\n"
+                    "    keyword: int\n@dataclasses.dataclass\nclass B:\n    left: int\n    by_user: int\n"
+                    "class Plain:\n    ignored: int\n",
+               "b": "from .a import A\na = A(1, 2, keyword=3)\na.written = a.kept\n"}
+    users = ["print(b.by_user)\n"]
+    assert unread_dataclass_fields(sources, users) == ["a:A.written", "a:A.keyword", "a:B.left"]
+
+
+def test_no_dataclass_field_is_left_unread():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    users = [path.read_text(encoding="utf-8")
+             for folder in ("tests", "bench") for path in sorted((REPO / folder).glob("*.py"))]
+    assert unread_dataclass_fields(sources, users) == []

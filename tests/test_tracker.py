@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -233,8 +234,8 @@ def test_frames_in_no_doubt_skip_the_greedy_pass():
     """A generated 3-person session goes through greedy_pairs on its first
     frame only: after it, every track was seen in the frame before and no
     two planned pairs share a skeleton. A frame with two skeletons inside
-    one track's gate goes through it, and so does one after a frame that
-    missed a track."""
+    one track's gate goes through it, and so does a frame that misses a
+    track, and the one after it."""
     frames, _ = generate_session(SyntheticSessionSpec(
         persons=(PersonMotion("squat", 2, noise_sigma=5.0, gap_rate=0.05),
                  PersonMotion("push-up", 2, noise_sigma=5.0, gap_rate=0.05),
@@ -257,9 +258,9 @@ def test_frames_in_no_doubt_skip_the_greedy_pass():
         t = PoseTracker(max_match_distance=50.0)
         ids = t.match_frame(frame(0, a, b)).id_by_skeleton
         assert t.match_frame(frame(1, a)).id_by_skeleton == {0: ids[0]}
-        assert greedy.call_count == 4  # b's track is missing only from now on
+        assert greedy.call_count == 5  # b's track is missing only from now on
         assert t.match_frame(frame(2, b, a)).id_by_skeleton == {0: ids[1], 1: ids[0]}
-        assert greedy.call_count == 5
+        assert greedy.call_count == 6
 
 
 def test_only_frames_in_doubt_take_the_general_path(monkeypatch):
@@ -845,3 +846,44 @@ def test_steady_frames_match_as_on_the_general_path(trained_model, frames, chunk
         mp.setattr(PoseTracker, "plan",
                    lambda self, c: dataclasses.replace(plan(self, c), steady=[False] * len(c.sizes)))
         assert run() == steady
+
+
+def test_sixteen_persons_through_two_absences(trained_model):
+    """In a 16-person session, one person is away for 30 frames and keeps
+    their id, and another is away for 41, retires and comes back under a
+    new id: the planned tracker gives the per-frame tracker's assignments
+    and report."""
+    model, thresholds, _ = trained_model
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=tuple(PersonMotion(ex, full_cycles=6, noise_sigma=5.0, gap_rate=0.05)
+                      for ex in ("push-up", "pull-up", "squat", "sit-up") * 4),
+        shuffle_order=True, seed=7))
+
+    def without(f, x):  # the frame without the skeleton nearest x
+        gaps = [abs(c[m > 0, 0].mean() - x) for c, m in zip(f.coords, f.confidence)]
+        keep = np.arange(len(gaps)) != np.argmin(gaps)
+        return SkeletonFrame(f.frame_index, f.coords[keep], f.confidence[keep])
+
+    frames = [without(f, 0.0) if 20 <= f.frame_index < 50
+              else without(f, 600.0) if 60 <= f.frame_index < 101 else f for f in frames]
+
+    def run(pose_tracker):
+        engine = SessionEngine(model=model, thresholds=thresholds)
+        engine.tracker = pose_tracker
+        match, seen = engine.tracker.match_frame, []
+
+        def recording_match(frame, plan=None):
+            seen.append(match(frame, plan))
+            return seen[-1]
+
+        engine.tracker.match_frame = recording_match
+        engine.process_frames(frames)
+        return [(a.frame_index, a.new_ids, a.retired, a.id_by_skeleton)
+                for a in seen], render_json(engine.finalize())
+
+    planned = run(PoseTracker())
+    assert planned == run(ReferenceTracker())
+    assignments, report = planned
+    assert [i for i, _, retired, _ in assignments if retired] == [59 + RETENTION_WINDOW + 1]
+    assert [(i, len(new)) for i, new, _, _ in assignments if new] == [(0, 16), (101, 1)]
+    assert len(json.loads(report)["persons"]) == 17
