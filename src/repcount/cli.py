@@ -1,8 +1,9 @@
 """Command-line surface: analyze sessions, train/calibrate the recognizer,
 generate synthetic ground-truth data, and benchmark throughput.
 
-Exit codes: 0 success, 2 unreadable input, 3 bad model file,
-4 invalid config, 5 degenerate training dataset.
+Commands raise; main alone turns an error into an `error:` line on stderr
+and an exit code (EXIT_CODES): 0 success, 2 unreadable input, 3 bad model
+file, 4 invalid config or unwritable output, 5 degenerate training dataset.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,54 +41,69 @@ EXIT_BAD_CONFIG = 4
 EXIT_BAD_DATASET = 5
 
 
-def _data_arg_error(args) -> str | None:
-    """Why the data flags of train or calibrate are invalid, or None."""
-    given = [flag for flag in ("--data", "--labels") if getattr(args, flag[2:], None)]
+class InputError(Exception):
+    """The input of analyze or bench cannot be read."""
+
+
+# the exit code of each error a command raises; any other exception is a bug
+EXIT_CODES = {InputError: EXIT_BAD_INPUT, ModelFormatError: EXIT_BAD_MODEL,
+              SpecError: EXIT_BAD_CONFIG, TrainingError: EXIT_BAD_DATASET,
+              CalibrationError: EXIT_BAD_DATASET}
+_UNREADABLE = (OSError, ParseError, SchemaError)  # what reading an input file may raise
+
+
+def _check_data_args(args) -> None:
+    """Raise a SpecError when the data flags of train or calibrate are invalid."""
+    given = " and ".join(flag for flag in ("--data", "--labels") if getattr(args, flag[2:], None))
     if args.synthetic_frames and given:
-        return f"--synthetic-frames excludes {' and '.join(given)}: give one source of data"
+        raise SpecError(f"--synthetic-frames excludes {given}: give one source of data")
     if args.synthetic_frames and args.synthetic_frames < 3:
-        return f"--synthetic-frames {args.synthetic_frames}: need at least 1 frame per class of 3"
+        raise SpecError(f"--synthetic-frames {args.synthetic_frames}: "
+                        "need at least 1 frame per class of 3")
     if args.seed is not None and args.seed < 0:
-        return f"--seed must be >= 0, got {args.seed}"
-    return None
+        raise SpecError(f"--seed must be >= 0, got {args.seed}")
 
 
-def _train_arg_error(args) -> str | None:
-    """Why a number of the train command is invalid, or None when all are
-    valid."""
+def _check_train_args(args) -> None:
+    """Raise a SpecError when a number of the train command is invalid."""
     if args.epochs < 1:
-        return f"--epochs must be >= 1, got {args.epochs}"
+        raise SpecError(f"--epochs must be >= 1, got {args.epochs}")
     if args.batch_size < 1:
-        return f"--batch-size must be >= 1, got {args.batch_size}"
+        raise SpecError(f"--batch-size must be >= 1, got {args.batch_size}")
     if not (math.isfinite(args.learning_rate) and args.learning_rate > 0):
-        return f"--learning-rate must be a finite number > 0, got {args.learning_rate!r}"
+        raise SpecError(f"--learning-rate must be a finite number > 0, got {args.learning_rate!r}")
     if not 0 <= args.calibrate_split < 1:  # NaN fails the comparison
-        return f"--calibrate-split must lie in [0, 1), got {args.calibrate_split!r}"
-    return None
+        raise SpecError(f"--calibrate-split must lie in [0, 1), got {args.calibrate_split!r}")
 
 
-def _output_error(args, *flags: str) -> str | None:
-    """Why the path a given output flag names cannot be written, or None:
-    each must name a file in an existing directory. Checked before anything
-    is read, so that no work is done for a file that cannot be written."""
+def _check_outputs(args, *flags: str) -> None:
+    """Raise a SpecError unless the path each given output flag names is a
+    file in an existing directory. Checked before anything is read, so that
+    no work is done for a file that cannot be written."""
     for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path is None:
+        if (path := getattr(args, flag[2:].replace("-", "_"))) is None:
             continue
         if not Path(path).parent.is_dir():
-            return f"{flag} {path}: directory {str(Path(path).parent)!r} does not exist"
+            raise SpecError(f"{flag} {path}: directory {str(Path(path).parent)!r} does not exist")
         if Path(path).is_dir():
-            return f"{flag} {path}: is a directory"
-    return None
+            raise SpecError(f"{flag} {path}: is a directory")
+
+
+@contextmanager
+def _writing(flag: str, path):
+    """Turn a failed write of an output (a full disk) into a SpecError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise SpecError(f"{flag} {path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _read_chunks(args):
-    """The input's chunks, or None once the reason it is unreadable is printed."""
+    """The input's chunks; an unreadable input raises an InputError."""
     try:
         return _read_stdin() if args.input == "-" else load_chunks(args.input)
-    except (OSError, ParseError, SchemaError) as exc:
-        print(f"error: unreadable input: {exc}", file=sys.stderr)
-        return None
+    except _UNREADABLE as exc:
+        raise InputError(f"unreadable input: {exc}") from exc
 
 
 def _read_stdin():
@@ -120,42 +137,35 @@ def _run_chunks(chunks, model, thresholds, profiles, config=EngineConfig()) -> S
     return engine
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     try:
         config = EngineConfig(fps=args.fps, tolerance=args.tolerance,
                               keep_traces=bool(args.out_csv))
     except ValueError as exc:  # it names the field, which is the option's name
-        print(f"error: --{exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    if message := _output_error(args, "--out-text", "--out-json", "--out-csv"):
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise SpecError(f"--{exc}") from exc
+    _check_outputs(args, "--out-text", "--out-json", "--out-csv")
     try:
         profiles = load_profiles(args.profiles) if args.profiles else builtin_profiles()
     except (OSError, ProfileError, json.JSONDecodeError) as exc:
-        print(f"error: invalid profile config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise SpecError(f"invalid profile config: {exc}") from exc
     model, thresholds = _load_pose_model(args.model) if args.model else (None, None)
-    if (chunks := _read_chunks(args)) is None:
-        return EXIT_BAD_INPUT
-
-    engine = _run_chunks(chunks, model, thresholds, profiles, config)
+    engine = _run_chunks(_read_chunks(args), model, thresholds, profiles, config)
     result = engine.finalize()
 
     text = render_text(result)
     if args.out_text:
-        Path(args.out_text).write_text(text, encoding="utf-8")
+        with _writing("--out-text", args.out_text):
+            Path(args.out_text).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if args.out_json:
-        Path(args.out_json).write_bytes(render_json(result))
+        with _writing("--out-json", args.out_json):
+            Path(args.out_json).write_bytes(render_json(result))
     if args.out_csv:
-        events = [e for s in result.summaries for e in s.events]
-        write_events_csv(args.out_csv, events)
-        for pid, rows in engine.traces().items():
-            trace_path = Path(args.out_csv).with_suffix(f".person{pid}.trace.csv")
-            write_trace_csv(trace_path, rows)
-    return EXIT_OK
+        with _writing("--out-csv", args.out_csv):
+            write_events_csv(args.out_csv, [e for s in result.summaries for e in s.events])
+            for pid, rows in engine.traces().items():
+                write_trace_csv(Path(args.out_csv).with_suffix(f".person{pid}.trace.csv"), rows)
 
 
 def _load_training_data(args):
@@ -167,8 +177,11 @@ def _load_training_data(args):
         return x, y, class_names
     if not args.data or not args.labels:
         raise TrainingError("need --data and --labels (or --synthetic-frames)")
-    x, frame_of = _data_rows(args.data)
-    labels_by_frame = _read_labels(args.labels)
+    try:
+        x, frame_of = _data_rows(args.data)
+        labels_by_frame = _read_labels(args.labels)
+    except _UNREADABLE as exc:
+        raise TrainingError(str(exc)) from exc
     keep = [k for k, f in enumerate(frame_of) if f in labels_by_frame]
     if not keep:
         raise TrainingError("no usable labeled frames")
@@ -210,74 +223,62 @@ def _read_labels(path) -> dict[int, str]:
     return labels
 
 
-def cmd_train(args) -> int:
-    if message := (_data_arg_error(args) or _train_arg_error(args)
-                   or _output_error(args, "--out", "--curve-out")):
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        x, y, class_names = _load_training_data(args)
-        n_cal = int(len(x) * args.calibrate_split)
-        if args.calibrate_split > 0 and n_cal == 0:
-            raise TrainingError(f"--calibrate-split {args.calibrate_split!r} of {len(x)} rows "
-                                f"holds out int({len(x)} * {args.calibrate_split!r}) = 0 rows: "
-                                "no held-out samples to calibrate on")
-        config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                             batch_size=args.batch_size, seed=args.seed)
-        model, history = train(x, y, class_names, config)
-    except (OSError, ParseError, SchemaError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATASET
-    thresholds = None
-    if n_cal:
-        try:
-            thresholds = calibrate_reject(model, x[len(x) - n_cal:])
-        except CalibrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_DATASET
-    save_model(args.out, model, thresholds)
+def cmd_train(args) -> None:
+    _check_data_args(args)
+    _check_train_args(args)
+    _check_outputs(args, "--out", "--curve-out")
+    x, y, class_names = _load_training_data(args)
+    n_cal = int(len(x) * args.calibrate_split)
+    if args.calibrate_split > 0 and n_cal == 0:
+        raise TrainingError(f"--calibrate-split {args.calibrate_split!r} of {len(x)} rows "
+                            f"holds out int({len(x)} * {args.calibrate_split!r}) = 0 rows: "
+                            "no held-out samples to calibrate on")
+    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
+                         batch_size=args.batch_size, seed=args.seed)
+    model, history = train(x, y, class_names, config)
+    thresholds = calibrate_reject(model, x[len(x) - n_cal:]) if n_cal else None
+    with _writing("--out", args.out):
+        save_model(args.out, model, thresholds)
     if args.curve_out:
-        with open(args.curve_out, "w", newline="", encoding="utf-8") as fh:
+        with _writing("--curve-out", args.curve_out), \
+                open(args.curve_out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "loss", "accuracy"])
             for epoch, loss, acc in history:
                 writer.writerow([epoch, repr(loss), repr(acc)])
     print(f"model written to {args.out} "
           f"(final loss {history[-1][1]:.4f}, accuracy {history[-1][2]:.4f})")
-    return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    if message := _data_arg_error(args) or _output_error(args, "--out"):  # before any reading
-        raise SpecError(message)
+def cmd_calibrate(args) -> None:
+    _check_data_args(args)  # before any reading
+    _check_outputs(args, "--out")
     if args.seed is not None and args.data:  # the seed (default 0) seeds synthetic frames only
         raise SpecError("--seed applies to --synthetic-frames only, not to --data")
     model, _ = _load_pose_model(args.model)
-    try:
-        if args.synthetic_frames:
-            x, _ = make_labeled_dataset(model.class_names, args.synthetic_frames // 3,
-                                        seed=args.seed or 0)
-        elif not args.data:
-            raise CalibrationError("need --data (or --synthetic-frames)")
-        else:
+    if args.synthetic_frames:
+        x, _ = make_labeled_dataset(model.class_names,
+                                    args.synthetic_frames // len(model.class_names),
+                                    seed=args.seed or 0)
+    elif not args.data:
+        raise CalibrationError("need --data (or --synthetic-frames)")
+    else:
+        try:
             x, _ = _data_rows(args.data)
-            if not len(x):
-                raise CalibrationError("no normalizable skeleton in --data")
-        thresholds = calibrate_reject(model, x)
-    except (OSError, ParseError, SchemaError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_DATASET
+        except _UNREADABLE as exc:
+            raise CalibrationError(str(exc)) from exc
+        if not len(x):
+            raise CalibrationError("no normalizable skeleton in --data")
+    thresholds = calibrate_reject(model, x)
     out = args.out or args.model
-    save_model(out, model, thresholds)
+    with _writing("--out" if args.out else "--model", out):
+        save_model(out, model, thresholds)
     for name, (lo, hi) in sorted(thresholds.bounds.items()):
         print(f"{name}: ci_low={lo:.4f} ci_high={hi:.4f}")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    if message := _output_error(args, "--out", "--truth-out"):
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_simulate(args) -> None:
+    _check_outputs(args, "--out", "--truth-out")
     persons = tuple(
         PersonMotion(exercise=args.exercise, full_cycles=args.full_cycles,
                      partial_cycles=args.partial_cycles, period=args.period,
@@ -286,26 +287,25 @@ def cmd_simulate(args) -> int:
     )
     frames, truth = generate_session(SyntheticSessionSpec(persons=persons, seed=args.seed))
     out = Path(args.out)
-    if out.suffix.lower() == ".csv":
-        write_session_csv(out, frames)
-    else:
-        with open(out, "wb") as fh:
-            for frame in frames:
-                fh.write(serialize_frame(frame) + b"\n")
+    with _writing("--out", out):
+        if out.suffix.lower() == ".csv":
+            write_session_csv(out, frames)
+        else:
+            with open(out, "wb") as fh:
+                for frame in frames:
+                    fh.write(serialize_frame(frame) + b"\n")
     if args.truth_out:
-        Path(args.truth_out).write_text(
-            json.dumps(truth, sort_keys=True, indent=2), encoding="utf-8")
+        with _writing("--truth-out", args.truth_out):
+            Path(args.truth_out).write_text(
+                json.dumps(truth, sort_keys=True, indent=2), encoding="utf-8")
     print(f"wrote {len(frames)} frames to {out}")
-    return EXIT_OK
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     if args.repetitions < 1:
-        print("error: --repetitions must be >= 1", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise SpecError("--repetitions must be >= 1")
     model, thresholds = _load_pose_model(args.model) if args.model else (None, None)
-    if (chunks := _read_chunks(args)) is None:
-        return EXIT_BAD_INPUT
+    chunks = _read_chunks(args)
     profiles = builtin_profiles()
     frames = sum(len(chunk.sizes) for chunk in chunks)
 
@@ -319,7 +319,6 @@ def cmd_bench(args) -> int:
 
     print(f"frames: {frames}  runs: {args.repetitions}")
     print(f"pipeline throughput: {median_fps:.0f} frames/s (median)")
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    # both are raised before any input is read or any data generated
-    except (ModelFormatError, SpecError) as exc:
+        args.func(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_MODEL if isinstance(exc, ModelFormatError) else EXIT_BAD_CONFIG
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

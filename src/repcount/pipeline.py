@@ -35,6 +35,12 @@ from .reporting import PersonSummary, SessionResult
 from .tracker import ChunkPlan, PoseTracker
 
 
+# the least share of a person's frames that their longest set must cover
+# for the report to name its exercise, unless the person has a rep: a few
+# frames voted an exercise are no evidence of it
+MIN_EXERCISE_SHARE = 0.5
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
@@ -228,8 +234,9 @@ class SessionEngine:
             total, correct, incorrect = tally(state.events)
             # a set opens whenever the voted label is a profile, so a person
             # without one never had a profile label and stays UNKNOWN
+            named = total or state.exercise_frames >= MIN_EXERCISE_SHARE * len(state.frames_seen)
             summaries.append(PersonSummary(
-                person_id=pid, predicted_exercise=state.exercise,
+                person_id=pid, predicted_exercise=state.exercise if named else UNKNOWN,
                 total=total, correct=correct, incorrect=incorrect, events=state.events,
             ))
             id_history[pid] = state.frames_seen

@@ -8,6 +8,7 @@ per-class confidence bound are labeled unknown instead of forcing a class.
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -302,7 +303,10 @@ class LabelWindow:
 
 def save_model(path: str | Path, model: MlpModel,
                thresholds: Optional[RejectThresholds] = None) -> None:
-    """Write the versioned model container (deterministic JSON)."""
+    """Write the versioned model container (deterministic JSON). A file is
+    replaced whole: the JSON goes to a temporary file beside it, which then
+    takes its name, so a write that fails (a full disk) leaves the file as
+    it was. What is not a file (a device, a pipe) is written in place."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "layer_dims": model.layer_dims,
@@ -314,7 +318,17 @@ def save_model(path: str | Path, model: MlpModel,
             if thresholds is not None else None
         ),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8")
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    path = Path(path).resolve()  # through a symlink: its target is replaced
+    if path.exists() and not path.is_file():
+        path.write_text(text, encoding="utf-8")
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a write that failed
 
 
 def load_model(path: str | Path):

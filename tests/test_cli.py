@@ -1,7 +1,10 @@
+import errno
 import io
 import json
+import os
 import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,11 @@ from repcount.conditioning import StreamingConditioner
 from repcount.counting import RepCounter
 from repcount.keypoints import load_frames, serialize_frame, write_session_csv
 from repcount.pipeline import EngineConfig, analyze_frames
-from repcount.recognizer import LabelWindow, MlpModel, load_model, save_model
+from repcount.recognizer import (LabelWindow, MlpModel, TrainConfig, load_model, save_model,
+                                 train)
 from repcount.reporting import render_json
-from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
+from repcount.synthetic import (PersonMotion, SyntheticSessionSpec, generate_session,
+                                make_labeled_dataset)
 
 
 @pytest.fixture()
@@ -340,6 +345,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{flag} nodir/" in err, err
         assert not any(tmp_path.iterdir())
+
+    # the path passes the check made before any work; its write fails
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["analyze", "{session}", "--out-text"], "--out-text", id="analyze-text"),
+        pytest.param(["analyze", "{session}", "--out-text", "t.txt", "--out-json"], "--out-json",
+                     id="analyze-json"),
+        pytest.param(["analyze", "{session}", "--out-text", "t.txt", "--out-csv"], "--out-csv",
+                     id="analyze-csv"),
+        pytest.param(["simulate", "--out"], "--out", id="simulate"),
+        pytest.param(["simulate", "--out", "s.ndjson", "--truth-out"], "--truth-out",
+                     id="simulate-truth"),
+        pytest.param(["train", "--synthetic-frames", "30", "--epochs", "1",
+                      "--calibrate-split", "0", "--out"], "--out", id="train"),
+        pytest.param(["train", "--synthetic-frames", "30", "--epochs", "1",
+                      "--calibrate-split", "0", "--out", "m.json", "--curve-out"], "--curve-out",
+                     id="train-curve"),
+        pytest.param(["calibrate", "--model", "{model}", "--synthetic-frames", "300", "--out"],
+                     "--out", id="calibrate"),
+    ])
+    def test_output_on_a_full_disk(self, tmp_path, monkeypatch, capsys, model_path, argv, flag):
+        session = simulate(tmp_path, full_cycles=1)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        argv = [arg.format(session=session, model=model_path) for arg in argv]
+        assert main([*argv, "/dev/full"]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} /dev/full: cannot write: No space left on device\n"
 
     def test_output_that_is_a_directory(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
@@ -696,6 +729,39 @@ class TestCalibrate:
                      "--out", str(tmp_path / "out.json")]) == EXIT_BAD_CONFIG
         assert "no synthetic motion" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
+
+    def test_a_failed_write_leaves_the_model_as_it_was(self, model_path, monkeypatch, capsys):
+        """Without --out the model file is rewritten: a write that fails
+        partway, on a full disk, leaves it as it was and no file beside it."""
+        before = open(model_path, "rb").read()
+
+        def full_disk(path, data, encoding=None, errors=None, newline=None):
+            open(path, "w").close()  # a write truncates the file first
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert main(["calibrate", "--model", model_path, "--synthetic-frames", "300"]) \
+            == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: --model {model_path}: cannot write: No space left on device\n"
+        assert open(model_path, "rb").read() == before
+        assert os.listdir(os.path.dirname(model_path)) == ["model.json"]
+
+    def test_synthetic_frames_are_split_over_the_model_classes(self, tmp_path, monkeypatch):
+        class_names = ["push-up", "squat"]
+        x, y = make_labeled_dataset(class_names, 200, seed=0)
+        model, _ = train(x, y, class_names, TrainConfig(epochs=5, seed=0))
+        path = tmp_path / "two.json"
+        save_model(path, model)
+        asked = []
+
+        def recording(names, frames_per_class, seed=0):
+            asked.append((list(names), frames_per_class))
+            return make_labeled_dataset(names, frames_per_class, seed=seed)
+
+        monkeypatch.setattr(cli, "make_labeled_dataset", recording)
+        assert main(["calibrate", "--model", str(path), "--synthetic-frames", "300"]) == EXIT_OK
+        assert asked == [(class_names, 150)]
 
     def test_no_normalizable_skeleton(self, tmp_path, model_path):
         session = tmp_path / "empty.ndjson"

@@ -134,6 +134,24 @@ class TestEndToEnd:
         assert summary.predicted_exercise == UNKNOWN
         assert summary.total == 0
 
+    def test_a_person_mostly_unknown_is_reported_unknown(self, trained_model):
+        """A sit-up, no class of the model, whose window votes squat for a
+        frame: their squat set covers too few of their frames and holds no
+        rep, so no exercise is named."""
+        model, thresholds, _ = trained_model
+        spec = SyntheticSessionSpec(persons=(PersonMotion("sit-up", full_cycles=6,
+                                                          noise_sigma=5.0, gap_rate=0.05),),
+                                    seed=0)
+        frames, _ = generate_session(spec)
+        engine = SessionEngine(model=model, thresholds=thresholds)
+        engine.process_frames(frames)
+        (state,) = engine.persons.values()
+        (summary,) = engine.finalize().summaries
+        assert state.exercise == "squat"
+        assert 0 < state.exercise_frames < pipeline.MIN_EXERCISE_SHARE * len(state.frames_seen)
+        assert summary.total == 0
+        assert summary.predicted_exercise == UNKNOWN
+
     def test_exercise_switch_closes_set(self, trained_model):
         # same tracked person: squat block then push-up block; the engine
         # finalizes the squat set when the windowed label flips
