@@ -194,13 +194,13 @@ def _check_frame_arrays(first_index: int, coords: np.ndarray, confidence: np.nda
 _KEYPOINT_PACKERS = {3: struct.Struct("dd8xd" * NUM_JOINTS), 4: struct.Struct(f"{NUM_JOINTS * 4}d")}
 # the keypoint field of each stride's layout
 _KEYPOINT_FIELDS = {3: itemgetter("pose_keypoints_2d"), 4: itemgetter("pose_keypoints_3d")}
-# the most frames and skeleton rows of a FrameChunk a loader makes, and so
-# what the engine plans at once. The NumPy calls of a chunk are amortized over
-# its rows: a chunk closes before it would pass CHUNK_ROWS rows, enough rows
-# to amortize them, few enough that a wide chunk stays in cache; CHUNK_FRAMES
-# bounds the chunks of few persons, which have more frames per row.
+# the budget of a FrameChunk a loader makes, and so of what the engine plans
+# at once: a chunk closes at CHUNK_ROWS frames, or before a frame would take
+# it past CHUNK_ROWS rows. A plan's NumPy calls are amortized over its frames
+# and rows: 1024 is enough of either to amortize them, and few enough rows
+# that a wide chunk stays in cache; more frames per chunk of one person were
+# slower too.
 CHUNK_ROWS = 1024
-CHUNK_FRAMES = 256
 # the read buffer of a format-A stream: a 16-person line is about 11 kB,
 # more than the default 8 KiB, which copies such a line through refills
 READ_BUFFER = 1 << 20
@@ -208,13 +208,13 @@ READ_BUFFER = 1 << 20
 
 def chunk_starts(sizes: Sequence[int]) -> list[int]:
     """The first frame of each chunk of frames of these row counts: a chunk
-    closes at CHUNK_FRAMES frames, or before a frame would take it past
+    closes at CHUNK_ROWS frames, or before a frame would take it past
     CHUNK_ROWS rows. A frame is never split, so one wider than CHUNK_ROWS
     is a chunk of its own."""
     starts: list[int] = []
     rows = 0
     for k, size in enumerate(sizes):
-        if not starts or k - starts[-1] >= CHUNK_FRAMES or rows + size > CHUNK_ROWS:
+        if not starts or k - starts[-1] >= CHUNK_ROWS or rows + size > CHUNK_ROWS:
             starts.append(k)
             rows = 0
         rows += size
@@ -398,7 +398,7 @@ def _decoded_chunks(docs: Iterable[tuple[str | int, str | bytes]]) -> Iterator[F
                 raise _located(exc, place) from exc
             # the rule of chunk_starts, inlined as the documents stream in:
             # a call per document is a visible part of decoding one
-            if frames and (len(frames) >= CHUNK_FRAMES or rows + frame[0] > CHUNK_ROWS):
+            if frames and (len(frames) >= CHUNK_ROWS or rows + frame[0] > CHUNK_ROWS):
                 yield _located_chunk(frames, places, index)
                 index += len(frames)
                 frames, places, rows = [], [], 0

@@ -32,7 +32,7 @@ def run_bench_copy(tmp_path, workload, trace):
     return json.loads(done.stdout.splitlines()[-1]), done.stdout
 
 
-@pytest.mark.parametrize("workload", ["crowd16", "group4-csv"])
+@pytest.mark.parametrize("workload", ["solo", "crowd16", "group4-csv"])
 def test_untraced_bench_run_is_correct(tmp_path, workload):
     last, stdout = run_bench_copy(tmp_path, workload, trace=0)
     assert last["correct"] is True and last["failed"] == 0, stdout[-2000:]

@@ -747,12 +747,18 @@ class TestCalibrate:
         assert open(model_path, "rb").read() == before
         assert os.listdir(os.path.dirname(model_path)) == ["model.json"]
 
-    def test_synthetic_frames_are_split_over_the_model_classes(self, tmp_path, monkeypatch):
-        class_names = ["push-up", "squat"]
+    @staticmethod
+    def model_of(tmp_path, class_names):
+        """The path of a model trained on synthetic frames of these classes."""
         x, y = make_labeled_dataset(class_names, 200, seed=0)
         model, _ = train(x, y, class_names, TrainConfig(epochs=5, seed=0))
-        path = tmp_path / "two.json"
+        path = tmp_path / f"{len(class_names)}-classes.json"
         save_model(path, model)
+        return path
+
+    def test_synthetic_frames_are_split_over_the_model_classes(self, tmp_path, monkeypatch):
+        class_names = ["push-up", "squat"]
+        path = self.model_of(tmp_path, class_names)
         asked = []
 
         def recording(names, frames_per_class, seed=0):
@@ -762,6 +768,25 @@ class TestCalibrate:
         monkeypatch.setattr(cli, "make_labeled_dataset", recording)
         assert main(["calibrate", "--model", str(path), "--synthetic-frames", "300"]) == EXIT_OK
         assert asked == [(class_names, 150)]
+
+    def test_one_synthetic_frame_per_class_of_a_two_class_model(self, tmp_path):
+        path = self.model_of(tmp_path, ["push-up", "squat"])
+        out = tmp_path / "out.json"
+        assert main(["calibrate", "--model", str(path), "--synthetic-frames", "2",
+                     "--out", str(out)]) == EXIT_OK
+        assert set(json.loads(out.read_text())["reject_thresholds"]) == {"push-up", "squat"}
+
+    def test_fewer_synthetic_frames_than_the_model_classes(self, tmp_path, monkeypatch, capsys):
+        """The check counts the model's classes, and comes before any frame
+        is generated."""
+        path = self.model_of(tmp_path, ["push-up", "pull-up", "squat", "sit-up"])
+        monkeypatch.setattr(cli, "make_labeled_dataset", None)  # a call would fail
+        out = tmp_path / "out.json"
+        assert main(["calibrate", "--model", str(path), "--synthetic-frames", "3",
+                     "--out", str(out)]) == EXIT_BAD_CONFIG
+        assert capsys.readouterr().err == ("error: --synthetic-frames 3: need at least 1 frame "
+                                           "per class of the model's 4\n")
+        assert not out.exists()
 
     def test_no_normalizable_skeleton(self, tmp_path, model_path):
         session = tmp_path / "empty.ndjson"
@@ -787,6 +812,7 @@ def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_pat
     whichever chunk loader reads the input."""
     session = simulate(tmp_path, name="session.csv" if mode == "csv" else "session.ndjson",
                        exercise="squat", full_cycles=30, noise=4.0, gap_rate=0.05)
+    monkeypatch.setattr(keypoints, "CHUNK_ROWS", 256)  # chunks of 256 frames of one person
 
     def analyze(out_json):
         if mode == "stdin":
@@ -805,7 +831,7 @@ def test_analyze_calls_process_frame_once_per_frame_in_order(tmp_path, model_pat
     monkeypatch.setattr(pipeline.SessionEngine, "process_frame", wrapped)
     assert analyze(tmp_path / "wrapped.json") == EXIT_OK
     n_frames = len(load_frames(session))
-    assert n_frames > 2 * keypoints.CHUNK_FRAMES
+    assert n_frames > 2 * keypoints.CHUNK_ROWS
     assert seen == list(range(n_frames))
     assert (tmp_path / "wrapped.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
@@ -899,6 +925,7 @@ def test_analyze_makes_no_copy_of_the_loaded_arrays(tmp_path, model_path, monkey
     arrays."""
     session = simulate(tmp_path, name="session.csv" if mode == "csv" else "session.ndjson",
                        exercise="squat", persons=2, full_cycles=30, gap_rate=0.05)
+    monkeypatch.setattr(keypoints, "CHUNK_ROWS", 256)  # chunks of 128 frames of two persons
     if mode == "directory":
         lines = session.read_text().splitlines()
         session = tmp_path / "frames"

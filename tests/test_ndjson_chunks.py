@@ -202,19 +202,19 @@ def streams(draw):
     return lines
 
 
-def chunk_budget(chunk_frames, chunk_rows):
-    """A patch of both chunk bounds, for a with block."""
-    return mock.patch.multiple(keypoints, CHUNK_FRAMES=chunk_frames, CHUNK_ROWS=chunk_rows)
+def chunk_budget(budget):
+    """A patch of the chunk budget, for a with block."""
+    return mock.patch.object(keypoints, "CHUNK_ROWS", budget)
 
 
-def greedy_chunk_sizes(sizes, chunk_frames, chunk_rows):
+def greedy_chunk_sizes(sizes, budget):
     """The frames per chunk of frames of the given row counts: a chunk takes
-    the next frame unless it holds chunk_frames frames already, or the
-    frame would take it past chunk_rows rows; an empty chunk takes any."""
+    the next frame unless it holds budget frames already, or the frame
+    would take it past budget rows; an empty chunk takes any."""
     chunks = []
     rows = 0
     for size in sizes:
-        if not chunks or chunks[-1] == chunk_frames or rows + size > chunk_rows:
+        if not chunks or chunks[-1] >= budget or rows + size > budget:
             chunks.append(0)
             rows = 0
         chunks[-1] += 1
@@ -222,24 +222,24 @@ def greedy_chunk_sizes(sizes, chunk_frames, chunk_rows):
     return chunks
 
 
-# CHUNK_ROWS values: none (each frame a chunk of its own), a few frames' rows
-# or fewer than one frame's, and the default
-CHUNK_ROWS_DRAWN = st.sampled_from([0, 1, 2, 3, 5, 8, 1024])
+# CHUNK_ROWS values: none (each frame a chunk of its own), a few frames or
+# rows, fewer than one frame's rows, and the default
+CHUNK_ROWS_DRAWN = st.one_of(st.integers(0, 9), st.just(1024))
 
 
 @settings(max_examples=200, deadline=None)
-@given(streams(), st.integers(1, 9), CHUNK_ROWS_DRAWN, st.sampled_from(["\n", "\r\n", "\r"]))
-def test_chunked_decoder_equals_per_document_decoder(lines, chunk_frames, chunk_rows, newline):
+@given(streams(), CHUNK_ROWS_DRAWN, st.sampled_from(["\n", "\r\n", "\r"]))
+def test_chunked_decoder_equals_per_document_decoder(lines, budget, newline):
     want_frames, want_error = outcome(lambda: reference_iter_ndjson_frames(lines))
     data = "".join(line + newline for line in lines).encode("utf-8")
-    with chunk_budget(chunk_frames, chunk_rows):
+    with chunk_budget(budget):
         got_chunks, got_error = outcome(lambda: read_ndjson(io.BytesIO(data)))
     got_frames = None if got_chunks is None else frames_of(got_chunks)
     assert got_error == want_error
     if want_error is None:
         assert_same_frames(got_frames, want_frames)
         assert [len(chunk.sizes) for chunk in got_chunks] == greedy_chunk_sizes(
-            [len(frame.coords) for frame in want_frames], chunk_frames, chunk_rows)
+            [len(frame.coords) for frame in want_frames], budget)
     if want_error is None:  # parse_frame is the same decoder, one document at a time
         # JSON whitespace is the decoder's to skip, and other whitespace the stream's
         docs = [line.strip("".join(UNICODE_SPACES)) for line in lines if line.strip()]
@@ -263,23 +263,23 @@ FIRST_BAD = [  # (line, kind) of two bad documents; the first one wins
 ]
 
 
-# a good document of two persons, so that the row budget cuts chunks too
+# a good document of two persons, so that rows cut chunks before frames do
 TWO_PERSONS = json.dumps({"people": [{"pose_keypoints_2d": [1.0] * 75}] * 2})
 
 
-@pytest.mark.parametrize("chunk_frames,chunk_rows", [
-    pytest.param(64, 1024, id="one-chunk"),
-    pytest.param(5, 1024, id="across-a-boundary"),
-    pytest.param(1, 1024, id="chunks-of-one"),
-    pytest.param(64, 5, id="rows-across-a-boundary"),
-    pytest.param(64, 1, id="rows-below-a-frame"),
+@pytest.mark.parametrize("budget", [
+    pytest.param(1024, id="one-chunk"),
+    pytest.param(10, id="across-a-boundary"),
+    pytest.param(2, id="chunks-of-one"),
+    pytest.param(5, id="rows-across-a-boundary"),
+    pytest.param(1, id="rows-below-a-frame"),
 ])
 @pytest.mark.parametrize("first,second", FIRST_BAD)
-def test_first_bad_document_wins(chunk_frames, chunk_rows, first, second):
+def test_first_bad_document_wins(budget, first, second):
     lines = [TWO_PERSONS] * 9
     for number, kind in (first, second):
         lines[number - 1] = BAD_DOCUMENTS[kind]
-    with chunk_budget(chunk_frames, chunk_rows):
+    with chunk_budget(budget):
         _, got = outcome(lambda: read_ndjson(io.BytesIO("\n".join(lines).encode())))
     assert got == per_document_error(BAD_DOCUMENTS[first[1]], f"line {first[0]}")
 
@@ -290,7 +290,7 @@ def test_first_bad_file_wins(tmp_path, first, second):
         (tmp_path / f"{i:03d}.json").write_text('{"people": []}')
     for number, kind in (first, second):
         (tmp_path / f"{number - 1:03d}.json").write_text(BAD_DOCUMENTS[kind])
-    with mock.patch.object(keypoints, "CHUNK_FRAMES", 5):
+    with chunk_budget(5):  # frames of no rows: the frame bound cuts
         _, got = outcome(lambda: load_frames(tmp_path))
     path = tmp_path / f"{first[0] - 1:03d}.json"
     assert got == per_document_error(BAD_DOCUMENTS[first[1]], str(path))
@@ -315,7 +315,7 @@ def test_directory_frames_equal_stream_frames(tmp_path):
         lines.append(json.dumps({"people": [{"pose_keypoints_3d": p.ravel().tolist()}
                                             for p in flat]}))
         (tmp_path / f"{i:03d}.json").write_text(lines[-1])
-    with mock.patch.object(keypoints, "CHUNK_FRAMES", 4):
+    with chunk_budget(4):
         got = load_frames(tmp_path)
     assert_same_frames(got, list(reference_iter_ndjson_frames(lines)))
 
@@ -438,10 +438,10 @@ def sessions(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(sessions(), st.integers(1, 9), CHUNK_ROWS_DRAWN)
-def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames, chunk_rows):
+@given(sessions(), CHUNK_ROWS_DRAWN)
+def test_every_loader_makes_chunks_of_its_frames(frames, budget):
     """NDJSON, directory and CSV input load as chunks at strictly
-    increasing indices, cut by the greedy rule of CHUNK_FRAMES frames and
+    increasing indices, cut by the greedy rule of CHUNK_ROWS frames and
     CHUNK_ROWS rows, whose frames are load_frames' and, for format A, the
     per-document decoder's; SessionEngine.process_frames cuts the frames
     of every loader where the loader does."""
@@ -455,14 +455,14 @@ def test_every_loader_makes_chunks_of_its_frames(frames, chunk_frames, chunk_row
         for i, doc in enumerate(docs):
             (tmp / "frames" / f"{i:03d}.json").write_text(doc)
         write_session_csv(tmp / "session.csv", frames)
-        with chunk_budget(chunk_frames, chunk_rows):
+        with chunk_budget(budget):
             for name in ("session.ndjson", "frames", "session.csv"):
                 chunks = load_chunks(tmp / name)
                 indices = [i for chunk in chunks for i in chunk.indices]
                 assert all(a < b for a, b in zip(indices, indices[1:]))
                 got = frames_of(chunks)
                 assert [len(chunk.sizes) for chunk in chunks] == greedy_chunk_sizes(
-                    [len(frame.coords) for frame in got], chunk_frames, chunk_rows)
+                    [len(frame.coords) for frame in got], budget)
                 assert_same_frames(got, load_frames(tmp / name))
                 assert cuts_of_process_frames(got) == indices_of(chunks)
                 if name != "session.csv":
@@ -501,14 +501,24 @@ def write_ndjson(path, frames):
     return path
 
 
-def test_solo_stream_loads_in_chunks_of_chunk_frames(tmp_path):
-    frames = frames_of_sizes([1] * 601)
+def test_solo_stream_loads_in_chunks_of_chunk_rows_frames(tmp_path):
+    frames = frames_of_sizes([1] * 2100)
     write_session_csv(tmp_path / "solo.csv", frames)
     for path in (write_ndjson(tmp_path / "solo.ndjson", frames), tmp_path / "solo.csv"):
         chunks = load_chunks(path)
-        assert [len(chunk.sizes) for chunk in chunks] == [256, 256, 89]
+        assert [len(chunk.sizes) for chunk in chunks] == [1024, 1024, 52]
         assert_same_frames(frames_of(chunks), frames)
         assert cuts_of_process_frames(frames) == indices_of(chunks)
+
+
+def test_stream_of_frames_without_rows_is_cut_at_the_budget(tmp_path):
+    frames = frames_of_sizes([0] * 2100)
+    path = tmp_path / "empty.ndjson"
+    path.write_text('{"people": []}\n' * len(frames))
+    chunks = load_chunks(path)
+    assert [len(chunk.sizes) for chunk in chunks] == [1024, 1024, 52]
+    assert_same_frames(frames_of(chunks), frames)
+    assert cuts_of_process_frames(frames) == indices_of(chunks)
 
 
 def test_crowd_stream_loads_in_chunks_of_at_most_chunk_rows(tmp_path):
@@ -524,7 +534,7 @@ def test_frame_wider_than_the_row_budget_is_a_chunk_of_its_own(tmp_path):
     frames = frames_of_sizes([2, 7, 1, 1, 6, 6, 3])
     ndjson = write_ndjson(tmp_path / "session.ndjson", frames)
     write_session_csv(tmp_path / "session.csv", frames)
-    with chunk_budget(256, 5):
+    with chunk_budget(5):
         for path in (ndjson, tmp_path / "session.csv"):
             chunks = load_chunks(path)
             assert [list(chunk.sizes) for chunk in chunks] == [[2], [7], [1, 1], [6], [6], [3]]
@@ -532,27 +542,25 @@ def test_frame_wider_than_the_row_budget_is_a_chunk_of_its_own(tmp_path):
             assert cuts_of_process_frames(frames) == indices_of(chunks)
 
 
-def brute_force_starts(sizes, chunk_frames, chunk_rows):
+def brute_force_starts(sizes, budget):
     """The first frame of each chunk, each chunk the longest run of the
-    frames after the one before that holds at most chunk_frames frames and
-    chunk_rows rows, or else the one frame that comes next."""
+    frames after the one before that holds at most budget frames and budget
+    rows, or else the one frame that comes next."""
     starts, k = [], 0
     while k < len(sizes):
         starts.append(k)
         k = max(m for m in range(k + 1, len(sizes) + 1)
-                if m == k + 1 or (m - k <= chunk_frames and sum(sizes[k:m]) <= chunk_rows))
+                if m == k + 1 or (m - k <= budget and sum(sizes[k:m]) <= budget))
     return starts
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([0, 0, 1, 2, 3, 9]), max_size=40), st.integers(1, 9),
-       CHUNK_ROWS_DRAWN)
-def test_chunk_starts_is_the_greedy_rule(sizes, chunk_frames, chunk_rows):
+@given(st.lists(st.sampled_from([0, 0, 1, 2, 3, 9]), max_size=40), CHUNK_ROWS_DRAWN)
+def test_chunk_starts_is_the_greedy_rule(sizes, budget):
     """chunk_starts cuts any row counts where the brute-force reference
     does, frames of 0 rows and frames wider than CHUNK_ROWS among them."""
-    with chunk_budget(chunk_frames, chunk_rows):
-        assert keypoints.chunk_starts(sizes) == brute_force_starts(sizes, chunk_frames,
-                                                                    chunk_rows)
+    with chunk_budget(budget):
+        assert keypoints.chunk_starts(sizes) == brute_force_starts(sizes, budget)
 
 
 def document_2d(frame):

@@ -18,6 +18,7 @@ from repcount.reporting import render_json, render_text
 from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
 from repcount.tracker import RETENTION_WINDOW, ChunkPlan, PoseTracker, SequencingError
+from test_ndjson_chunks import CHUNK_ROWS_DRAWN
 
 
 def run_session(spec, trained_model, **config_kw):
@@ -378,9 +379,9 @@ def label_sessions(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(label_sessions(), st.integers(1, 9), st.sampled_from([0, 1, 4, 7, 1024]))
-def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk, chunk_rows):
-    """Frames labelled in chunks of any frame and row bound get the labels
+@given(label_sessions(), CHUNK_ROWS_DRAWN)
+def test_chunked_labels_equal_per_frame_labels(trained_model, frames, budget):
+    """Frames labelled in chunks of any budget get the labels
     of the per-frame path, and the report is the one a hand loop of
     process_frame gives with per-frame labels."""
     model, thresholds, _ = trained_model
@@ -393,8 +394,7 @@ def test_chunked_labels_equal_per_frame_labels(trained_model, frames, chunk, chu
         return push(window, label)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
-        mp.setattr(keypoints, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(keypoints, "CHUNK_ROWS", budget)
         mp.setattr(LabelWindow, "push", recording_push)
         assert chunk_labels(SessionEngine(model=model, thresholds=thresholds), frames) == want
         chunked = analyze_frames(frames, model=model, thresholds=thresholds)
@@ -410,7 +410,7 @@ def test_labels_computed_ahead_do_not_outlive_process_frames(monkeypatch, traine
     model, thresholds, _ = trained_model
     frames, _ = generate_session(SyntheticSessionSpec(
         persons=(PersonMotion("squat", full_cycles=3),), seed=20))
-    monkeypatch.setattr(keypoints, "CHUNK_FRAMES", 8)
+    monkeypatch.setattr(keypoints, "CHUNK_ROWS", 8)  # one person: chunks of 8 frames
     engine = SessionEngine(model=model, thresholds=thresholds)
     engine.process_frames(frames[:12])
     assert engine._next is None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repcount import keypoints
 from repcount.body25 import NUM_JOINTS
 from repcount.keypoints import SchemaError, SkeletonFrame, load_session_csv, write_session_csv
-from test_ndjson_chunks import greedy_chunk_sizes
+from test_ndjson_chunks import CHUNK_ROWS_DRAWN, greedy_chunk_sizes
 
 COLUMNS = ("frame", "person", "joint", "x", "y", "z", "confidence")
 
@@ -136,26 +136,24 @@ def sessions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sessions(), st.integers(1, 9), st.integers(1, 9), st.sampled_from([0, 1, 3, 1024]))
-def test_chunked_loader_equals_row_loader(tmp_path_factory, session, chunk_rows,
-                                          chunk_frames, chunk_skeletons):
+@given(sessions(), st.integers(1, 9), CHUNK_ROWS_DRAWN)
+def test_chunked_loader_equals_row_loader(tmp_path_factory, session, chunk_rows, budget):
     """The chunked loader gives the frames or the first error of the row
     loader, whatever the CSV rows of one np.loadtxt call (chunk_rows), and
-    cuts its chunks by the greedy rule of CHUNK_FRAMES frames and CHUNK_ROWS
-    skeleton rows (chunk_frames, chunk_skeletons)."""
+    cuts its chunks by the greedy rule of CHUNK_ROWS frames and CHUNK_ROWS
+    skeleton rows (budget)."""
     text, bad_line = session
     path = tmp_path_factory.getbasetemp() / "session.csv"
     path.write_text(text, newline="")
     want_frames, want_error = outcome(reference_load_session_csv, path)
-    with mock.patch.multiple(keypoints, _CSV_CHUNK_ROWS=chunk_rows, CHUNK_FRAMES=chunk_frames,
-                             CHUNK_ROWS=chunk_skeletons):
+    with mock.patch.multiple(keypoints, _CSV_CHUNK_ROWS=chunk_rows, CHUNK_ROWS=budget):
         got_chunks, got_error = outcome(load_session_csv, path)
     if want_error is None:
         assert got_error is None
         got_frames = [frame for chunk in got_chunks for frame in chunk.frames]
         assert_same_frames(got_frames, want_frames)
         assert [len(chunk.sizes) for chunk in got_chunks] == greedy_chunk_sizes(
-            [len(frame.coords) for frame in got_frames], chunk_frames, chunk_skeletons)
+            [len(frame.coords) for frame in got_frames], budget)
         return
     assert got_error is not None and got_error[0] is want_error[0]
     malformed = re.fullmatch(r"line (\d+): malformed row: (.*)", want_error[1], re.S)

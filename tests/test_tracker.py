@@ -21,6 +21,7 @@ from repcount.synthetic import (PersonMotion, SyntheticSessionSpec,
                                 generate_session)
 from repcount.tracker import (RETENTION_WINDOW, PoseTracker, SequencingError, distance_matrix,
                               skeleton_distance)
+from test_ndjson_chunks import CHUNK_ROWS_DRAWN
 
 
 def skeleton_at(offset, rng=None, detected=None):
@@ -540,7 +541,7 @@ def test_crowd_frames_take_the_batched_paths(monkeypatch, trained_model):
     monkeypatch.setattr(tracker, "skeleton_distance", counting_distance)
     monkeypatch.setattr(pipeline, "normalize_frame", counting_normalize)
     monkeypatch.setattr(recognizer, "forward", counting_forward)
-    monkeypatch.setattr(keypoints, "CHUNK_FRAMES", chunk)
+    monkeypatch.setattr(keypoints, "CHUNK_ROWS", 16 * chunk)  # 16 rows a frame
     result = analyze_frames(frames, model=model, thresholds=thresholds)
     normalizable = [sum(normalize_skeleton(s) is not None for s in f.skeletons)
                     for f in frames]
@@ -787,11 +788,10 @@ def tracked_sessions(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tracked_sessions(), st.integers(1, 9), st.sampled_from([0, 1, 3, 6, 1024]),
+@given(tracked_sessions(), CHUNK_ROWS_DRAWN,
        st.sampled_from([None, 0.0, 5.0, 20.0, 1e9]), st.sampled_from([0, 1, 3, 30]))
-def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, chunk_rows,
-                                                  gate, window):
-    """Matching from chunk plans, of any frame and row bound, gives the
+def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, budget, gate, window):
+    """Matching from chunk plans, of any budget, gives the
     assignments and the report of the per-frame tracker it replaced."""
     model, thresholds, _ = trained_model
 
@@ -810,16 +810,15 @@ def test_planned_tracker_equals_per_frame_tracker(trained_model, frames, chunk, 
                 for a in seen], render_json(engine.finalize())
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
-        mp.setattr(keypoints, "CHUNK_ROWS", chunk_rows)
+        mp.setattr(keypoints, "CHUNK_ROWS", budget)
         mp.setattr(tracker, "RETENTION_WINDOW", window)
         planned = run(PoseTracker(gate))
     assert planned == run(ReferenceTracker(gate, retention_window=window))
 
 
 @settings(max_examples=100, deadline=None)
-@given(tracked_sessions(), st.integers(1, 9), st.booleans())
-def test_steady_frames_match_as_on_the_general_path(trained_model, frames, chunk, keep_traces):
+@given(tracked_sessions(), CHUNK_ROWS_DRAWN, st.booleans())
+def test_steady_frames_match_as_on_the_general_path(trained_model, frames, budget, keep_traces):
     """Steady frames forced onto match_frame's general path give the same
     assignment on every frame, the same reports and the same traces."""
     model, thresholds, _ = trained_model
@@ -840,7 +839,7 @@ def test_steady_frames_match_as_on_the_general_path(trained_model, frames, chunk
                 render_json(result), render_text(result), engine.traces())
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(keypoints, "CHUNK_FRAMES", chunk)
+        mp.setattr(keypoints, "CHUNK_ROWS", budget)
         steady = run()
         plan = PoseTracker.plan
         mp.setattr(PoseTracker, "plan",
