@@ -8,7 +8,10 @@ sweep. Both steps run before the repetition counter sees the trace.
 
 StreamingConditioner is the implementation the engine runs, with 1 frame of
 latency. fill_gaps and normalize_outliers are the batch reference it equals:
-normalize_outliers(fill_gaps(x), mid) == condition_trace(x, mid).
+normalize_outliers(fill_gaps(x), mid) == condition_trace(x, mid). Its state
+is scalar slots (the pending sample's frame and filled value, the last
+emitted sample's filled and conditioned values) plus the frames of leading
+gaps; flush() ends a stream and leaves the conditioner as new.
 """
 from __future__ import annotations
 
@@ -79,22 +82,30 @@ class StreamingConditioner:
     Gap filling is causal and immediate; the outlier rule needs the next
     sample, so each sample is emitted once its successor arrives. flush()
     ends the stream: it releases the final sample unmodified (it is an
-    endpoint), and nothing is fed after it.
+    endpoint) and leaves the conditioner as new, so a sample fed after it
+    starts a new stream.
     """
+
+    __slots__ = ("mid", "_pending_frame", "_pending_filled", "_last_filled",
+                 "_last_conditioned", "_leading_gaps")
 
     def __init__(self, mid: float):
         self.mid = mid
-        # the sample awaiting its right neighbor, as (frame, filled)
-        self._pending: Optional[tuple[int, float]] = None
-        # the last emitted sample, as (filled, conditioned)
-        self._last: Optional[tuple[float, float]] = None
+        # the sample awaiting its right neighbor: frame and filled value;
+        # no sample is pending while _pending_filled is None
+        self._pending_frame = 0
+        self._pending_filled: Optional[float] = None
+        # the last emitted sample: filled and conditioned value; none has
+        # been emitted while _last_filled is None
+        self._last_filled: Optional[float] = None
+        self._last_conditioned = 0.0
         self._leading_gaps: list[int] = []
 
     def feed(self, frame: int, raw: Optional[float]) -> list[tuple[int, float, float]]:
         """Feed one sample; return the (frame, filled, conditioned) samples
         finalized by this arrival (possibly empty)."""
-        pending = self._pending
-        if pending is None:
+        pfilled = self._pending_filled
+        if pfilled is None:
             if raw is None:
                 # leading gap: back-filled with the first valid value on arrival
                 self._leading_gaps.append(frame)
@@ -102,32 +113,32 @@ class StreamingConditioner:
             # the back-filled run is flat, so the outlier rule keeps each sample
             emitted = [(gap_frame, raw, raw) for gap_frame in self._leading_gaps]
             self._leading_gaps.clear()
-            self._pending = (frame, raw)
+            self._pending_frame, self._pending_filled = frame, raw
             if emitted:
-                self._last = (raw, raw)
+                self._last_filled = self._last_conditioned = raw
             return emitted
-        pframe, pfilled = pending
-        last = self._last
-        if last is None:
+        pframe, lfilled = self._pending_frame, self._last_filled
+        if lfilled is None:
             # the first sample is an endpoint; a single valid one is repeated
-            self._pending = (frame, pfilled if raw is None else raw)
-            self._last = (pfilled, pfilled)
+            self._pending_frame = frame
+            self._pending_filled = pfilled if raw is None else raw
+            self._last_filled = self._last_conditioned = pfilled
             return [(pframe, pfilled, pfilled)]
         if raw is None:
-            raw = _clamp(2.0 * pfilled - last[0])
-        self._pending = (frame, raw)
+            raw = _clamp(2.0 * pfilled - lfilled)
+        self._pending_frame, self._pending_filled = frame, raw
         # normalize_outliers' rule, with the left neighbor already conditioned
         # and the right one only gap-filled: one in-place left-to-right sweep
-        mean, mid = 0.5 * (last[1] + raw), self.mid
+        mean, mid = 0.5 * (self._last_conditioned + raw), self.mid
         pval = mean if mid < pfilled < mean or mean < pfilled < mid else pfilled
-        self._last = (pfilled, pval)
+        self._last_filled, self._last_conditioned = pfilled, pval
         return [(pframe, pfilled, pval)]
 
     def flush(self) -> list[tuple[int, float, float]]:
-        """End of stream: release the trailing sample (endpoint, unmodified)."""
-        out: list[tuple[int, float, float]] = []
-        if self._pending is not None:
-            pframe, pfilled = self._pending
-            out.append((pframe, pfilled, pfilled))
-            self._pending = None
+        """End of stream: release the trailing sample (endpoint, unmodified)
+        and forget the stream, leading gaps included."""
+        pfilled = self._pending_filled
+        out = [] if pfilled is None else [(self._pending_frame, pfilled, pfilled)]
+        self._pending_filled = self._last_filled = None
+        self._leading_gaps.clear()
         return out

@@ -34,6 +34,9 @@ def tally(events: list[RepEvent]) -> tuple[int, int, int]:
 class RepCounter:
     """Counts repetitions for one (person, exercise set)."""
 
+    __slots__ = ("person_id", "tolerance", "low", "high", "mid", "completing_up",
+                 "phase", "cycle_min", "cycle_max", "events", "_finalized")
+
     def __init__(self, profile: ExerciseProfile, person_id: int = 0,
                  tolerance: float = DEFAULT_TOLERANCE_DEG):
         self.person_id = person_id

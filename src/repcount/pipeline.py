@@ -41,7 +41,7 @@ from .tracker import ChunkPlan, PoseTracker
 MIN_EXERCISE_SHARE = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EngineConfig:
     tolerance: float = DEFAULT_TOLERANCE_DEG
     keep_traces: bool = False  # retain per-person angle traces for CSV export
@@ -56,7 +56,7 @@ class EngineConfig:
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.tolerance!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _ExerciseSet:
     exercise: str
     conditioner: StreamingConditioner
@@ -64,7 +64,7 @@ class _ExerciseSet:
     frames: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PersonState:
     person_id: int
     window: LabelWindow = field(default_factory=LabelWindow)
@@ -145,9 +145,10 @@ class SessionEngine:
             if state is None:
                 state = persons[pid] = _PersonState(person_id=pid)
             state.frames_seen.append(index)
-            windowed = state.window.push(labels[row + sidx])
+            r = row + sidx
+            windowed = state.window.push(labels[r])
             if windowed in profiles:
-                self._step_exercise(state, windowed, cosines[windowed][row + sidx], index)
+                self._step_exercise(state, windowed, cosines[windowed][r], index)
         for pid in assignment.retired:  # never matched again: its set is over
             self._close_set(persons[pid])
 

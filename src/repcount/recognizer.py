@@ -81,9 +81,10 @@ class RejectThresholds:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax along the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=-1, keepdims=True)
+    exps = logits - np.max(logits, axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= np.sum(exps, axis=-1, keepdims=True)
+    return exps
 
 
 def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
@@ -94,9 +95,10 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            h = np.maximum(h, 0.0)  # ReLU hidden activations
+            np.maximum(h, 0.0, out=h)  # ReLU hidden activations
     return softmax(h)
 
 
@@ -255,6 +257,8 @@ class LabelWindow:
     does once its count reaches the current label's, since ties go to the
     most recent label.
     """
+
+    __slots__ = ("_labels", "_counts", "_current")
 
     def __init__(self):
         self._labels: deque[str] = deque(maxlen=LABEL_WINDOW_SIZE)

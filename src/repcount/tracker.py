@@ -118,12 +118,18 @@ def box_gaps(low: np.ndarray, high: np.ndarray, rows_a: np.ndarray,
     Every joint of a row lies in its box, so each shared joint is at least
     the gap apart, and so is their mean: a lower bound on pair_distances.
     """
-    sq = 0.0
+    sq = None
     for k in range(3):  # gathers from one axis's row are far cheaper than of (N, 3) rows
         lo, hi = low[k], high[k]
-        gap = np.maximum(np.maximum(lo[rows_b] - hi[rows_a], lo[rows_a] - hi[rows_b]), 0.0)
-        sq = sq + gap * gap
-    return np.sqrt(sq)
+        gap = lo[rows_b] - hi[rows_a]
+        np.maximum(gap, lo[rows_a] - hi[rows_b], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        if sq is None:
+            sq = gap
+        else:
+            sq += gap
+    return np.sqrt(sq, out=sq)
 
 
 def greedy_pairs(candidates: list[tuple[float, int, int]]) -> list[tuple[int, int]]:

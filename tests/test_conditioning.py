@@ -147,6 +147,29 @@ class TestStreamingConditioner:
         out = self.run_stream(trace, mid=116.0)
         assert [c for _, _, c in out] == batch
 
+    def test_flush_forgets_the_stream(self):
+        # 10 from before the flush must not pull the new stream's first sample
+        # toward 25, its mean with 40: an endpoint is never modified
+        sc = StreamingConditioner(90.0)
+        sc.feed(0, 10.0)
+        sc.feed(1, 20.0)
+        assert sc.flush() == [(1, 20.0, 20.0)]
+        assert sc.feed(2, 30.0) == []
+        assert sc.feed(3, 40.0) == [(2, 30.0, 30.0)]
+        assert sc.flush() == [(3, 40.0, 40.0)]
+
+    @given(before=st.lists(st.one_of(st.none(), st.floats(0.0, 180.0)), max_size=20),
+           after=st.lists(st.one_of(st.none(), st.floats(0.0, 180.0)), max_size=20),
+           mid=st.floats(0.0, 180.0))
+    def test_after_a_flush_it_runs_as_a_new_conditioner(self, before, after, mid):
+        sc, fresh = StreamingConditioner(mid), StreamingConditioner(mid)
+        for f, v in enumerate(before):
+            sc.feed(f, v)
+        sc.flush()
+        for f, v in enumerate(after, start=len(before)):
+            assert sc.feed(f, v) == fresh.feed(f, v)
+        assert sc.flush() == fresh.flush()
+
     @given(trace=st.lists(st.one_of(st.none(), st.floats(0.0, 180.0)),
                           min_size=2, max_size=80).filter(is_usable),
            mid=st.floats(0.0, 180.0))

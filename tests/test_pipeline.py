@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from repcount import keypoints, pipeline
 from repcount.body25 import MID_HIP, NECK, NUM_JOINTS
+from repcount.conditioning import StreamingConditioner
+from repcount.counting import RepCounter
 from repcount.keypoints import (FrameChunk, RawSkeleton, SkeletonFrame, normalize_frame,
                                 normalize_skeleton)
 from repcount.kinematics import ProfileError, angle_for, builtin_profiles
@@ -35,6 +37,22 @@ def wide_gate_engine(model, thresholds, **config_kw):
     engine = SessionEngine(model=model, thresholds=thresholds, config=EngineConfig(**config_kw))
     engine.tracker = PoseTracker(max_match_distance=1e9)
     return engine
+
+
+@pytest.mark.parametrize("make", [
+    EngineConfig,
+    lambda: pipeline._PersonState(person_id=0),
+    lambda: pipeline._ExerciseSet("squat", StreamingConditioner(90.0),
+                                  RepCounter(builtin_profiles()["squat"])),
+    LabelWindow,
+    lambda: StreamingConditioner(90.0),
+    lambda: RepCounter(builtin_profiles()["squat"]),
+], ids=["EngineConfig", "_PersonState", "_ExerciseSet", "LabelWindow",
+        "StreamingConditioner", "RepCounter"])
+def test_the_records_of_the_per_frame_step_have_fixed_slots(make):
+    """Every object process_frame touches per person keeps its attributes
+    in slots: a field added later must be declared, not bring a dict back."""
+    assert not hasattr(make(), "__dict__")
 
 
 class TestEngineConfig:
