@@ -23,8 +23,9 @@ import numpy as np
 from . import keypoints
 from .body25 import NUM_JOINTS
 from .counting import DEFAULT_TOLERANCE_DEG
-from .keypoints import (READ_BUFFER, ParseError, SchemaError, _raise_not_utf8, load_chunks,
-                        normalize_frame, read_ndjson, serialize_frame, write_session_csv)
+from .keypoints import (READ_BUFFER, ParseError, SchemaError, _csv_number, _raise_not_utf8,
+                        load_chunks, normalize_frame, read_ndjson, serialize_frame,
+                        write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
@@ -216,9 +217,10 @@ def _data_rows(path) -> tuple[np.ndarray, list[int]]:
 
 
 def _read_labels(path) -> dict[int, str]:
-    """frame -> label of a labels CSV with columns frame and label; a bad
-    row raises a TrainingError naming its line, a byte that is not UTF-8 a
-    ParseError naming its line."""
+    """frame -> label of a labels CSV with columns frame and label, its
+    frame numbers read by the session CSV's numeral rule; a bad row raises a
+    TrainingError naming its line, a byte that is not UTF-8 a ParseError
+    naming its line."""
     labels = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -226,7 +228,7 @@ def _read_labels(path) -> dict[int, str]:
             for row in reader:
                 if None in (row.get("frame"), row.get("label")):
                     raise ValueError("need a frame and a label value (columns frame,label)")
-                labels[int(row["frame"])] = row["label"]
+                labels[_csv_number(row["frame"], int)] = row["label"]
     except UnicodeDecodeError as exc:
         _raise_not_utf8(path, exc)
     except ValueError as exc:

@@ -323,16 +323,20 @@ def _assembled(frames: Sequence[tuple[int, bytes]], first_index: int) -> FrameCh
     for axis in range(3):  # a column at a time: one long copy, not one a joint
         coords[..., axis] = rows[..., axis]
     confidence = rows[..., 3].copy()
-    # undetected joints carry no positional meaning and are zeroed, so a
-    # non-finite one is rejected first, as format B does; the chunk's check
-    # covers the other joints and the confidences
+    _zero_undetected(coords, confidence)
+    return FrameChunk(range(first_index, first_index + len(frames)), sizes, coords, confidence)
+
+
+def _zero_undetected(coords: np.ndarray, confidence: np.ndarray) -> None:
+    """Zero in place the coordinates of undetected joints (confidence 0), which
+    carry no positional meaning, once none is found non-finite; a loader's
+    chunk check covers the other joints and the confidences."""
     undetected = np.flatnonzero(confidence == 0)  # over the joints of all rows
     joints = coords.reshape(-1, 3)
     if not np.isfinite(joints[undetected]).all():
         raise SchemaError("coordinates must be finite and confidence values must lie in [0, 1]")
     joints[undetected] = 0.0
     confidence.reshape(-1)[undetected] = 0.0  # -0.0 becomes 0.0
-    return FrameChunk(range(first_index, first_index + len(frames)), sizes, coords, confidence)
 
 
 def _decode_chunk(docs: Sequence[str | bytes], first_index: int) -> FrameChunk:
@@ -500,6 +504,7 @@ def load_session_csv(path: str | Path) -> list[FrameChunk]:
     frame = keys[order, 0]
     coords = coords[order]
     confidence = confidence[order]
+    _zero_undetected(coords, confidence)
     starts = np.flatnonzero(np.r_[True, frame[1:] != frame[:-1]])
     indices, sizes = frame[starts].tolist(), np.diff(starts, append=len(frame)).tolist()
     firsts = chunk_starts(sizes)

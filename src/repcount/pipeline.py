@@ -254,10 +254,9 @@ class SessionEngine:
         return {pid: state.trace for pid, state in self.persons.items()}
 
 
-def analyze_frames(frames, model=None, thresholds=None, profiles=None,
+def analyze_frames(frames, model=None, thresholds=None,
                    config: EngineConfig = EngineConfig()) -> SessionResult:
-    """Run a whole pre-parsed frame list through a fresh engine."""
-    engine = SessionEngine(model=model, thresholds=thresholds,
-                           profiles=profiles, config=config)
+    """Run a whole pre-parsed frame list through a fresh engine on the built-in profiles."""
+    engine = SessionEngine(model=model, thresholds=thresholds, config=config)
     engine.process_frames(frames)
     return engine.finalize()

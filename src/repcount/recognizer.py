@@ -92,6 +92,12 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"feature length {x.shape[-1]} != input dim {model.layer_dims[0]}")
+    return softmax(_layers(model, x)[-1])
+
+
+def _layers(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
+    """Each layer's output for input x: the hidden ReLU activations, then the logits."""
+    outputs = []
     h = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -99,7 +105,8 @@ def forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
         h += b
         if i != last:
             np.maximum(h, 0.0, out=h)  # ReLU hidden activations
-    return softmax(h)
+        outputs.append(h)
+    return outputs
 
 
 @dataclass(frozen=True)
@@ -122,19 +129,8 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y_onehot: np.ndarray):
 
     Returns (loss, grad_weights, grad_biases) with gradients in layer order.
     """
-    activations = [x]
-    pre_relu = []
-    h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        if i != last:
-            pre_relu.append(z)
-            h = np.maximum(z, 0.0)
-            activations.append(h)
-        else:
-            h = z
-    probs = softmax(h)
+    activations = [x, *_layers(model, x)]  # the input of each layer, then the logits
+    probs = softmax(activations[-1])
     n = x.shape[0]
     eps = 1e-12
     loss = float(-np.sum(y_onehot * np.log(probs + eps)) / n)
@@ -142,11 +138,11 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y_onehot: np.ndarray):
     grad_w = [None] * len(model.weights)
     grad_b = [None] * len(model.biases)
     delta = (probs - y_onehot) / n
-    for i in range(last, -1, -1):
+    for i in range(len(model.weights) - 1, -1, -1):
         grad_w[i] = activations[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ model.weights[i].T) * (pre_relu[i - 1] > 0)
+            delta = (delta @ model.weights[i].T) * (activations[i] > 0)
     return loss, grad_w, grad_b
 
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import body25 as b
 from .body25 import NUM_JOINTS
 from .keypoints import RawSkeleton, SkeletonFrame, normalize_frame
-from .kinematics import ExerciseProfile, builtin_profiles
+from .kinematics import builtin_profiles
 
 DEFAULT_PERIOD = 20  # frames per cycle
 DEFAULT_LEAD_IN = 12  # static frames before the first cycle (fills the label window)
@@ -161,8 +161,7 @@ def _pose_situp(theta: float) -> np.ndarray:
     return xy
 
 
-# motion name -> (pose builder, angle triple whose geometry is exact,
-# default angle range for out-of-class motions)
+# motion name -> the pose builder that places its joints for one angle
 POSE_BUILDERS: dict[str, Callable[[float], np.ndarray]] = {
     "squat": _pose_squat,
     "push-up": _pose_pushup,
@@ -194,7 +193,7 @@ class PersonMotion:
     gap_rate: float = 0.0  # per-joint Bernoulli dropout probability
     pos_jitter: float = 0.0  # px std applied to non-animated joints
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.exercise not in POSE_BUILDERS:
             raise SpecError(f"unknown motion {self.exercise!r}")
         if self.full_cycles < 0 or self.partial_cycles < 0:
@@ -222,20 +221,18 @@ class SyntheticSessionSpec:
     spacing: float = DEFAULT_SPACING
     shuffle_order: bool = False  # randomize skeleton order within each frame
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.persons:
             raise SpecError("spec needs at least one person")
         if self.lead_in < 0:
             raise SpecError("lead_in must be >= 0")
         if self.seed < 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
-        for p in self.persons:
-            p.validate()
 
 
-def _angle_range(motion: PersonMotion,
-                 profiles: dict[str, ExerciseProfile]) -> tuple[float, float, int]:
+def _angle_range(motion: PersonMotion) -> tuple[float, float, int]:
     """(low, high, completion sign) of the motion's angle schedule."""
+    profiles = builtin_profiles()
     if motion.exercise in profiles:
         p = profiles[motion.exercise]
         return p.rom_low, p.rom_high, +1 if p.motion_type == "push" else -1
@@ -243,11 +240,10 @@ def _angle_range(motion: PersonMotion,
     return low, high, +1
 
 
-def angle_schedule(motion: PersonMotion, lead_in: int,
-                   profiles: Optional[dict[str, ExerciseProfile]] = None) -> np.ndarray:
-    """Noise-free target angle per frame for one person's motion."""
-    profiles = profiles if profiles is not None else builtin_profiles()
-    low, high, sign = _angle_range(motion, profiles)
+def angle_schedule(motion: PersonMotion, lead_in: int) -> np.ndarray:
+    """Noise-free target angle per frame for one person's motion, on the
+    built-in profile of its exercise."""
+    low, high, sign = _angle_range(motion)
     mid = 0.5 * (low + high)
     amp_full = 0.5 * (high - low) + FULL_CYCLE_OVERSHOOT
     t_full = np.arange(motion.full_cycles * motion.period)
@@ -270,21 +266,17 @@ def _ar1_noise(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
     return out
 
 
-def generate_session(spec: SyntheticSessionSpec,
-                     profiles: Optional[dict[str, ExerciseProfile]] = None
-                     ) -> tuple[list[SkeletonFrame], list[dict]]:
+def generate_session(spec: SyntheticSessionSpec) -> tuple[list[SkeletonFrame], list[dict]]:
     """Build the frame stream and the per-person ground-truth record.
 
     Deterministic per spec.seed. Truth entries hold the exercise name and
     the (total, correct, incorrect) counts recoverable from the spec.
     """
-    spec.validate()
-    profiles = profiles if profiles is not None else builtin_profiles()
     rng = np.random.default_rng(spec.seed)
 
     schedules = []
     for motion in spec.persons:
-        sched = angle_schedule(motion, spec.lead_in, profiles)
+        sched = angle_schedule(motion, spec.lead_in)
         noisy = np.clip(sched + _ar1_noise(rng, len(sched), motion.noise_sigma), 1.0, 179.0)
         schedules.append(noisy)
     n_frames = max(len(s) for s in schedules)
@@ -335,24 +327,22 @@ def make_labeled_dataset(class_names: list[str], frames_per_class: int,
     give the softmax probability distribution the lower tail the reject
     calibration relies on. Returns (features, integer labels), shuffled,
     deterministic per seed. Raises SpecError, before generating anything,
-    when frames_per_class < 1, a class has no synthetic motion or the seed
-    is negative.
+    when frames_per_class < 1, a class has no synthetic motion or, from the
+    first class's spec, the seed is negative.
     """
     if frames_per_class < 1:
         raise SpecError(f"need at least 1 frame per class, got {frames_per_class}")
-    if seed < 0:
-        raise SpecError(f"seed must be >= 0, got {seed}")
     if unknown := [name for name in class_names if name not in POSE_BUILDERS]:
         raise SpecError(f"no synthetic motion for class(es) {unknown}")
+    cycles = frames_per_class // DEFAULT_PERIOD + 2
+    specs = [SyntheticSessionSpec(
+        persons=(PersonMotion(name, full_cycles=cycles, noise_sigma=DATASET_NOISE_SIGMA,
+                              pos_jitter=DATASET_POS_JITTER),),
+        seed=seed + ci, lead_in=0,
+    ) for ci, name in enumerate(class_names)]
     glitch_rng = np.random.default_rng(seed + 5000)
     feats, labels = [], []
-    for ci, name in enumerate(class_names):
-        cycles = frames_per_class // DEFAULT_PERIOD + 2
-        spec = SyntheticSessionSpec(
-            persons=(PersonMotion(name, full_cycles=cycles, noise_sigma=DATASET_NOISE_SIGMA,
-                                  pos_jitter=DATASET_POS_JITTER),),
-            seed=seed + ci, lead_in=0,
-        )
+    for ci, spec in enumerate(specs):
         frames, _ = generate_session(spec)
         count = 0
         for frame in frames:

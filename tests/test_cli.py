@@ -686,6 +686,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("labels,where", [
         pytest.param(b"frame,label\n0,squat\nx,squat\n", "line 3", id="frame-not-integer"),
+        # numerals the session CSV rejects, which int() reads as 10 and 2
+        pytest.param(b"frame,label\n0,squat\n1_0,push-up\n", "line 3", id="digit-separator"),
+        pytest.param("frame,label\n0,squat\n\u0662,pull-up\n".encode(), "line 3",
+                     id="non-ascii-digit"),
         pytest.param(b"frame,exercise\n0,squat\n", "line 2", id="no-label-column"),
         pytest.param(b"frame,label\n0,squat\n1\n", "line 3", id="short-row"),
         pytest.param(b"frame,label\n0,squat\n1,sq\xffuat\n", "line 3", id="not-utf8"),

@@ -1,9 +1,9 @@
 """No module of the package imports a name it never uses, no private
 top-level name or private method is left that nothing in the package uses,
 no public top-level function or class is left that nothing in the package,
-its tests or its benchmark uses, and no dataclass field that none of them
-reads: code that loses its last user should take its imports with it, and
-go itself."""
+its tests or its benchmark uses, no dataclass field that none of them
+reads, and no defaulted parameter that none of them passes: code that loses
+its last user should take its imports with it, and go itself."""
 import ast
 from pathlib import Path
 
@@ -203,3 +203,86 @@ def test_no_dataclass_field_is_left_unread():
     users = [path.read_text(encoding="utf-8")
              for folder in ("tests", "bench") for path in sorted((REPO / folder).glob("*.py"))]
     assert unread_dataclass_fields(sources, users) == []
+
+
+def _defaulted(args: ast.arguments, bound: int) -> list[tuple[int | None, str]]:
+    """(position, name) of each defaulted parameter of a signature whose
+    first `bound` parameters (self, cls) are bound by the call; a
+    keyword-only one has position None."""
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return ([(k - bound, a.arg) for k, a in enumerate(positional) if k >= first]
+            + [(None, a.arg) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None])
+
+
+def idle_parameters(sources: dict[str, str], users: list[str]) -> list[str]:
+    """The defaulted parameters of the modules' top-level functions, of the
+    methods of their top-level classes and of their public classes'
+    constructors (__init__, or a dataclass's fields) that no call in the
+    modules or the users passes, by position or by keyword, as
+    "module:name(parameter)". A call is matched by the name it calls; one
+    with *args or **kwargs passes every parameter."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = []  # (label, the name a call calls it by, its defaulted parameters)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((f"{module}:{node.name}", node.name, _defaulted(node.args, 0)))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            public = not node.name.startswith("_")
+            if public and _is_dataclass(node):
+                fields = [f for f in node.body
+                          if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                defined.append((f"{module}:{node.name}", node.name,
+                                [(k, f.target.id) for k, f in enumerate(fields)
+                                 if f.value is not None]))
+            for method in node.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                bound = 0 if any(getattr(d, "id", None) == "staticmethod"
+                                 for d in method.decorator_list) else 1
+                if method.name == "__init__" and public:
+                    defined.append((f"{module}:{node.name}", node.name,
+                                    _defaulted(method.args, bound)))
+                elif not method.name.startswith("__"):
+                    defined.append((f"{module}:{node.name}.{method.name}", method.name,
+                                    _defaulted(method.args, bound)))
+    calls = {}  # called name -> [(positional arguments, keywords)]
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords)):
+                    passed = (float("inf"), None)  # None: every keyword
+                else:
+                    passed = (len(node.args), {k.arg for k in node.keywords})
+                calls.setdefault(name, []).append(passed)
+    return [f"{label}({param})" for label, name, params in defined for position, param in params
+            if not any((position is not None and position < n) or keywords is None
+                       or param in keywords for n, keywords in calls.get(name, []))]
+
+
+def test_the_check_finds_an_idle_parameter():
+    sources = {"a": "from dataclasses import dataclass, field\n"
+                    "def f(x, by_position=1, by_keyword=2, *, idle=3, keyword_only=4):\n"
+                    "    pass\n"
+                    "class A:\n    def __init__(self, starred=1):\n        pass\n"
+                    "    def method(self, x, by_position=1):\n        pass\n"
+                    "    @staticmethod\n    def static(by_position=1, idle=2):\n        pass\n"
+                    "@dataclass\nclass D:\n    needed: int\n    passed: int = 0\n"
+                    "    idle: list = field(default_factory=list)\n"
+                    "class _Private:\n    def __init__(self, unchecked=1):\n        pass\n",
+               "b": "from .a import A, f\nf(0, 1, by_keyword=2)\nA(*[1])\nA().method(0, 1)\n"}
+    users = ["from a import D, f\nf(0, keyword_only=1)\nA.static(0)\nD(needed=1, passed=2)\n"]
+    assert idle_parameters(sources, users) == ["a:f(idle)", "a:A.static(idle)", "a:D(idle)"]
+
+
+def test_no_defaulted_parameter_is_left_idle():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    users = [path.read_text(encoding="utf-8")
+             for folder in ("tests", "bench") for path in sorted((REPO / folder).glob("*.py"))]
+    assert idle_parameters(sources, users) == []

@@ -11,14 +11,18 @@ from hypothesis import strategies as st
 
 from repcount import keypoints
 from repcount.body25 import NUM_JOINTS
+from repcount.cli import EXIT_OK, main
 from repcount.keypoints import SchemaError, SkeletonFrame, load_session_csv, write_session_csv
+from repcount.synthetic import PersonMotion, SyntheticSessionSpec, generate_session
 from test_ndjson_chunks import CHUNK_ROWS_DRAWN, greedy_chunk_sizes
 
 COLUMNS = ("frame", "person", "joint", "x", "y", "z", "confidence")
 
 
 def reference_load_session_csv(path):
-    """The csv.DictReader loader that load_session_csv replaced, verbatim."""
+    """The csv.DictReader loader that load_session_csv replaced, verbatim
+    but for one rule: the coordinates of an undetected joint (confidence 0)
+    are zeroed once the frame's are found finite."""
     by_frame: dict[int, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -43,8 +47,12 @@ def reference_load_session_csv(path):
     frames = []
     for f in sorted(by_frame):
         persons = [by_frame[f][p] for p in sorted(by_frame[f])]
-        frames.append(SkeletonFrame(f, np.stack([coords for coords, _ in persons]),
-                                    np.stack([conf for _, conf in persons])))
+        coords = np.stack([coords for coords, _ in persons])
+        conf = np.stack([conf for _, conf in persons])
+        if np.isfinite(coords).all():  # else the frame rejects them
+            coords[conf == 0] = 0.0
+            conf[conf == 0] = 0.0  # -0.0 becomes 0.0
+        frames.append(SkeletonFrame(f, coords, conf))
     return frames
 
 
@@ -206,6 +214,24 @@ def test_padded_non_ascii_whitespace_still_parses(tmp_path):
     path.write_text(",".join(COLUMNS) + "\n\u00a00\u00a0,0,4,1.0,\u20032.5,0.0,0.9\n",
                     encoding="utf-8")
     assert_same_frames(load_csv_frames(path), reference_load_session_csv(path))
+
+
+def test_undetected_joints_load_at_the_origin(tmp_path, capsys):
+    """Rows with confidence 0, however far out their coordinates, load as
+    the joints a CSV omits, so the engine meets no overflow on them."""
+    frames, _ = generate_session(SyntheticSessionSpec(
+        persons=(PersonMotion("squat", full_cycles=2, gap_rate=0.2),) * 2, seed=3))
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    write_session_csv(plain, frames)
+    undetected = [f"{frame.frame_index},{p},{j},{sign}1e300,{-sign}1e300,{sign}1e300,0"
+                  for frame in frames for p, j in zip(*np.nonzero(frame.confidence == 0))
+                  for sign in [1 - 2 * (j % 2)]]
+    assert undetected
+    padded.write_text(plain.read_text() + "\n".join(undetected) + "\n")
+    assert_same_frames(load_csv_frames(padded), load_csv_frames(plain))
+    capsys.readouterr()
+    assert main(["analyze", str(padded)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_peak_memory_is_at_most_the_row_loader(tmp_path):

@@ -12,25 +12,25 @@ from repcount.tracker import PoseTracker
 class TestSpecValidation:
     def test_unknown_motion(self):
         with pytest.raises(SpecError):
-            PersonMotion("burpee", full_cycles=3).validate()
+            PersonMotion("burpee", full_cycles=3)
 
     def test_zero_cycles(self):
         with pytest.raises(SpecError):
-            PersonMotion("squat", full_cycles=0).validate()
+            PersonMotion("squat", full_cycles=0)
 
     def test_bad_gap_rate(self):
         with pytest.raises(SpecError):
-            PersonMotion("squat", full_cycles=1, gap_rate=1.0).validate()
+            PersonMotion("squat", full_cycles=1, gap_rate=1.0)
 
     def test_empty_spec(self):
         with pytest.raises(SpecError):
-            SyntheticSessionSpec(persons=()).validate()
+            SyntheticSessionSpec(persons=())
 
     @pytest.mark.parametrize("field", ["noise_sigma", "pos_jitter"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_noise_must_be_finite_and_non_negative(self, field, value):
         with pytest.raises(SpecError, match="noise parameters must be finite numbers >= 0"):
-            PersonMotion("squat", full_cycles=1, **{field: value}).validate()
+            PersonMotion("squat", full_cycles=1, **{field: value})
 
     def test_expected_counts(self):
         m = PersonMotion("squat", full_cycles=4, partial_cycles=2)
