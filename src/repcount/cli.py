@@ -23,9 +23,8 @@ import numpy as np
 from . import keypoints
 from .body25 import NUM_JOINTS
 from .counting import DEFAULT_TOLERANCE_DEG
-from .keypoints import (READ_BUFFER, ParseError, SchemaError, _csv_number, _raise_not_utf8,
-                        load_chunks, normalize_frame, read_ndjson, serialize_frame,
-                        write_session_csv)
+from .keypoints import (READ_BUFFER, ParseError, SchemaError, load_chunks, load_labels,
+                        normalize_frame, read_ndjson, serialize_frame, write_session_csv)
 from .kinematics import ProfileError, builtin_profiles, load_profiles
 from .pipeline import EngineConfig, SessionEngine
 from .recognizer import (CalibrationError, ModelFormatError, TrainConfig,
@@ -191,7 +190,7 @@ def _load_training_data(args):
         raise TrainingError("need --data and --labels (or --synthetic-frames)")
     try:
         x, frame_of = _data_rows(args.data)
-        labels_by_frame = _read_labels(args.labels)
+        labels_by_frame = load_labels(args.labels)
     except _UNREADABLE as exc:
         raise TrainingError(str(exc)) from exc
     keep = [k for k, f in enumerate(frame_of) if f in labels_by_frame]
@@ -214,26 +213,6 @@ def _data_rows(path) -> tuple[np.ndarray, list[int]]:
         features.append(rows[ok])
         frame_of.append(np.repeat(chunk.indices, chunk.sizes)[ok])
     return np.concatenate(features), np.concatenate(frame_of).tolist()
-
-
-def _read_labels(path) -> dict[int, str]:
-    """frame -> label of a labels CSV with columns frame and label, its
-    frame numbers read by the session CSV's numeral rule; a bad row raises a
-    TrainingError naming its line, a byte that is not UTF-8 a ParseError
-    naming its line."""
-    labels = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                if None in (row.get("frame"), row.get("label")):
-                    raise ValueError("need a frame and a label value (columns frame,label)")
-                labels[_csv_number(row["frame"], int)] = row["label"]
-    except UnicodeDecodeError as exc:
-        _raise_not_utf8(path, exc)
-    except ValueError as exc:
-        raise TrainingError(f"labels CSV line {reader.line_num}: {exc}") from exc
-    return labels
 
 
 def cmd_train(args) -> None:

@@ -514,6 +514,26 @@ def load_session_csv(path: str | Path) -> list[FrameChunk]:
             for k, m, a, b in zip(firsts, [*firsts[1:], len(sizes)], cuts, cuts[1:])]
 
 
+def load_labels(path: str | Path) -> dict[int, str]:
+    """frame -> label of a labels CSV with columns frame and label, its
+    frame numbers read by the session CSV's numeral rule; a bad row raises a
+    SchemaError naming its line, a byte that is not UTF-8 a ParseError
+    naming its line."""
+    labels = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                if None in (row.get("frame"), row.get("label")):
+                    raise ValueError("need a frame and a label value (columns frame,label)")
+                labels[_csv_number(row["frame"], int)] = row["label"]
+    except UnicodeDecodeError as exc:
+        _raise_not_utf8(path, exc)
+    except ValueError as exc:
+        raise SchemaError(f"labels CSV line {reader.line_num}: {exc}") from exc
+    return labels
+
+
 def _read_csv_rows(fh, usecols: list[int],
                    path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the rows after the header of a session CSV into one skeleton per

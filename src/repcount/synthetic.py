@@ -11,10 +11,15 @@ Angle noise is Gaussian with the requested stationary standard deviation but
 temporally correlated (AR(1)), matching the frame-to-frame coherence of real
 pose-estimator jitter; white noise of the same magnitude would be an
 unrealistically hostile model.
+
+Pose builders take an angle array and place every frame of a person at once;
+a session is one read-only array pair whose frames are views of it. The order
+of the RNG draws is the contract that keeps sessions byte-stable.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import body25 as b
 from .body25 import NUM_JOINTS
-from .keypoints import RawSkeleton, SkeletonFrame, normalize_frame
+from .keypoints import SkeletonFrame, normalize_frame
 from .kinematics import builtin_profiles
 
 DEFAULT_PERIOD = 20  # frames per cycle
@@ -45,124 +50,109 @@ class SpecError(ValueError):
     pass
 
 
-def _rot(v: np.ndarray, theta_deg: float) -> np.ndarray:
+def _check_integers(spec, fields: tuple[str, ...]) -> None:
+    """Raise a SpecError naming the first of the fields that is not an
+    integer (Python or NumPy; a bool is not one)."""
+    for name in fields:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise SpecError(f"{name} must be an integer, got {value!r}")
+
+
+def _rot(v: np.ndarray, theta_deg: np.ndarray) -> np.ndarray:
+    """The vector v turned by each angle: (F, 2)."""
     t = np.radians(theta_deg)
     c, s = np.cos(t), np.sin(t)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    return np.stack([c * v[0] - s * v[1], s * v[0] + c * v[1]], axis=1)
 
 
-def _solve_limb(coords: np.ndarray, a: int, vertex: int, c: int,
-                length: float, theta_deg: float, sign: float) -> None:
-    """Place joint c so the angle at the vertex equals theta_deg exactly."""
-    ba = coords[a] - coords[vertex]
+def _solve_limb(xy: np.ndarray, a: int, vertex: int, c: int,
+                length: float, theta_deg: np.ndarray, sign: float) -> None:
+    """Place joint c so the angle at the vertex equals theta_deg exactly in
+    every frame; a and the vertex are template joints, the same in all."""
+    ba = xy[0, a] - xy[0, vertex]
     ba /= np.linalg.norm(ba)
-    coords[c] = coords[vertex] + length * _rot(ba, sign * theta_deg)
+    xy[:, c] = xy[:, vertex] + length * _rot(ba, sign * theta_deg)
 
 
-def _face_and_feet(coords: np.ndarray, upright: bool) -> None:
-    nose = coords[b.NOSE]
-    coords[b.R_EYE] = nose + (-3, 2)
-    coords[b.L_EYE] = nose + (3, 2)
-    coords[b.R_EAR] = nose + (-6, 0)
-    coords[b.L_EAR] = nose + (6, 0)
+def _face_and_feet(xy: np.ndarray, upright: bool) -> None:
+    xy[:, [b.R_EYE, b.L_EYE, b.R_EAR, b.L_EAR]] = (
+        xy[:, b.NOSE, None] + [(-3, 2), (3, 2), (-6, 0), (6, 0)])
     down = np.array([0.0, -4.0]) if upright else np.array([-2.0, -3.0])
     for ankle, toe, small, heel in ((b.R_ANKLE, b.R_BIG_TOE, b.R_SMALL_TOE, b.R_HEEL),
                                     (b.L_ANKLE, b.L_BIG_TOE, b.L_SMALL_TOE, b.L_HEEL)):
-        coords[toe] = coords[ankle] + down + (6, 0)
-        coords[small] = coords[ankle] + down + (8, 1)
-        coords[heel] = coords[ankle] + down + (-3, 0)
+        xy[:, [toe, small, heel]] = (xy[:, ankle] + down)[:, None] + [(6, 0), (8, 1), (-3, 0)]
 
 
-def _pose_squat(theta: float) -> np.ndarray:
-    xy = np.zeros((NUM_JOINTS, 2))
-    xy[b.MID_HIP] = (0, 60)
-    xy[b.NECK] = (0, 120)
-    xy[b.NOSE] = (0, 135)
-    xy[b.R_SHOULDER] = (-12, 118)
-    xy[b.L_SHOULDER] = (12, 118)
-    xy[b.R_ELBOW] = (-16, 95)
-    xy[b.L_ELBOW] = (16, 95)
-    xy[b.R_WRIST] = (-18, 72)
-    xy[b.L_WRIST] = (18, 72)
-    xy[b.R_HIP] = (-8, 60)
-    xy[b.L_HIP] = (8, 60)
-    xy[b.R_KNEE] = (-8, 30)
-    xy[b.L_KNEE] = (8, 30)
+def _template(n: int, joints: dict[int, tuple[float, float]]) -> np.ndarray:
+    """(n, 25, 2) coordinates holding the fixed joints in every frame, 0 elsewhere."""
+    xy = np.zeros((n, NUM_JOINTS, 2))
+    xy[:, list(joints)] = list(joints.values())
+    return xy
+
+
+# each motion's fixed joints: the rigid template its animated joints hang on
+_SQUAT = {b.MID_HIP: (0, 60), b.NECK: (0, 120), b.NOSE: (0, 135),
+          b.R_SHOULDER: (-12, 118), b.L_SHOULDER: (12, 118), b.R_ELBOW: (-16, 95),
+          b.L_ELBOW: (16, 95), b.R_WRIST: (-18, 72), b.L_WRIST: (18, 72),
+          b.R_HIP: (-8, 60), b.L_HIP: (8, 60), b.R_KNEE: (-8, 30), b.L_KNEE: (8, 30)}
+_PUSHUP = {b.MID_HIP: (0, 30), b.NECK: (58, 36), b.NOSE: (70, 40),
+           b.R_SHOULDER: (56, 30), b.L_SHOULDER: (60, 42), b.R_ELBOW: (56, 8),
+           b.L_ELBOW: (60, 20), b.R_HIP: (0, 27), b.L_HIP: (0, 33), b.R_KNEE: (-30, 26),
+           b.L_KNEE: (-30, 32), b.R_ANKLE: (-60, 25), b.L_ANKLE: (-60, 31)}
+_PULLUP = {b.MID_HIP: (0, 0), b.NECK: (0, 60), b.NOSE: (0, 72),
+           b.R_SHOULDER: (-14, 58), b.L_SHOULDER: (14, 58), b.R_ELBOW: (-16, 83),
+           b.L_ELBOW: (16, 83), b.R_HIP: (-8, 0), b.L_HIP: (8, 0), b.R_KNEE: (-8, -30),
+           b.L_KNEE: (8, -30), b.R_ANKLE: (-8, -58), b.L_ANKLE: (8, -58)}
+_SITUP = {b.MID_HIP: (0, 12), b.R_HIP: (0, 10), b.L_HIP: (0, 14), b.R_KNEE: (28, 28),
+          b.L_KNEE: (28, 32), b.R_ANKLE: (44, 8), b.L_ANKLE: (44, 12)}
+
+
+def _pose_squat(theta: np.ndarray) -> np.ndarray:
+    xy = _template(len(theta), _SQUAT)
     _solve_limb(xy, b.R_HIP, b.R_KNEE, b.R_ANKLE, 28, theta, -1)
     _solve_limb(xy, b.L_HIP, b.L_KNEE, b.L_ANKLE, 28, theta, +1)
     _face_and_feet(xy, upright=True)
     return xy
 
 
-def _pose_pushup(theta: float) -> np.ndarray:
-    xy = np.zeros((NUM_JOINTS, 2))
-    xy[b.MID_HIP] = (0, 30)
-    xy[b.NECK] = (58, 36)
-    xy[b.NOSE] = (70, 40)
-    xy[b.R_SHOULDER] = (56, 30)
-    xy[b.L_SHOULDER] = (60, 42)
-    xy[b.R_ELBOW] = (56, 8)
-    xy[b.L_ELBOW] = (60, 20)
+def _pose_pushup(theta: np.ndarray) -> np.ndarray:
+    xy = _template(len(theta), _PUSHUP)
     _solve_limb(xy, b.R_SHOULDER, b.R_ELBOW, b.R_WRIST, 22, theta, +1)
     _solve_limb(xy, b.L_SHOULDER, b.L_ELBOW, b.L_WRIST, 22, theta, -1)
-    xy[b.R_HIP] = (0, 27)
-    xy[b.L_HIP] = (0, 33)
-    xy[b.R_KNEE] = (-30, 26)
-    xy[b.L_KNEE] = (-30, 32)
-    xy[b.R_ANKLE] = (-60, 25)
-    xy[b.L_ANKLE] = (-60, 31)
     _face_and_feet(xy, upright=False)
     return xy
 
 
-def _pose_pullup(theta: float) -> np.ndarray:
-    xy = np.zeros((NUM_JOINTS, 2))
-    xy[b.MID_HIP] = (0, 0)
-    xy[b.NECK] = (0, 60)
-    xy[b.NOSE] = (0, 72)
-    xy[b.R_SHOULDER] = (-14, 58)
-    xy[b.L_SHOULDER] = (14, 58)
-    xy[b.R_ELBOW] = (-16, 83)
-    xy[b.L_ELBOW] = (16, 83)
+def _pose_pullup(theta: np.ndarray) -> np.ndarray:
+    xy = _template(len(theta), _PULLUP)
     _solve_limb(xy, b.R_SHOULDER, b.R_ELBOW, b.R_WRIST, 24, theta, +1)
     _solve_limb(xy, b.L_SHOULDER, b.L_ELBOW, b.L_WRIST, 24, theta, -1)
-    xy[b.R_HIP] = (-8, 0)
-    xy[b.L_HIP] = (8, 0)
-    xy[b.R_KNEE] = (-8, -30)
-    xy[b.L_KNEE] = (8, -30)
-    xy[b.R_ANKLE] = (-8, -58)
-    xy[b.L_ANKLE] = (8, -58)
     _face_and_feet(xy, upright=True)
     return xy
 
 
-def _pose_situp(theta: float) -> np.ndarray:
+def _pose_situp(theta: np.ndarray) -> np.ndarray:
     """Out-of-class motion: lying posture with the hip angle oscillating."""
-    xy = np.zeros((NUM_JOINTS, 2))
-    xy[b.MID_HIP] = (0, 12)
-    xy[b.R_HIP] = (0, 10)
-    xy[b.L_HIP] = (0, 14)
-    xy[b.R_KNEE] = (28, 28)
-    xy[b.L_KNEE] = (28, 32)
-    xy[b.R_ANKLE] = (44, 8)
-    xy[b.L_ANKLE] = (44, 12)
+    xy = _template(len(theta), _SITUP)
     # torso rotates about the mid-hip toward the knees
     _solve_limb(xy, b.R_KNEE, b.MID_HIP, b.NECK, 55, theta, -1)
-    torso_dir = (xy[b.NECK] - xy[b.MID_HIP]) / 55.0
-    perp = np.array([-torso_dir[1], torso_dir[0]])
-    xy[b.NOSE] = xy[b.NECK] + 12 * torso_dir
-    xy[b.R_SHOULDER] = xy[b.NECK] - 4 * torso_dir - 5 * perp
-    xy[b.L_SHOULDER] = xy[b.NECK] - 4 * torso_dir + 5 * perp
-    xy[b.R_ELBOW] = xy[b.R_SHOULDER] + 14 * torso_dir - 4 * perp
-    xy[b.L_ELBOW] = xy[b.L_SHOULDER] + 14 * torso_dir + 4 * perp
-    xy[b.R_WRIST] = xy[b.R_ELBOW] + 12 * torso_dir
-    xy[b.L_WRIST] = xy[b.L_ELBOW] + 12 * torso_dir
+    neck = xy[:, b.NECK]
+    torso_dir = (neck - xy[:, b.MID_HIP]) / 55.0
+    perp = np.stack([-torso_dir[:, 1], torso_dir[:, 0]], axis=1)
+    xy[:, b.NOSE] = neck + 12 * torso_dir
+    xy[:, b.R_SHOULDER] = neck - 4 * torso_dir - 5 * perp
+    xy[:, b.L_SHOULDER] = neck - 4 * torso_dir + 5 * perp
+    xy[:, b.R_ELBOW] = xy[:, b.R_SHOULDER] + 14 * torso_dir - 4 * perp
+    xy[:, b.L_ELBOW] = xy[:, b.L_SHOULDER] + 14 * torso_dir + 4 * perp
+    xy[:, b.R_WRIST] = xy[:, b.R_ELBOW] + 12 * torso_dir
+    xy[:, b.L_WRIST] = xy[:, b.L_ELBOW] + 12 * torso_dir
     _face_and_feet(xy, upright=False)
     return xy
 
 
-# motion name -> the pose builder that places its joints for one angle
-POSE_BUILDERS: dict[str, Callable[[float], np.ndarray]] = {
+# motion name -> the pose builder: (F,) angles to (F, 25, 2) coordinates
+POSE_BUILDERS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "squat": _pose_squat,
     "push-up": _pose_pushup,
     "pull-up": _pose_pullup,
@@ -196,6 +186,7 @@ class PersonMotion:
     def __post_init__(self):
         if self.exercise not in POSE_BUILDERS:
             raise SpecError(f"unknown motion {self.exercise!r}")
+        _check_integers(self, ("full_cycles", "partial_cycles", "period"))
         if self.full_cycles < 0 or self.partial_cycles < 0:
             raise SpecError("cycle counts must be >= 0")
         if self.full_cycles + self.partial_cycles == 0:
@@ -224,6 +215,9 @@ class SyntheticSessionSpec:
     def __post_init__(self):
         if not self.persons:
             raise SpecError("spec needs at least one person")
+        _check_integers(self, ("seed", "lead_in"))
+        if not math.isfinite(self.spacing):
+            raise SpecError(f"spacing must be finite, got {self.spacing!r}")
         if self.lead_in < 0:
             raise SpecError("lead_in must be >= 0")
         if self.seed < 0:
@@ -279,41 +273,46 @@ def generate_session(spec: SyntheticSessionSpec) -> tuple[list[SkeletonFrame], l
         sched = angle_schedule(motion, spec.lead_in)
         noisy = np.clip(sched + _ar1_noise(rng, len(sched), motion.noise_sigma), 1.0, 179.0)
         schedules.append(noisy)
-    n_frames = max(len(s) for s in schedules)
+    n_frames, n_persons = max(len(s) for s in schedules), len(spec.persons)
 
-    frames = []
+    # every other draw, in the order that keeps sessions byte-stable: per
+    # frame and person the jitter, then the gaps; then the frame's order
+    jitter = [np.empty((n_frames, NUM_JOINTS, 2)) if m.pos_jitter > 0 else None
+              for m in spec.persons]
+    dropped = [np.empty((n_frames, NUM_JOINTS), bool) if m.gap_rate > 0 else None
+               for m in spec.persons]
+    slot = np.tile(np.arange(n_persons), (n_frames, 1))  # each person's row in each frame
     for f in range(n_frames):
-        skeletons = []
         for pi, motion in enumerate(spec.persons):
-            sched = schedules[pi]
-            theta = float(sched[min(f, len(sched) - 1)])
-            xy = POSE_BUILDERS[motion.exercise](theta)
             if motion.pos_jitter > 0:
-                jitter = rng.normal(0.0, motion.pos_jitter, size=xy.shape)
-                jitter[list(_ANIMATED[motion.exercise])] = 0.0
-                xy = xy + jitter
-            xy = xy + np.array([pi * spec.spacing, 0.0])
-            conf = np.full(NUM_JOINTS, BASE_CONFIDENCE)
+                jitter[pi][f] = rng.normal(0.0, motion.pos_jitter, size=(NUM_JOINTS, 2))
             if motion.gap_rate > 0:
-                dropped = rng.random(NUM_JOINTS) < motion.gap_rate
-                conf[dropped] = 0.0
-                xy = np.where(dropped[:, None], 0.0, xy)
-            coords = np.concatenate([xy, np.zeros((NUM_JOINTS, 1))], axis=1)
-            skeletons.append(RawSkeleton(coords=coords, confidence=conf))
-        if spec.shuffle_order and len(skeletons) > 1:
-            order = rng.permutation(len(skeletons))
-            skeletons = [skeletons[i] for i in order]
-        frames.append(SkeletonFrame.of(f, skeletons))
+                dropped[pi][f] = rng.random(NUM_JOINTS) < motion.gap_rate
+        if spec.shuffle_order and n_persons > 1:
+            slot[f, rng.permutation(n_persons)] = np.arange(n_persons)
 
-    truth = [
-        {
-            "exercise": motion.exercise,
-            "full_cycles": motion.full_cycles,
-            "partial_cycles": motion.partial_cycles,
-            "expected_counts": motion.expected_counts,
-        }
-        for motion in spec.persons
-    ]
+    coords = np.zeros((n_frames, n_persons, NUM_JOINTS, 3))
+    confidence = np.full((n_frames, n_persons, NUM_JOINTS), BASE_CONFIDENCE)
+    index = np.arange(n_frames)
+    for pi, motion in enumerate(spec.persons):
+        sched = schedules[pi]
+        xy = POSE_BUILDERS[motion.exercise](sched[np.minimum(index, len(sched) - 1)])
+        if jitter[pi] is not None:
+            jitter[pi][:, list(_ANIMATED[motion.exercise])] = 0.0
+            xy += jitter[pi]
+        xy += (pi * spec.spacing, 0.0)
+        if dropped[pi] is not None:
+            xy[dropped[pi]] = 0.0
+            confidence[index, slot[:, pi]] = np.where(dropped[pi], 0.0, BASE_CONFIDENCE)
+        coords[index, slot[:, pi], :, :2] = xy
+    # frames are views of one array pair: read-only buffers, so that no
+    # holder of a frame can make them writeable and change the others
+    coords, confidence = (np.asarray(memoryview(a).toreadonly()) for a in (coords, confidence))
+    frames = [SkeletonFrame(f, coords[f], confidence[f]) for f in range(n_frames)]
+
+    truth = [{"exercise": m.exercise, "full_cycles": m.full_cycles,
+              "partial_cycles": m.partial_cycles, "expected_counts": m.expected_counts}
+             for m in spec.persons]
     return frames, truth
 
 

@@ -3,7 +3,9 @@ top-level name or private method is left that nothing in the package uses,
 no public top-level function or class is left that nothing in the package,
 its tests or its benchmark uses, no dataclass field that none of them
 reads, and no defaulted parameter that none of them passes: code that loses
-its last user should take its imports with it, and go itself."""
+its last user should take its imports with it, and go itself. No module of
+the package imports another's private name: a rule two modules share lives
+behind a public name of the module that owns it."""
 import ast
 from pathlib import Path
 
@@ -49,6 +51,34 @@ def test_the_check_finds_an_unused_import():
 def test_no_module_imports_a_name_it_never_uses(path):
     source = path.read_text(encoding="utf-8")
     assert unused_imports(source, init=path.name == "__init__.py") == []
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """The private names (a leading underscore, not a dunder) that the
+    modules import from a module of the package, relatively or as repcount,
+    as "module:name"."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "repcount"):
+                found += [f"{module}:{alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_the_check_finds_a_private_import():
+    sources = {"a": "from .b import _hidden, shown, __version__\nfrom os import _exit\n"
+                    "from . import _c\nfrom repcount.b import _absolute\n"
+                    "from __future__ import annotations\n",
+               "b": "def f():\n    from .a import _late\n"}
+    assert private_imports(sources) == ["a:_hidden", "a:_c", "a:_absolute", "b:_late"]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert private_imports(sources) == []
 
 
 def _unread(defined: list[tuple[str, str, ast.AST]], trees) -> list[str]:
